@@ -26,14 +26,14 @@
 use ht_bench::{black_box, Suite};
 use ht_dsp::complex::Complex;
 use ht_dsp::json::Json;
-use ht_dsp::kernels::{cross_whiten_fast_into, cross_whiten_reference_into};
+use ht_dsp::kernels::{avx2_available, cross_whiten_fast_into, cross_whiten_reference_into};
 use ht_dsp::rng::{gaussian, Rng, SeedableRng, StdRng};
 use ht_dsp::srp::srp_phat_mode;
 use ht_dsp::QuantMode;
 use ht_ml::nn::{NeuralNet, NeuralNetConfig};
 use ht_ml::quant::{
-    avx2_available, dist2_i8_avx2, dist2_i8_scalar, dot_i8_avx2, dot_i8_scalar, QuantScratch,
-    QuantizedNet, QuantizedSvm,
+    dist2_i8_avx2, dist2_i8_scalar, dot_i8_avx2, dot_i8_scalar, QuantScratch, QuantizedNet,
+    QuantizedSvm,
 };
 use ht_ml::svm::{Svm, SvmParams};
 use ht_ml::{Classifier, Dataset};

@@ -21,7 +21,12 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// assert_eq!(c, Complex::new(5.0, 5.0));
 /// assert!((a.abs() - 5.0_f64.sqrt()).abs() < 1e-12);
 /// ```
+///
+/// `#[repr(C)]` pins the layout to `[re, im]` with no padding, so a
+/// `[Complex]` slice is an interleaved `f64` array; the SIMD FFT
+/// butterflies in [`crate::fft::plan`] rely on this.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

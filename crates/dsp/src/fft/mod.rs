@@ -155,147 +155,6 @@ pub fn irfft_real(spec: &[Complex]) -> Vec<f64> {
     ifft(spec).into_iter().map(|z| z.re).collect()
 }
 
-/// The pre-plan FFT implementation: full complex transforms with the
-/// `w *= wlen` twiddle recurrence, recomputed per call.
-///
-/// Kept (hidden from the docs) as the comparison baseline for the
-/// `fft_plans` benchmark suite and the accuracy/property tests that prove
-/// the planned engine matches — and out-performs — the original.
-#[doc(hidden)]
-pub mod legacy {
-    use super::next_pow2;
-    use crate::complex::Complex;
-
-    /// In-place iterative radix-2 Cooley–Tukey FFT with the error-
-    /// accumulating `w *= wlen` twiddle recurrence.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `buf.len()` is not a power of two.
-    pub fn fft_pow2_in_place(buf: &mut [Complex], inverse: bool) {
-        let n = buf.len();
-        debug_assert!(n.is_power_of_two());
-        if n <= 1 {
-            return;
-        }
-
-        // Bit-reversal permutation.
-        let mut j = 0usize;
-        for i in 1..n {
-            let mut bit = n >> 1;
-            while j & bit != 0 {
-                j ^= bit;
-                bit >>= 1;
-            }
-            j |= bit;
-            if i < j {
-                buf.swap(i, j);
-            }
-        }
-
-        let sign = if inverse { 1.0 } else { -1.0 };
-        let mut len = 2;
-        while len <= n {
-            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-            let wlen = Complex::from_angle(ang);
-            let half = len / 2;
-            let mut i = 0;
-            while i < n {
-                let mut w = Complex::ONE;
-                for k in 0..half {
-                    let u = buf[i + k];
-                    let v = buf[i + k + half] * w;
-                    buf[i + k] = u + v;
-                    buf[i + k + half] = u - v;
-                    w *= wlen;
-                }
-                i += len;
-            }
-            len <<= 1;
-        }
-    }
-
-    /// Legacy forward FFT of arbitrary length (radix-2 or per-call
-    /// Bluestein).
-    pub fn fft(input: &[Complex]) -> Vec<Complex> {
-        let mut buf = input.to_vec();
-        fft_in_place(&mut buf, false);
-        buf
-    }
-
-    /// Legacy inverse FFT (normalized by `1/N`).
-    pub fn ifft(input: &[Complex]) -> Vec<Complex> {
-        let mut buf = input.to_vec();
-        fft_in_place(&mut buf, true);
-        let n = buf.len() as f64;
-        for z in &mut buf {
-            *z = *z / n;
-        }
-        buf
-    }
-
-    fn fft_in_place(buf: &mut [Complex], inverse: bool) {
-        let n = buf.len();
-        if n <= 1 {
-            return;
-        }
-        if n.is_power_of_two() {
-            fft_pow2_in_place(buf, inverse);
-        } else {
-            let out = bluestein(buf, inverse);
-            buf.copy_from_slice(&out);
-        }
-    }
-
-    /// Legacy Bluestein chirp-z transform, rebuilding the chirp and its
-    /// filter spectrum on every call.
-    fn bluestein(input: &[Complex], inverse: bool) -> Vec<Complex> {
-        let n = input.len();
-        let sign = if inverse { 1.0 } else { -1.0 };
-        let m = next_pow2(2 * n - 1);
-
-        let chirp: Vec<Complex> = (0..n)
-            .map(|k| {
-                let k2 = (k as u128 * k as u128) % (2 * n as u128);
-                Complex::from_angle(sign * std::f64::consts::PI * k2 as f64 / n as f64)
-            })
-            .collect();
-
-        let mut a = vec![Complex::ZERO; m];
-        for k in 0..n {
-            a[k] = input[k] * chirp[k];
-        }
-        let mut b = vec![Complex::ZERO; m];
-        b[0] = chirp[0].conj();
-        for k in 1..n {
-            let c = chirp[k].conj();
-            b[k] = c;
-            b[m - k] = c;
-        }
-
-        fft_pow2_in_place(&mut a, false);
-        fft_pow2_in_place(&mut b, false);
-        for (av, bv) in a.iter_mut().zip(b.iter()) {
-            *av *= *bv;
-        }
-        fft_pow2_in_place(&mut a, true);
-        let scale = 1.0 / m as f64;
-        (0..n).map(|k| a[k] * chirp[k] * scale).collect()
-    }
-
-    /// Legacy full-spectrum real FFT: zero-pads into a full complex buffer
-    /// and runs the complex transform (2× the necessary work).
-    pub fn rfft(x: &[f64]) -> Vec<Complex> {
-        let n = next_pow2(x.len());
-        let mut buf = vec![Complex::ZERO; n];
-        for (b, &v) in buf.iter_mut().zip(x.iter()) {
-            b.re = v;
-        }
-        fft_pow2_in_place(&mut buf, false);
-        buf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,23 +354,14 @@ mod tests {
     }
 
     /// Accuracy regression at n = 16384 against the exact DFT, evaluated on
-    /// a strided sample of bins (the recurrence drift spreads over the
-    /// whole spectrum, so a sample captures it; the full O(N²) reference
-    /// would take minutes in a debug build).
-    ///
-    /// The legacy engine's `w *= wlen` recurrence accumulates rounding
-    /// error across each stage's butterflies; its worst-case error is
-    /// pinned by `LEGACY_CEILING` so the baseline can never silently get
-    /// worse. The planned engine reads independently rounded table entries,
-    /// so it must stay below the much tighter `PLANNED_CEILING` — and below
-    /// the legacy error, proving the accuracy fix rather than asserting it.
+    /// a strided sample of bins (rounding error spreads over the whole
+    /// spectrum, so a sample captures it; the full O(N²) reference would
+    /// take minutes in a debug build). Every twiddle is an independently
+    /// rounded table entry rather than a `w *= wlen` running product, so
+    /// the error must stay below `PLANNED_CEILING`.
     #[test]
-    fn table_twiddles_beat_recurrence_at_16384() {
+    fn planned_fft_error_at_16384_stays_under_ceiling() {
         const N: usize = 16384;
-        // Regression pin for the legacy recurrence path.
-        const LEGACY_CEILING: f64 = 1e-9;
-        // The planned table path must be at least an order of magnitude
-        // tighter than the pinned recurrence ceiling.
         const PLANNED_CEILING: f64 = 1e-10;
 
         let x: Vec<Complex> = (0..N)
@@ -521,7 +371,6 @@ mod tests {
             })
             .collect();
         let planned = fft(&x);
-        let legacy = legacy::fft(&x);
 
         let table = twiddle_table(N);
         // Stride coprime to N so the sampled bins sweep the whole spectrum,
@@ -529,29 +378,54 @@ mod tests {
         let bins: Vec<usize> = (0..N).step_by(67).chain([1, N / 2, N - 1]).collect();
         let mut scale = 0.0f64;
         let mut planned_err = 0.0f64;
-        let mut legacy_err = 0.0f64;
         for &k in &bins {
             let exact = dft_bin(&x, &table, k);
             scale = scale.max(exact.abs());
             planned_err = planned_err.max((planned[k] - exact).abs());
-            legacy_err = legacy_err.max((legacy[k] - exact).abs());
         }
         let planned_err = planned_err / scale;
-        let legacy_err = legacy_err / scale;
-
-        assert!(
-            legacy_err < LEGACY_CEILING,
-            "legacy recurrence error regressed: {legacy_err:.3e}"
-        );
         assert!(
             planned_err < PLANNED_CEILING,
             "planned table error too large: {planned_err:.3e}"
         );
-        assert!(
-            planned_err < legacy_err,
-            "tables should beat the recurrence: planned {planned_err:.3e} \
-             vs legacy {legacy_err:.3e}"
-        );
+    }
+
+    fn random_complex(g: &mut crate::check::Gen, len: usize) -> Vec<Complex> {
+        (0..len)
+            .map(|_| Complex::new(g.f64_in(-1.0..1.0), g.f64_in(-1.0..1.0)))
+            .collect()
+    }
+
+    #[test]
+    fn planned_fft_matches_kahan_dft_on_pow2_sizes() {
+        crate::check::property("planned_fft_matches_kahan_dft_on_pow2_sizes").run(|g| {
+            let n = 1usize << g.usize_in(0..12);
+            let x = random_complex(g, n);
+            let planned = fft(&x);
+            for (p, e) in planned.iter().zip(&dft(&x)) {
+                assert!((*p - *e).abs() < 1e-8 * (n as f64).max(1.0), "n = {n}");
+            }
+            let back = ifft(&planned);
+            for (b, orig) in back.iter().zip(&x) {
+                assert!((*b - *orig).abs() < 1e-9, "round trip at n = {n}");
+            }
+        });
+    }
+
+    #[test]
+    fn planned_fft_matches_kahan_dft_on_bluestein_sizes() {
+        crate::check::property("planned_fft_matches_kahan_dft_on_bluestein_sizes").run(|g| {
+            // Skew towards awkward sizes: odd, prime-ish, just-off-pow2.
+            let n = g.usize_in(2..2500);
+            let x = random_complex(g, n);
+            let planned = fft(&x);
+            for (k, (p, e)) in planned.iter().zip(&dft(&x)).enumerate() {
+                assert!(
+                    (*p - *e).abs() < 1e-7 * (n as f64),
+                    "n = {n}, bin {k}: planned {p:?} vs exact {e:?}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -9,19 +9,22 @@
 //! workers; all mutable state lives in the per-caller [`FftScratch`] /
 //! [`RealFftScratch`].
 //!
-//! Two properties distinguish the planned engine from the legacy
-//! recurrence-based one (kept as `fft::legacy` for comparison):
+//! Three properties make the planned engine fast and accurate:
 //!
 //! * **Accuracy** — every twiddle factor is an independently rounded
-//!   `sin`/`cos` table entry instead of the `w *= wlen` running product,
-//!   whose rounding error compounds over each butterfly stage. At
-//!   `n = 16384` this tightens the worst-case error against the exact DFT
-//!   by several orders of magnitude (see the accuracy regression test in
-//!   `fft::tests`).
+//!   `sin`/`cos` table entry instead of a `w *= wlen` running product,
+//!   whose rounding error would compound over each butterfly stage. The
+//!   accuracy regression test in `fft::tests` pins the error at
+//!   `n = 16384` against a compensated exact DFT.
 //! * **Real-input cost** — [`RealFftPlan`] computes the one-sided spectrum
 //!   of a length-`n` real signal with a single complex FFT of length `n/2`
 //!   (pack-even/odd trick) plus an `O(n)` reconstruction, roughly halving
-//!   the work of the full complex transform the legacy `rfft` ran.
+//!   the work of a full complex transform.
+//! * **SIMD butterflies** — on x86_64 machines with AVX2 (detected once at
+//!   run time), every radix-2 stage after the first processes two complex
+//!   values per 256-bit register. The lanes round exactly as the scalar
+//!   loop does, so results are bit-identical on every machine; the scalar
+//!   loop stays as the portable path and the tests' reference.
 //!
 //! Determinism: a plan of size `n` always contains the same tables no
 //! matter which thread builds it or in which order sizes are first
@@ -134,25 +137,120 @@ impl Pow2Tables {
     }
 
     /// Unnormalized in-place radix-2 pass over the precomputed tables.
-    fn process(&self, buf: &mut [Complex], inverse: bool) {
+    ///
+    /// With `simd` set and AVX2 present, every stage after the first runs
+    /// the AVX2 butterflies, which give the scalar loop's bits exactly
+    /// (see [`x86::stages`]); otherwise every stage runs the scalar loop.
+    /// Only the bit-identity tests pass `simd = false`.
+    fn process(&self, buf: &mut [Complex], inverse: bool, simd: bool) {
         let n = buf.len();
         for &(i, j) in &self.swaps {
             buf.swap(i as usize, j as usize);
         }
-        let mut tables = self.twiddles.as_slice();
-        let mut len = 2usize;
+        // The first stage (len 2, one twiddle) stays scalar: two complex
+        // values per register would span two butterflies.
+        let (first, mut tables) = self.twiddles.split_at(1);
+        scalar_stage(buf, first, inverse);
+        #[cfg(target_arch = "x86_64")]
+        if simd && crate::kernels::avx2_available() {
+            // SAFETY: AVX2 was detected on this line. `n` is a power of two
+            // and `tables` holds the twiddles of stages len = 4, 8, …, n in
+            // build order, so the stages compute the full transform.
+            unsafe { x86::stages(buf, tables, inverse) };
+            return;
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = simd;
+        let mut len = 4usize;
+        while len <= n {
+            let (stage, rest) = tables.split_at(len / 2);
+            tables = rest;
+            scalar_stage(buf, stage, inverse);
+            len <<= 1;
+        }
+    }
+}
+
+/// One radix-2 stage of `len = 2 · stage.len()` over every `len`-chunk of
+/// `buf` — the reference every SIMD stage must match bit for bit.
+fn scalar_stage(buf: &mut [Complex], stage: &[Complex], inverse: bool) {
+    let half = stage.len();
+    for chunk in buf.chunks_exact_mut(2 * half) {
+        let (lo, hi) = chunk.split_at_mut(half);
+        for k in 0..half {
+            let w = if inverse { stage[k].conj() } else { stage[k] };
+            let u = lo[k];
+            let v = hi[k] * w;
+            lo[k] = u + v;
+            hi[k] = u - v;
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[deny(unsafe_op_in_unsafe_fn)]
+mod x86 {
+    use crate::complex::Complex;
+    use std::arch::x86_64::*;
+
+    /// The radix-2 stages `len = 4, 8, …, buf.len()` with two complex
+    /// values per 256-bit register.
+    ///
+    /// Each butterfly computes `v = h · w` as `mul(h, [w.re, w.re])`,
+    /// `mul(swap(h), [w.im, w.im])` and one `addsub`, then `u + v` and
+    /// `u − v`. No FMA, so every lane rounds exactly as [`Complex`]'s
+    /// scalar multiply: the real part is the same `a·c − b·d`, and the
+    /// imaginary part is `b·c + a·d` where the scalar code computes
+    /// `a·d + b·c` — the same two rounded products, added in swapped
+    /// order, and IEEE addition is commutative. The inverse negates the
+    /// twiddle's imaginary part by flipping its sign bit, as `conj` does.
+    ///
+    /// For a correct transform `buf.len()` is a power of two and
+    /// `twiddles` holds the twiddles of stages `len = 4, 8, …` back to
+    /// back (`len / 2` entries each); memory safety does not depend on it.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn stages(buf: &mut [Complex], mut twiddles: &[Complex], inverse: bool) {
+        let n = buf.len();
+        let sign = if inverse {
+            _mm256_set1_pd(-0.0)
+        } else {
+            _mm256_setzero_pd()
+        };
+        let mut len = 4usize;
         while len <= n {
             let half = len / 2;
-            let (stage, rest) = tables.split_at(half);
-            tables = rest;
+            let (stage, rest) = twiddles.split_at(half);
+            twiddles = rest;
+            let w_ptr = stage.as_ptr().cast::<f64>();
             for chunk in buf.chunks_exact_mut(len) {
-                let (lo, hi) = chunk.split_at_mut(half);
-                for k in 0..half {
-                    let w = if inverse { stage[k].conj() } else { stage[k] };
-                    let u = lo[k];
-                    let v = hi[k] * w;
-                    lo[k] = u + v;
-                    hi[k] = u - v;
+                let lo_ptr = chunk.as_mut_ptr().cast::<f64>();
+                for k in (0..half).step_by(2) {
+                    // SAFETY: AVX2 is guaranteed by the caller. `len` is a
+                    // power of two ≥ 4, so `half` is even and `k + 1 < half`:
+                    // the twiddle load reads `stage[k..k + 2]` and the data
+                    // loads and stores touch `chunk[k..k + 2]` and
+                    // `chunk[half + k..half + k + 2]`, all in bounds of the
+                    // `len`-element chunk. `Complex` is `#[repr(C)]`, so
+                    // each pair is four contiguous `f64`s, and the unaligned
+                    // load and store forms need no alignment.
+                    unsafe {
+                        let w = _mm256_loadu_pd(w_ptr.add(2 * k));
+                        let w_re = _mm256_movedup_pd(w);
+                        let w_im = _mm256_xor_pd(_mm256_permute_pd::<0b1111>(w), sign);
+                        let lo = lo_ptr.add(2 * k);
+                        let hi = lo_ptr.add(2 * (half + k));
+                        let u = _mm256_loadu_pd(lo);
+                        let h = _mm256_loadu_pd(hi);
+                        let h_swap = _mm256_permute_pd::<0b0101>(h);
+                        let v =
+                            _mm256_addsub_pd(_mm256_mul_pd(h, w_re), _mm256_mul_pd(h_swap, w_im));
+                        _mm256_storeu_pd(lo, _mm256_add_pd(u, v));
+                        _mm256_storeu_pd(hi, _mm256_sub_pd(u, v));
+                    }
                 }
             }
             len <<= 1;
@@ -184,7 +282,7 @@ impl BluesteinTables {
                 b[m - k] = c;
             }
             match &inner.kind {
-                Kind::Pow2(t) => t.process(&mut b, false),
+                Kind::Pow2(t) => t.process(&mut b, false, true),
                 _ => unreachable!("inner Bluestein plan is always pow2"),
             }
             b
@@ -200,7 +298,7 @@ impl BluesteinTables {
     }
 
     /// Unnormalized chirp-z transform of `buf` through the inner plan.
-    fn process(&self, buf: &mut [Complex], scratch: &mut FftScratch, inverse: bool) {
+    fn process(&self, buf: &mut [Complex], scratch: &mut FftScratch, inverse: bool, simd: bool) {
         let n = buf.len();
         let m = self.inner.len();
         let tables = match &self.inner.kind {
@@ -220,7 +318,7 @@ impl BluesteinTables {
         for k in 0..n {
             a[k] = buf[k] * chirp_at(k);
         }
-        tables.process(a, false);
+        tables.process(a, false, simd);
         let filter = if inverse {
             &self.filter_inv
         } else {
@@ -229,7 +327,7 @@ impl BluesteinTables {
         for (av, bv) in a.iter_mut().zip(filter.iter()) {
             *av *= *bv;
         }
-        tables.process(a, true);
+        tables.process(a, true, simd);
         let scale = 1.0 / m as f64;
         for k in 0..n {
             buf[k] = a[k] * chirp_at(k) * scale;
@@ -267,7 +365,7 @@ impl FftPlan {
     ///
     /// Panics if `buf.len() != self.len()`.
     pub fn forward(&self, buf: &mut [Complex], scratch: &mut FftScratch) {
-        self.process(buf, scratch, false);
+        self.process(buf, scratch, false, true);
     }
 
     /// Inverse DFT of `buf` in place, normalized by `1/n`.
@@ -276,14 +374,15 @@ impl FftPlan {
     ///
     /// Panics if `buf.len() != self.len()`.
     pub fn inverse(&self, buf: &mut [Complex], scratch: &mut FftScratch) {
-        self.process(buf, scratch, true);
+        self.process(buf, scratch, true, true);
         let inv_n = 1.0 / self.n as f64;
         for z in buf.iter_mut() {
             *z = *z * inv_n;
         }
     }
 
-    fn process(&self, buf: &mut [Complex], scratch: &mut FftScratch, inverse: bool) {
+    /// The unnormalized transform; `simd` as in [`Pow2Tables::process`].
+    fn process(&self, buf: &mut [Complex], scratch: &mut FftScratch, inverse: bool, simd: bool) {
         assert_eq!(
             buf.len(),
             self.n,
@@ -291,8 +390,8 @@ impl FftPlan {
         );
         match &self.kind {
             Kind::Trivial => {}
-            Kind::Pow2(t) => t.process(buf, inverse),
-            Kind::Bluestein(t) => t.process(buf, scratch, inverse),
+            Kind::Pow2(t) => t.process(buf, inverse, simd),
+            Kind::Bluestein(t) => t.process(buf, scratch, inverse, simd),
         }
     }
 }
@@ -390,7 +489,7 @@ impl RealFftPlan {
             z[pairs] = Complex::from_real(x[x.len() - 1]);
         }
         match &half.kind {
-            Kind::Pow2(t) => t.process(z, false),
+            Kind::Pow2(t) => t.process(z, false, true),
             Kind::Trivial => {}
             Kind::Bluestein(_) => unreachable!("half plan of a pow2 real plan is pow2"),
         }
@@ -448,7 +547,7 @@ impl RealFftPlan {
             *zk = fe + Complex::I * fo;
         }
         match &half.kind {
-            Kind::Pow2(t) => t.process(z, true),
+            Kind::Pow2(t) => t.process(z, true, true),
             Kind::Trivial => {}
             Kind::Bluestein(_) => unreachable!("half plan of a pow2 real plan is pow2"),
         }
@@ -529,4 +628,76 @@ pub(crate) fn with_tls_scratch<R>(f: impl FnOnce(&mut FftScratch, &mut RealFftSc
         let (cpx, real) = &mut *s;
         f(cpx, real)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Input families that stress rounding edge cases: ordinary values
+    /// with signed zeros sprinkled in, all-subnormal values, magnitudes
+    /// near 1e300 (an `n ≤ 65536` transform of them stays finite), and a
+    /// per-element mix of all three.
+    fn edge_inputs(n: usize) -> Vec<Vec<Complex>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ n as u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut value = |family: u64| -> f64 {
+            let r = next();
+            let sign = if r & 1 == 0 { 1.0 } else { -1.0 };
+            let unit = (r >> 11) as f64 / (1u64 << 53) as f64;
+            match family {
+                0 if r % 7 == 0 => sign * 0.0,
+                0 => 2.0 * unit - 1.0,
+                1 => sign * f64::from_bits((r >> 12) | 1),
+                _ => sign * (1.0 + unit) * 1e300,
+            }
+        };
+        let mut families: Vec<Vec<Complex>> = (0..3)
+            .map(|f| (0..n).map(|_| Complex::new(value(f), value(f))).collect())
+            .collect();
+        let mixed = (0..n)
+            .map(|k| Complex::new(value(k as u64 % 3), value((k as u64 + 1) % 3)))
+            .collect();
+        families.push(mixed);
+        families
+    }
+
+    fn bits(z: &[Complex]) -> Vec<(u64, u64)> {
+        z.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+    }
+
+    /// The AVX2 butterflies must give the scalar loop's bits exactly, for
+    /// every power of two from 2 to 65536 and one Bluestein size, in both
+    /// directions. Without AVX2 both runs take the scalar path.
+    #[test]
+    fn simd_butterflies_match_scalar_bit_for_bit() {
+        if !crate::kernels::avx2_available() {
+            eprintln!("notice: AVX2 not available on this machine; checking the scalar path only");
+        }
+        let mut scratch = FftScratch::new();
+        for n in (1..=16).map(|e| 1usize << e).chain([300]) {
+            let plan = FftPlan::new(n);
+            for (family, x) in edge_inputs(n).into_iter().enumerate() {
+                for inverse in [false, true] {
+                    let mut scalar = x.clone();
+                    plan.process(&mut scalar, &mut scratch, inverse, false);
+                    let mut simd = x.clone();
+                    plan.process(&mut simd, &mut scratch, inverse, true);
+                    assert!(
+                        scalar.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
+                        "n {n} family {family}: inputs must keep the transform finite"
+                    );
+                    assert!(
+                        bits(&scalar) == bits(&simd),
+                        "n {n} family {family} inverse {inverse}: SIMD bits differ"
+                    );
+                }
+            }
+        }
+    }
 }

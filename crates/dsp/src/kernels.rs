@@ -18,8 +18,41 @@
 //!   flat FMA-able sweep the compiler autovectorizes. Values agree with the
 //!   reference to ~1e-12 relative but are *not* bit-identical, so this
 //!   kernel is only reachable under [`QuantMode::Int8`].
+//!
+//! It also hosts the one cached AVX2 probe, [`avx2_available`], that every
+//! `std::arch` kernel in the workspace dispatches on (the FFT butterflies
+//! in [`crate::fft::plan`] and the int8 kernels in `ht-ml`).
 
 use crate::complex::Complex;
+
+#[cfg(target_arch = "x86_64")]
+use std::sync::atomic::{AtomicU8, Ordering};
+
+/// Cached runtime detection: 0 = unprobed, 1 = unavailable, 2 = available.
+#[cfg(target_arch = "x86_64")]
+static AVX2_STATE: AtomicU8 = AtomicU8::new(0);
+
+/// Whether AVX2 kernels can run on this machine. Probes CPUID once and
+/// caches the answer, so hot-path dispatch is one relaxed load and a
+/// predictable branch. The cached byte publishes no other data, so
+/// `Relaxed` suffices: a racing first probe just detects twice.
+#[cfg(target_arch = "x86_64")]
+pub fn avx2_available() -> bool {
+    match AVX2_STATE.load(Ordering::Relaxed) {
+        0 => {
+            let available = std::arch::is_x86_feature_detected!("avx2");
+            AVX2_STATE.store(if available { 2 } else { 1 }, Ordering::Relaxed);
+            available
+        }
+        state => state == 2,
+    }
+}
+
+/// Non-x86_64 targets never have AVX2 kernels.
+#[cfg(not(target_arch = "x86_64"))]
+pub fn avx2_available() -> bool {
+    false
+}
 
 /// Which numeric backend the decision hot path runs on.
 ///

@@ -10,6 +10,12 @@ use crate::window::{sinc_lowpass, Window};
 /// Decimates `x` by the integer `factor` after an anti-alias windowed-sinc
 /// low-pass at 45% of the output Nyquist.
 ///
+/// Output sample `m` is the filter applied at input index
+/// `m·factor + delay` (the FIR group delay is compensated, so the output is
+/// time-aligned with the input); taps that fall outside the input are
+/// skipped. This is exactly [`StreamDecimator`] fed the whole input and
+/// flushed, so batch and streaming liveness inputs share one kernel.
+///
 /// # Errors
 ///
 /// Returns [`DspError::InvalidParameter`] if `factor == 0`.
@@ -25,42 +31,20 @@ use crate::window::{sinc_lowpass, Window};
 /// # }
 /// ```
 pub fn decimate(x: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
-    if factor == 0 {
-        return Err(DspError::param("factor", "must be at least 1"));
-    }
-    if factor == 1 {
-        return Ok(x.to_vec());
-    }
-    if x.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Anti-alias filter: cutoff at 0.45 / factor (relative to input rate).
-    // The Blackman transition band is ~5.5/taps of the input rate; 24·factor
-    // taps keeps the transition inside the guard band below the new Nyquist.
-    let fc = 0.45 / factor as f64;
-    let taps = 24 * factor + 1;
-    let h = sinc_lowpass(taps, fc, Window::Blackman);
-    let delay = (taps - 1) / 2;
-
-    let out_len = x.len().div_ceil(factor);
-    let mut y = Vec::with_capacity(out_len);
-    for m in 0..out_len {
-        // Output sample m corresponds to input index m*factor; compensate
-        // the FIR group delay so the output is time-aligned with the input.
-        let center = m * factor + delay;
-        let mut acc = 0.0;
-        for (k, &hk) in h.iter().enumerate() {
-            let idx = center as isize - k as isize;
-            if idx >= 0 && (idx as usize) < x.len() {
-                acc += hk * x[idx as usize];
-            }
-        }
-        y.push(acc);
-    }
+    let mut dec = StreamDecimator::new(factor)?;
+    let mut y = Vec::with_capacity(x.len().div_ceil(factor));
+    dec.push(x, &mut y);
+    dec.flush_into(&mut y);
     Ok(y)
 }
 
-/// A chunk-streaming counterpart of [`decimate`].
+/// New input samples [`StreamDecimator::push`] appends to its linear buffer
+/// per step; the buffer is sized once for `taps − 1` history samples plus
+/// one block.
+const BLOCK: usize = 256;
+
+/// A chunk-streaming anti-alias decimator — the one kernel behind
+/// [`decimate`].
 ///
 /// Feed arbitrary chunks with [`push`](Self::push); it emits exactly the
 /// samples a single [`decimate`] call emits on the concatenated input, bit
@@ -71,16 +55,27 @@ pub fn decimate(x: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
 /// [`flush_into`](Self::flush_into), which is non-destructive: streaming
 /// may continue afterwards, and a later flush re-derives the (new) tail.
 ///
-/// Only the last `taps` input samples are retained (a fixed ring), so the
-/// memory footprint is independent of stream length.
+/// Input lands in a linear buffer holding the last `taps − 1` samples plus
+/// at most [`BLOCK`] new ones, so every eager output reads one contiguous
+/// window and four outputs are summed side by side on independent
+/// accumulators. Each output is still summed in tap order, so the grouping
+/// (which depends on the chunking) never changes a bit. The buffer is
+/// allocated once at construction; memory is independent of stream length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamDecimator {
     factor: usize,
     delay: usize,
     h: Vec<f64>,
-    /// Ring of the most recent `taps` input samples, indexed by absolute
-    /// input position modulo `taps`.
-    ring: Vec<f64>,
+    /// Linear buffer of `taps − 1 + BLOCK` samples; `buf[..len]` holds the
+    /// input samples at absolute indices `base..base + len`.
+    buf: Vec<f64>,
+    /// Absolute input index of `buf[0]`.
+    base: usize,
+    /// Valid samples in `buf`.
+    len: usize,
+    /// Outputs whose window reaches before input sample 0; they skip the
+    /// missing taps.
+    edge: usize,
     /// Input samples consumed so far.
     n_in: usize,
     /// Output samples emitted by `push` so far.
@@ -98,17 +93,23 @@ impl StreamDecimator {
             return Err(DspError::param("factor", "must be at least 1"));
         }
         if factor == 1 {
-            // Pass-through: `decimate` copies the input verbatim.
+            // Pass-through: decimating by one copies the input verbatim.
             return Ok(StreamDecimator {
                 factor,
                 delay: 0,
                 h: Vec::new(),
-                ring: Vec::new(),
+                buf: Vec::new(),
+                base: 0,
+                len: 0,
+                edge: 0,
                 n_in: 0,
                 n_out: 0,
             });
         }
-        // Same kernel as `decimate`: any deviation would break bit parity.
+        // Anti-alias filter: cutoff at 0.45 / factor (relative to input
+        // rate). The Blackman transition band is ~5.5/taps of the input
+        // rate; 24·factor taps keeps the transition inside the guard band
+        // below the new Nyquist.
         let fc = 0.45 / factor as f64;
         let taps = 24 * factor + 1;
         let h = sinc_lowpass(taps, fc, Window::Blackman);
@@ -117,7 +118,11 @@ impl StreamDecimator {
             factor,
             delay,
             h,
-            ring: vec![0.0; taps],
+            buf: vec![0.0; taps - 1 + BLOCK],
+            base: 0,
+            len: 0,
+            // Output m reaches before sample 0 iff m·factor + delay < taps − 1.
+            edge: (taps - 1 - delay).div_ceil(factor),
             n_in: 0,
             n_out: 0,
         })
@@ -132,18 +137,97 @@ impl StreamDecimator {
             self.n_out += x.len();
             return;
         }
-        let taps = self.h.len();
-        for &v in x {
-            let i = self.n_in;
-            self.ring[i % taps] = v;
-            self.n_in = i + 1;
-            // Output m has filter center m·factor + delay: it is ready
-            // exactly when input sample i == that center arrives.
-            if i >= self.delay && (i - self.delay).is_multiple_of(self.factor) {
-                out.push(self.output_at((i - self.delay) / self.factor));
-                self.n_out += 1;
+        let history = self.h.len() - 1;
+        for block in x.chunks(BLOCK) {
+            self.buf[self.len..self.len + block.len()].copy_from_slice(block);
+            self.len += block.len();
+            self.n_in += block.len();
+            self.emit_ready(out);
+            let keep = self.len.min(history);
+            self.buf.copy_within(self.len - keep..self.len, 0);
+            self.base += self.len - keep;
+            self.len = keep;
+        }
+    }
+
+    /// Emits every output whose filter center has arrived. Each eager
+    /// window lies in `buf`: it spans `taps` samples ending at its center,
+    /// and `buf` holds the `taps − 1` samples before the current block.
+    fn emit_ready(&mut self, out: &mut Vec<f64>) {
+        // Output m is ready once input m·factor + delay has arrived.
+        let ready = match self.n_in.checked_sub(self.delay + 1) {
+            Some(last) => last / self.factor + 1,
+            None => 0,
+        };
+        let mut m = self.n_out;
+        while m < ready.min(self.edge) {
+            out.push(self.output_clipped(m));
+            m += 1;
+        }
+        while m + 4 <= ready {
+            out.extend_from_slice(&self.outputs4(m));
+            m += 4;
+        }
+        while m < ready {
+            out.push(self.output_full(m));
+            m += 1;
+        }
+        self.n_out = ready;
+    }
+
+    /// The `taps` buffered samples ending at output `m`'s center.
+    fn window(&self, m: usize) -> &[f64] {
+        let end = m * self.factor + self.delay + 1 - self.base;
+        &self.buf[end - self.h.len()..end]
+    }
+
+    /// Output `m` with every tap inside the input: `Σ h[k]·x[center − k]`
+    /// in tap order.
+    fn output_full(&self, m: usize) -> f64 {
+        let mut acc = 0.0;
+        for (&hk, &xv) in self.h.iter().zip(self.window(m).iter().rev()) {
+            acc += hk * xv;
+        }
+        acc
+    }
+
+    /// Outputs `m..m + 4` on four independent accumulators, each summed in
+    /// the same tap order as [`output_full`](Self::output_full).
+    fn outputs4(&self, m: usize) -> [f64; 4] {
+        let (w0, w1) = (self.window(m), self.window(m + 1));
+        let (w2, w3) = (self.window(m + 2), self.window(m + 3));
+        let mut acc = [0.0f64; 4];
+        for ((((&hk, &x0), &x1), &x2), &x3) in self
+            .h
+            .iter()
+            .zip(w0.iter().rev())
+            .zip(w1.iter().rev())
+            .zip(w2.iter().rev())
+            .zip(w3.iter().rev())
+        {
+            acc[0] += hk * x0;
+            acc[1] += hk * x1;
+            acc[2] += hk * x2;
+            acc[3] += hk * x3;
+        }
+        acc
+    }
+
+    /// Output `m` skipping taps before sample 0 or at/after `n_in`, in tap
+    /// order: the first `edge` outputs and the flushed tail.
+    /// Every referenced index is buffered: a tail output's center lies at
+    /// or past `n_in`, so its live taps fall in the last `taps − 1` samples.
+    fn output_clipped(&self, m: usize) -> f64 {
+        let center = m * self.factor + self.delay;
+        let mut acc = 0.0;
+        for (k, &hk) in self.h.iter().enumerate() {
+            if let Some(idx) = center.checked_sub(k) {
+                if idx < self.n_in {
+                    acc += hk * self.buf[idx - self.base];
+                }
             }
         }
+        acc
     }
 
     /// Appends the pending tail outputs (those [`decimate`] would produce
@@ -155,32 +239,15 @@ impl StreamDecimator {
         }
         let total = self.n_in.div_ceil(self.factor);
         for m in self.n_out..total {
-            out.push(self.output_at(m));
+            out.push(self.output_clipped(m));
         }
-    }
-
-    /// Output sample `m`, summed in the same term order as [`decimate`].
-    /// Every referenced input index is provably within the ring: for eager
-    /// outputs the center is the newest sample, and for tail outputs the
-    /// center is past the end, so all live indices are within `taps` of
-    /// `n_in`.
-    fn output_at(&self, m: usize) -> f64 {
-        let center = m * self.factor + self.delay;
-        let taps = self.h.len();
-        let mut acc = 0.0;
-        for (k, &hk) in self.h.iter().enumerate() {
-            let idx = center as isize - k as isize;
-            if idx >= 0 && (idx as usize) < self.n_in {
-                acc += hk * self.ring[idx as usize % taps];
-            }
-        }
-        acc
     }
 
     /// Zeroes the stream state: a reset decimator is bit-identical to a
     /// freshly built one (pooled stream slots depend on this).
     pub fn reset(&mut self) {
-        self.ring.fill(0.0);
+        self.base = 0;
+        self.len = 0;
         self.n_in = 0;
         self.n_out = 0;
     }
@@ -225,6 +292,39 @@ pub fn upsample_hold(x: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
 mod tests {
     use super::*;
     use crate::signal::{rms, tone};
+
+    /// The original per-output decimation loop, kept as the bit-identity
+    /// oracle for [`StreamDecimator`] and [`decimate`]: output `m` sums
+    /// `h[k]·x[m·factor + delay − k]` in tap order over the taps that fall
+    /// inside the input.
+    fn decimate_oracle(x: &[f64], factor: usize) -> Vec<f64> {
+        if factor == 1 {
+            return x.to_vec();
+        }
+        let taps = 24 * factor + 1;
+        let h = sinc_lowpass(taps, 0.45 / factor as f64, Window::Blackman);
+        let delay = (taps - 1) / 2;
+        (0..x.len().div_ceil(factor))
+            .map(|m| {
+                let center = m * factor + delay;
+                let mut acc = 0.0;
+                for (k, &hk) in h.iter().enumerate() {
+                    let idx = center as isize - k as isize;
+                    if idx >= 0 && (idx as usize) < x.len() {
+                        acc += hk * x[idx as usize];
+                    }
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: sample {i}");
+        }
+    }
 
     #[test]
     fn output_length_is_ceil_division() {
@@ -297,35 +397,31 @@ mod tests {
     #[test]
     fn stream_decimator_matches_batch_for_any_chunking() {
         for factor in [2usize, 3, 4] {
-            for (len, seed) in [
+            let mut cases = vec![
                 (0usize, 1u64),
                 (1, 2),
                 (72, 3),
                 (73, 4),
                 (997, 5),
                 (4800, 6),
-            ] {
+            ];
+            // 4·factor consecutive lengths: the eagerly emitted outputs
+            // then end at every position inside a group of four.
+            cases.extend((0..4 * factor).map(|j| (1000 + j, 7 + j as u64)));
+            for (len, seed) in cases {
                 let x = noise(len, seed ^ factor as u64);
-                let want = decimate(&x, factor).unwrap();
-                for chunk in [1usize, 3, 7, 64, 480, 5000] {
+                let want = decimate_oracle(&x, factor);
+                let what = format!("factor {factor} len {len} batch");
+                assert_bits_eq(&decimate(&x, factor).unwrap(), &want, &what);
+                for chunk in [1usize, 3, 7, 64, 255, 256, 257, 480, 515, 5000] {
                     let mut dec = StreamDecimator::new(factor).unwrap();
                     let mut got = Vec::new();
-                    for c in x.chunks(chunk.max(1)) {
+                    for c in x.chunks(chunk) {
                         dec.push(c, &mut got);
                     }
                     dec.flush_into(&mut got);
-                    assert_eq!(
-                        got.len(),
-                        want.len(),
-                        "factor {factor} len {len} chunk {chunk}"
-                    );
-                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            w.to_bits(),
-                            "factor {factor} len {len} chunk {chunk} sample {i}"
-                        );
-                    }
+                    let what = format!("factor {factor} len {len} chunk {chunk}");
+                    assert_bits_eq(&got, &want, &what);
                 }
             }
         }
@@ -341,21 +437,13 @@ mod tests {
         // A mid-stream flush sees the capture "as if it ended here" ...
         let mut snap = live.clone();
         dec.flush_into(&mut snap);
-        let want_half = decimate(&x[..500], 3).unwrap();
-        assert_eq!(snap.len(), want_half.len());
-        for (g, w) in snap.iter().zip(&want_half) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
+        assert_bits_eq(&snap, &decimate_oracle(&x[..500], 3), "half");
 
         // ... and pushing may continue afterwards with full-stream parity.
         dec.push(&x[500..], &mut live);
         let mut full = live.clone();
         dec.flush_into(&mut full);
-        let want = decimate(&x, 3).unwrap();
-        assert_eq!(full.len(), want.len());
-        for (g, w) in full.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
+        assert_bits_eq(&full, &decimate_oracle(&x, 3), "full");
     }
 
     #[test]
@@ -380,10 +468,7 @@ mod tests {
         let mut got = Vec::new();
         dec.push(&x, &mut got);
         dec.flush_into(&mut got);
-        let want = decimate(&x, 3).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
+        assert_bits_eq(&got, &decimate_oracle(&x, 3), "after reset");
         assert_eq!(dec.samples_consumed(), 300);
         assert_eq!(dec.emitted(), 88); // floor((299 - 36) / 3) + 1
     }

@@ -100,7 +100,7 @@ pub fn run(_ctx: &Context) -> Result<ExperimentResult, String> {
     res.note(
         "Stage means read from the ht-obs span histograms over 10 reps — the same \
          breakdown HT_OBS=summary prints. Absolute numbers are hardware-specific; \
-         benches in crates/bench give calibrated measurements.",
+         the ht-bench suites (cargo bench -p ht-bench) give calibrated measurements.",
     );
     Ok(res)
 }

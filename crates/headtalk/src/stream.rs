@@ -238,8 +238,10 @@ impl WakeStream<'_> {
     /// # Errors
     ///
     /// Returns [`HeadTalkError::Stream`] for a chunk whose channel count
-    /// differs from the stream's or whose channels have unequal lengths;
-    /// the stream state is untouched and subsequent valid pushes work.
+    /// differs from the stream's, whose channels have unequal lengths, or
+    /// that holds a NaN or infinite sample ([`StreamError::NonFinite`]);
+    /// the ring is the first stage to see the chunk and refuses it whole,
+    /// so the stream state is untouched and subsequent valid pushes work.
     pub fn push(&mut self, chunk: &[&[f64]]) -> Result<WakeVerdict, HeadTalkError> {
         if self.muted {
             return Ok(WakeVerdict::SoftMute);

@@ -31,7 +31,7 @@ use std::cell::RefCell;
 
 pub mod simd;
 
-pub use simd::{avx2_available, dist2_i8_avx2, dot_i8_avx2};
+pub use simd::{dist2_i8_avx2, dot_i8_avx2};
 
 /// Symmetric scale for values bounded by `max_abs`, mapping onto `[-127, 127]`.
 ///

@@ -23,36 +23,10 @@
 //! beyond the mini encoder's largest row (`in_ch · kernel = 128`).
 //!
 //! Everything is gated: compile-time to `x86_64` (other targets compile
-//! the scalar path only) and runtime-detected via
-//! [`is_x86_feature_detected!`], cached in an atomic so the hot-path
-//! dispatch is one relaxed load and a predictable branch.
+//! the scalar path only) and runtime-detected via the workspace's one
+//! cached probe, [`ht_dsp::kernels::avx2_available`].
 
-#[cfg(target_arch = "x86_64")]
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Cached runtime detection: 0 = unprobed, 1 = unavailable, 2 = available.
-#[cfg(target_arch = "x86_64")]
-static AVX2_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the AVX2 kernels can run on this machine. Probes CPUID once
-/// and caches the answer; afterwards a relaxed load.
-#[cfg(target_arch = "x86_64")]
-pub fn avx2_available() -> bool {
-    match AVX2_STATE.load(Ordering::Relaxed) {
-        0 => {
-            let available = std::arch::is_x86_feature_detected!("avx2");
-            AVX2_STATE.store(if available { 2 } else { 1 }, Ordering::Relaxed);
-            available
-        }
-        state => state == 2,
-    }
-}
-
-/// Non-x86_64 targets never have the AVX2 kernels.
-#[cfg(not(target_arch = "x86_64"))]
-pub fn avx2_available() -> bool {
-    false
-}
+use ht_dsp::kernels::avx2_available;
 
 #[cfg(target_arch = "x86_64")]
 #[deny(unsafe_op_in_unsafe_fn)]

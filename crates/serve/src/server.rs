@@ -84,8 +84,9 @@ pub enum ServeError {
     UnknownSession(u64),
     /// `open` was called for an id that is already in flight.
     DuplicateSession(u64),
-    /// The session hit a mid-stream geometry violation and was eagerly
-    /// evicted — its slot is already back in the arena; the id is closed.
+    /// The session hit a mid-stream geometry violation or a non-finite
+    /// sample and was eagerly evicted — its slot is already back in the
+    /// arena; the id is closed.
     Evicted {
         /// The evicted session.
         id: u64,
@@ -337,9 +338,9 @@ impl<'ht> WakeServer<'ht> {
     ///
     /// [`ServeError::UnknownSession`] for an id that isn't open,
     /// [`ServeError::LockPoisoned`] for a shard wrecked by a panicked
-    /// handler. A mid-stream geometry violation eagerly evicts the session
-    /// (slot reset and released before returning) and surfaces as
-    /// [`ServeError::Evicted`].
+    /// handler. A mid-stream geometry violation or a NaN/infinite sample
+    /// eagerly evicts the session (slot reset and released before
+    /// returning) and surfaces as [`ServeError::Evicted`].
     pub fn push(&self, id: u64, chunk: &[&[f64]], now_ns: u64) -> Result<WakeVerdict, ServeError> {
         let _span = ht_obs::span("serve.push");
         let mut shard = self.lock_shard(self.shard_of(id))?;
@@ -939,6 +940,49 @@ mod tests {
             ServeError::UnknownSession(3),
             "the id is closed after eviction"
         );
+    }
+
+    #[test]
+    fn non_finite_chunk_evicts_only_its_session() {
+        let ht = toy_pipeline();
+        let server = WakeServer::new(&ht, serve_config(&ht));
+        let capture = noise_capture(0x55, 4, 4800);
+        // Ids 4 and 6 share shard 0, so the eviction happens in the
+        // neighbour's own shard and arena.
+        server.open(4, 0).unwrap();
+        server.open(6, 0).unwrap();
+        let half: Vec<Vec<f64>> = capture.iter().map(|c| c[..2400].to_vec()).collect();
+        push_all(&server, 6, &half, 1);
+
+        let mut bad = vec![vec![0.1; 480]; 4];
+        bad[3][7] = f64::NAN;
+        let views: Vec<&[f64]> = bad.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            server.push(4, &views, 2).unwrap_err(),
+            ServeError::Evicted {
+                id: 4,
+                cause: StreamError::NonFinite {
+                    channel: 3,
+                    index: 7
+                }
+            }
+        );
+        assert_eq!(server.stats().live, 1, "only the poisoned session left");
+
+        let rest: Vec<Vec<f64>> = capture.iter().map(|c| c[2400..].to_vec()).collect();
+        push_all(&server, 6, &rest, 3);
+        let served = server.finalize(6, 4).unwrap();
+        let (decision, features) = ht.decide_batch(&capture).unwrap();
+        let d = served.decision.expect("decision");
+        assert_eq!(
+            d.live_probability.to_bits(),
+            decision.live_probability.to_bits()
+        );
+        assert_eq!(d.facing_score.to_bits(), decision.facing_score.to_bits());
+        assert_eq!(served.features.len(), features.len());
+        for (a, b) in served.features.iter().zip(&features) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

@@ -40,6 +40,15 @@ pub enum StreamError {
         /// The differing length encountered.
         other: usize,
     },
+    /// A chunk carried a NaN or infinite sample. One such sample would
+    /// poison every spectral accumulator and the decision, so the whole
+    /// chunk is refused before any of it is ingested.
+    NonFinite {
+        /// Channel of the first non-finite sample.
+        channel: usize,
+        /// Its index within the chunk.
+        index: usize,
+    },
     /// Invalid construction-time geometry (zero sizes, hop larger than the
     /// frame, too few channels, …).
     BadGeometry(String),
@@ -63,6 +72,10 @@ impl fmt::Display for StreamError {
             StreamError::RaggedChunk { first, other } => write!(
                 f,
                 "ragged chunk: channels must share one length, got {first} and {other}"
+            ),
+            StreamError::NonFinite { channel, index } => write!(
+                f,
+                "non-finite sample in chunk: channel {channel}, index {index}"
             ),
             StreamError::BadGeometry(msg) => write!(f, "bad stream geometry: {msg}"),
             StreamError::NoFrames => write!(
@@ -100,6 +113,16 @@ mod tests {
             other: 7,
         };
         assert!(e.to_string().contains("480"));
+
+        let e = StreamError::NonFinite {
+            channel: 2,
+            index: 17,
+        };
+        let msg = e.to_string();
+        assert!(
+            msg.contains("channel 2") && msg.contains("index 17"),
+            "{msg}"
+        );
 
         let e = StreamError::BadGeometry("hop 0".into());
         assert!(e.to_string().contains("hop 0"));

@@ -92,8 +92,9 @@ impl FrameRing {
     ///
     /// Returns [`StreamError::ChannelCountChanged`] when the chunk's channel
     /// count differs from the ring's, [`StreamError::RaggedChunk`] when the
-    /// chunk's channels have unequal lengths. Either way the ring is left
-    /// untouched.
+    /// chunk's channels have unequal lengths, and
+    /// [`StreamError::NonFinite`] for the first NaN or infinite sample. In
+    /// every case the ring is left untouched.
     pub fn push(&mut self, chunk: &[&[f64]]) -> Result<usize, StreamError> {
         if chunk.len() != self.channels {
             return Err(StreamError::ChannelCountChanged {
@@ -108,6 +109,15 @@ impl FrameRing {
                     first: add,
                     other: c.len(),
                 });
+            }
+        }
+        for (channel, c) in chunk.iter().enumerate() {
+            if !all_finite(c) {
+                let index = c
+                    .iter()
+                    .position(|v| !v.is_finite())
+                    .expect("all_finite found a non-finite sample");
+                return Err(StreamError::NonFinite { channel, index });
             }
         }
         if add == 0 {
@@ -223,6 +233,17 @@ impl FrameRing {
         self.head = 0;
         self.cap = cap;
     }
+}
+
+/// `true` when no sample is NaN or infinite. Checks eight samples per step
+/// without an early exit, so the clean path vectorizes instead of
+/// branching on every sample.
+fn all_finite(x: &[f64]) -> bool {
+    let chunks = x.chunks_exact(8);
+    let tail = chunks.remainder().iter().all(|v| v.is_finite());
+    chunks.fold(tail, |ok, c| {
+        ok & c.iter().fold(true, |m, v| m & v.is_finite())
+    })
 }
 
 #[cfg(test)]
@@ -392,8 +413,19 @@ mod tests {
         let b = ramp(3, 0.0);
         let err = ring.push(&[&a, &b]).unwrap_err();
         assert_eq!(err, StreamError::RaggedChunk { first: 4, other: 3 });
+        // Short chunks hit the scan's tail, long ones its eight-wide steps.
+        for (len, index) in [(4, 2), (20, 13)] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let clean = ramp(len, 0.0);
+                let mut c = clean.clone();
+                c[index] = bad;
+                let err = ring.push(&[&clean, &c]).unwrap_err();
+                assert_eq!(err, StreamError::NonFinite { channel: 1, index });
+            }
+        }
 
         assert_eq!(ring.pending(), before);
+        assert_eq!(ring.samples_pushed(), 4);
         // The ring still works after rejected pushes.
         ring.push(&[&a, &a]).unwrap();
         assert_eq!(ring.ready_frames(), 1);

@@ -339,6 +339,62 @@ fn mid_stream_geometry_changes_are_rejected_without_corrupting_state() {
 }
 
 #[test]
+fn non_finite_chunks_are_refused_without_touching_state() {
+    let ht = pipeline();
+    let channels = CaptureSpec::baseline(9730).render().expect("render");
+    let hop = StreamConfig::for_pipeline(ht.config()).hop;
+    let clean = stream_outcome(ht, &channels, hop);
+
+    let poisoned = |sample: f64, channel: usize, index: usize, at: usize| {
+        let mut chunk: Vec<Vec<f64>> = channels.iter().map(|c| c[at..at + hop].to_vec()).collect();
+        chunk[channel][index] = sample;
+        chunk
+    };
+    let mut stream = ht.streamer(4).expect("streamer");
+    // A NaN chunk before any audio, then an infinity mid-capture: each is
+    // refused whole with the first offending position.
+    let nan = poisoned(f64::NAN, 2, 5, 0);
+    let refs: Vec<&[f64]> = nan.iter().map(Vec::as_slice).collect();
+    let err = stream.push(&refs).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            HeadTalkError::Stream(StreamError::NonFinite {
+                channel: 2,
+                index: 5
+            })
+        ),
+        "{err:?}"
+    );
+    let half = channels[0].len() / 2;
+    let head: Vec<Vec<f64>> = channels.iter().map(|c| c[..half].to_vec()).collect();
+    push_chunks(&mut stream, &head, hop);
+    let inf = poisoned(f64::NEG_INFINITY, 0, hop - 1, half);
+    let refs: Vec<&[f64]> = inf.iter().map(Vec::as_slice).collect();
+    let err = stream.push(&refs).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            HeadTalkError::Stream(StreamError::NonFinite { channel: 0, .. })
+        ),
+        "{err:?}"
+    );
+    let rest: Vec<Vec<f64>> = channels.iter().map(|c| c[half..].to_vec()).collect();
+    push_chunks(&mut stream, &rest, hop);
+
+    let outcome = stream.finalize().expect("finalize");
+    assert_eq!(outcome.decision, clean.decision);
+    assert_bits_eq(
+        &outcome.features,
+        &clean.features,
+        "after non-finite chunks",
+    );
+    assert_eq!(outcome.frames, clean.frames);
+    assert_eq!(outcome.samples_per_channel, clean.samples_per_channel);
+    assert_outcome_matches_batch(ht, &channels, &outcome, "after non-finite chunks");
+}
+
+#[test]
 fn enforcing_gate_soft_mutes_before_the_utterance_ends() {
     let ht = pipeline();
     let channels = CaptureSpec::baseline(9730).render().expect("render");
