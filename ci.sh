@@ -46,6 +46,12 @@ step "cargo clippy (all targets, -D warnings)" \
 
 step "cargo build --release" cargo build --release --offline
 
+# The end-to-end benchmark is a workspace of its own that calls the
+# crates' public API by path; building it here makes a deleted or renamed
+# call it depends on fail CI instead of the next benchmark run.
+step "cargo build --release (perfbench)" \
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo test" cargo test -q --offline --release
 
 # The ht-par determinism contract says thread count must never change any
@@ -96,12 +102,12 @@ step "stream latency gate (bench stream_latency)" \
 # multi-tenant load drive (thousands of interleaved sessions) through the
 # sharded WakeServer (slots prewarmed, int8 decision backends calibrated)
 # and asserts (a) sustained end-to-end wake decisions/sec stays above the
-# floor, (b) the incremental decision path (serve.assemble +
-# serve.decision) sustains 1200/s at the median — above anything the old
-# full-segment directivity flush could reach, (c) the median
-# serve.assemble stays under 300 µs, and (d) the serve.decision and
-# serve.push p99 tails stay under their ceilings. BENCH_server.json lands
-# in target/bench_out.
+# floor, (b) the incremental decision path (serve.decision: one session's
+# whole finalize, assembly and inference included) sustains 1200/s at the
+# median — above anything the old full-segment directivity flush could
+# reach, (c) the median stream.assemble (WakeStream evidence assembly)
+# stays under 300 µs, and (d) the serve.decision and serve.push p99 tails
+# stay under their ceilings. BENCH_server.json lands in target/bench_out.
 step "server throughput gate (bench server_throughput)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \
     cargo bench -q --offline -p ht-bench --bench server_throughput

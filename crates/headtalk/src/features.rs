@@ -21,7 +21,7 @@
 
 use crate::config::PipelineConfig;
 use crate::HeadTalkError;
-use ht_dsp::spectrum;
+use ht_dsp::{spectrum, QuantMode};
 use ht_stream::analyzer::FrameAnalyzer;
 use ht_stream::directivity::DirectivityAccum;
 use ht_stream::error::StreamError;
@@ -46,7 +46,9 @@ pub fn feature_width(n_channels: usize, config: &PipelineConfig) -> usize {
 /// samples past the last complete frame are ignored — the streaming
 /// engine holds the same partial frame back, which is one of the two
 /// facts behind incremental/batch bit-identity (the other: assembly reads
-/// only the accumulated evidence, never the audio).
+/// only the accumulated evidence, never the audio). The analyzer whitens
+/// with the byte-stable [`QuantMode::Reference`] kernel, the view training
+/// and calibration use.
 ///
 /// # Errors
 ///
@@ -54,6 +56,21 @@ pub fn feature_width(n_channels: usize, config: &PipelineConfig) -> usize {
 /// ragged channels, or a capture too short to hold one complete analysis
 /// frame.
 pub fn extract(channels: &[Vec<f64>], config: &PipelineConfig) -> Result<Vec<f64>, HeadTalkError> {
+    extract_mode(channels, config, QuantMode::Reference)
+}
+
+/// [`extract`] with the analyzer's whitening kernel following `quant`,
+/// as a [`WakeStream`](crate::WakeStream) of a pipeline in that mode
+/// does, so the batch decision path stays bit-identical to the stream.
+///
+/// # Errors
+///
+/// As for [`extract`].
+pub(crate) fn extract_mode(
+    channels: &[Vec<f64>],
+    config: &PipelineConfig,
+    quant: QuantMode,
+) -> Result<Vec<f64>, HeadTalkError> {
     if channels.len() < 2 {
         return Err(HeadTalkError::InvalidInput(format!(
             "orientation features need at least 2 channels, got {}",
@@ -81,6 +98,7 @@ pub fn extract(channels: &[Vec<f64>], config: &PipelineConfig) -> Result<Vec<f64
         config.sample_rate,
     )
     .map_err(stream_error)?;
+    analyzer.set_quant_mode(quant);
     let mut dir = DirectivityAccum::new(
         channels.len(),
         config.directivity_segment_len(),

@@ -23,7 +23,8 @@
 //!   the §IV-A comparison),
 //! * [`pipeline`] — the end-to-end wake-command decision,
 //! * [`stream`] — the frame-by-frame streaming engine with the early-exit
-//!   soft-mute gate (`process_wake` is a batch adapter over it),
+//!   soft-mute gate, bit-identical to the batch
+//!   [`decide_batch`](HeadTalk::decide_batch) it is tested against,
 //! * [`control`] — the privacy-mode state machine of Fig. 1 (Normal, Mute,
 //!   HeadTalk; soft mute; session semantics),
 //! * [`userstudy`] — SUS scoring and the paper's Table V survey data.

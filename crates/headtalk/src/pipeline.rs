@@ -156,87 +156,32 @@ impl HeadTalk {
         Ok(())
     }
 
-    /// Processes one multichannel wake-word capture (raw 48 kHz channels)
-    /// and returns the accept/soft-mute decision.
-    ///
-    /// This is a thin batch adapter over the streaming engine
-    /// ([`crate::stream::WakeStream`]): the capture is fed hop-sized chunk
-    /// by chunk — exercising the exact ingest → frame → gate path a live
-    /// microphone would — and then finalized, which assembles the decision
-    /// evidence from the stream's accumulated statistics in O(features).
-    /// The returned decision is bit-identical to calling
-    /// [`decide_batch`](HeadTalk::decide_batch) directly (the stream's
-    /// advisory gate never alters it); the golden tests pin this
-    /// equivalence.
+    /// Decides one multichannel wake-word capture (raw 48 kHz channels):
+    /// extract the frame-averaged orientation features from the raw capture,
+    /// prepare the causally-filtered liveness input, run both trained models,
+    /// and return the accept/soft-mute decision together with the
+    /// orientation feature vector it was based on. Every stage here is a
+    /// whole-capture view of an *incrementally computable* operation —
+    /// frame-accumulated feature statistics, a causal (single-pass) band-pass
+    /// plus streaming decimation for liveness — which is exactly why the
+    /// streaming engine's finalize path can produce the same bits without
+    /// revisiting the audio. Frame analysis follows the pipeline's
+    /// [`QuantMode`] as a stream's does, and the golden/property tests pin
+    /// the two paths bit-identical for any chunking at any `HT_THREADS`.
     ///
     /// Liveness runs on a single channel (the paper: "we needed one channel
     /// of audio data to detect liveliness and 4-channel audio data to detect
     /// speaker orientation", §IV-B15); orientation runs on all channels.
-    ///
-    /// Each stage runs under an `ht_obs` span (per-frame
-    /// `stream.ingest/stft/srp/score/gate`, then the batch `wake.denoise`,
-    /// `wake.liveness_prepare`, `wake.liveness_infer`,
-    /// `wake.feature_extract`, `wake.orientation_infer`), so with `HT_OBS`
-    /// enabled both the per-frame latency histograms and the per-stage
-    /// breakdown of §IV-B15 fall out of the registry. With `HT_OBS=off`
-    /// the spans cost an atomic load each.
+    /// Each stage runs under an `ht_obs` span (`wake.feature_extract`,
+    /// `wake.denoise`, `wake.liveness_prepare`, `wake.liveness_infer`,
+    /// `wake.orientation_infer`), so with `HT_OBS` enabled the per-stage
+    /// breakdown of §IV-B15 falls out of the registry.
     ///
     /// # Errors
     ///
     /// Returns [`HeadTalkError::InvalidInput`] for empty, mismatched,
     /// silent/DC-only captures, or a channel count whose feature width does
     /// not match the width the orientation model was trained on.
-    pub fn process_wake(&self, channels: &[Vec<f64>]) -> Result<WakeDecision, HeadTalkError> {
-        let _wake = ht_obs::span("wake.process");
-        // The same up-front shape validation the batch path performs, so
-        // the adapter reports identical errors for degenerate captures.
-        if channels.is_empty() || channels[0].is_empty() {
-            return Err(HeadTalkError::InvalidInput(
-                "capture must have at least one non-empty channel".into(),
-            ));
-        }
-        let len = channels[0].len();
-        if channels.iter().any(|c| c.len() != len) {
-            return Err(HeadTalkError::InvalidInput(
-                "all channels must share one length".into(),
-            ));
-        }
-        let stream_config = crate::stream::StreamConfig {
-            capacity_hint: len,
-            ..crate::stream::StreamConfig::for_pipeline(&self.config)
-        };
-        let mut stream = self.streamer_with(channels.len(), stream_config)?;
-        let hop = stream.hop();
-        let mut chunk: Vec<&[f64]> = Vec::with_capacity(channels.len());
-        let mut pos = 0;
-        while pos < len {
-            let end = (pos + hop).min(len);
-            chunk.clear();
-            chunk.extend(channels.iter().map(|c| &c[pos..end]));
-            stream.push(&chunk)?;
-            pos = end;
-        }
-        let outcome = stream.finalize()?;
-        Ok(outcome
-            .decision
-            .expect("advisory streaming always carries the batch decision"))
-    }
-
-    /// The reference batch analysis: extract the frame-averaged orientation
-    /// features from the raw capture, prepare the causally-filtered liveness
-    /// input, run both trained models, and return the decision together with
-    /// the orientation feature vector it was based on. Every stage here is a
-    /// whole-capture view of an *incrementally computable* operation —
-    /// frame-accumulated feature statistics, a causal (single-pass) band-pass
-    /// plus streaming decimation for liveness — which is exactly why the
-    /// streaming engine's finalize path can produce the same bits without
-    /// revisiting the audio. The golden/property tests pin the two paths
-    /// bit-identical for any chunking at any `HT_THREADS`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeadTalkError::InvalidInput`] as documented on
-    /// [`process_wake`](HeadTalk::process_wake).
     pub fn decide_batch(
         &self,
         channels: &[Vec<f64>],
@@ -257,7 +202,7 @@ impl HeadTalk {
         // Orientation on the raw array: the frame analyzer whitens each
         // pair's cross-spectrum (PHAT), so a pre-filter would only reshape
         // the phase evidence the TDoA features are built from.
-        let fv = features::extract(channels, &self.config)?;
+        let fv = features::extract_mode(channels, &self.config, self.quant)?;
 
         // Liveness on channel 0: causal band-pass (incrementally computable,
         // unlike the zero-phase filtfilt) -> 16 kHz -> fixed-width z-scored
@@ -331,7 +276,8 @@ impl HeadTalk {
 
     /// Extracts the orientation feature vector from a raw capture (used by
     /// the dataset builders so training and inference share one code path —
-    /// this is exactly the feature view `decide_batch` scores).
+    /// this is exactly the feature view `decide_batch` scores in
+    /// [`QuantMode::Reference`]).
     ///
     /// # Errors
     ///
@@ -425,7 +371,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let ch0 = ht_dsp::rng::white_noise(&mut rng, 4800);
         let ch1 = ht_dsp::signal::fractional_delay(&ch0, 2.0, 16);
-        let d = ht.process_wake(&[ch0, ch1]).unwrap();
+        let d = ht.decide_batch(&[ch0, ch1]).unwrap().0;
         assert!((0.0..=1.0).contains(&d.live_probability));
         assert!(d.facing_score.is_finite());
         assert_eq!(d.accepted(), d.live && d.facing);
@@ -434,8 +380,8 @@ mod tests {
     #[test]
     fn empty_capture_is_rejected() {
         let ht = tiny_pipeline();
-        assert!(ht.process_wake(&[]).is_err());
-        assert!(ht.process_wake(&[vec![], vec![]]).is_err());
+        assert!(ht.decide_batch(&[]).is_err());
+        assert!(ht.decide_batch(&[vec![], vec![]]).is_err());
     }
 
     #[test]
@@ -445,7 +391,7 @@ mod tests {
         let three: Vec<Vec<f64>> = (0..3)
             .map(|_| ht_dsp::rng::white_noise(&mut rng, 4800))
             .collect();
-        let err = ht.process_wake(&three).unwrap_err();
+        let err = ht.decide_batch(&three).unwrap_err();
         let msg = err.to_string();
         // Both widths are named so the mismatch is debuggable.
         let expected = crate::features::feature_width(2, ht.config());
@@ -455,7 +401,7 @@ mod tests {
         assert!(msg.contains(&got.to_string()), "{msg}");
         // A single-channel capture fails the same structured way.
         let one = vec![ht_dsp::rng::white_noise(&mut rng, 4800)];
-        assert!(ht.process_wake(&one).is_err());
+        assert!(ht.decide_batch(&one).is_err());
     }
 
     #[test]
@@ -467,7 +413,7 @@ mod tests {
             let ch1 = ch0.clone();
             // Ok or a structured error are both acceptable; a panic is the
             // bug this test guards against.
-            let _ = ht.process_wake(&[ch0, ch1]);
+            let _ = ht.decide_batch(&[ch0, ch1]);
         }
     }
 
@@ -508,13 +454,13 @@ mod tests {
             .collect();
         let reference: Vec<WakeDecision> = captures
             .iter()
-            .map(|c| ht.process_wake(c).unwrap())
+            .map(|c| ht.decide_batch(c).unwrap().0)
             .collect();
 
         ht.enable_int8(&captures).unwrap();
         assert_eq!(ht.quant_mode(), QuantMode::Int8);
         for (c, r) in captures.iter().zip(&reference) {
-            let q = ht.process_wake(c).unwrap();
+            let q = ht.decide_batch(c).unwrap().0;
             assert!(
                 (q.live_probability - r.live_probability).abs() < 0.05,
                 "int8 {} vs reference {}",
@@ -532,7 +478,7 @@ mod tests {
         // calibration never perturbs the f64 models.
         ht.set_quant_mode(QuantMode::Reference).unwrap();
         for (c, r) in captures.iter().zip(&reference) {
-            let q = ht.process_wake(c).unwrap();
+            let q = ht.decide_batch(c).unwrap().0;
             assert_eq!(
                 q.live_probability.to_bits(),
                 r.live_probability.to_bits(),

@@ -160,7 +160,7 @@ impl HeadTalk {
     ///
     /// Returns [`HeadTalkError::InvalidInput`] when `n_channels` gives a
     /// feature width the orientation model wasn't trained on (the same
-    /// up-front check as [`process_wake`](HeadTalk::process_wake)), or
+    /// up-front check as [`decide_batch`](HeadTalk::decide_batch)), or
     /// [`HeadTalkError::Stream`] for bad geometry.
     pub fn streamer(&self, n_channels: usize) -> Result<WakeStream<'_>, HeadTalkError> {
         self.streamer_with(n_channels, StreamConfig::for_pipeline(self.config()))
@@ -361,6 +361,7 @@ impl WakeStream<'_> {
     /// once the scratch has grown, and non-destructive — analysis may
     /// continue and the evidence be assembled again.
     fn assemble_evidence(&mut self) -> Result<(), HeadTalkError> {
+        let _span = ht_obs::span("stream.assemble");
         self.features.clear();
         features::assemble_into(
             &mut self.analyzer,
@@ -376,8 +377,8 @@ impl WakeStream<'_> {
 
     /// Assembles and exposes the decision evidence without running the
     /// models (borrowed from internal scratch; the next push or assembly
-    /// overwrites it). The serving layer uses this to batch model inference
-    /// across sessions.
+    /// overwrites it), so assembly can be inspected or timed apart from
+    /// [`HeadTalk::infer_assembled`].
     ///
     /// # Errors
     ///

@@ -133,34 +133,6 @@ impl<'ht> ShardArena<'ht> {
         &mut self.slots[idx]
     }
 
-    /// Hands out disjoint mutable borrows of the slots at `indices`, so
-    /// per-session work (batch-finalize assembly) can proceed in parallel
-    /// across the sessions of one shard while the shard stays locked.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `indices` is strictly increasing and in range — the
-    /// caller derives it from the session map, where each live session
-    /// owns a distinct slot, so a violation is a serving-layer bug.
-    pub fn disjoint_slots_mut(&mut self, indices: &[usize]) -> Vec<&mut WakeStream<'ht>> {
-        let mut out = Vec::with_capacity(indices.len());
-        let mut rest = self.slots.as_mut_slice();
-        let mut offset = 0;
-        for &idx in indices {
-            let skip = idx
-                .checked_sub(offset)
-                .expect("disjoint slot indices must be strictly increasing");
-            let (_, tail) = rest.split_at_mut(skip);
-            let (slot, tail) = tail
-                .split_first_mut()
-                .expect("disjoint slot index out of range");
-            out.push(slot);
-            offset = idx + 1;
-            rest = tail;
-        }
-        out
-    }
-
     /// Immutable access to the slot at `idx`.
     pub fn slot(&self, idx: usize) -> &WakeStream<'ht> {
         &self.slots[idx]
@@ -276,30 +248,6 @@ mod tests {
         arena.release(a);
         arena.release(b);
         arena.release(c);
-    }
-
-    #[test]
-    fn disjoint_slots_mut_hands_out_every_requested_slot() {
-        let ht = toy_pipeline();
-        let cfg = StreamConfig::for_pipeline(ht.config());
-        let mut arena = ShardArena::new(&ht, 4, cfg, 4);
-        arena.prewarm(4).unwrap();
-        let slots = arena.disjoint_slots_mut(&[0, 2, 3]);
-        assert_eq!(slots.len(), 3);
-        // The borrows are usable mutably and genuinely disjoint.
-        for slot in slots {
-            slot.reset();
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn disjoint_slots_mut_rejects_duplicates() {
-        let ht = toy_pipeline();
-        let cfg = StreamConfig::for_pipeline(ht.config());
-        let mut arena = ShardArena::new(&ht, 4, cfg, 4);
-        arena.prewarm(2).unwrap();
-        arena.disjoint_slots_mut(&[1, 1]);
     }
 
     #[test]

@@ -17,7 +17,12 @@
 //! focused); `--render` draws the captures from `ht-datagen`'s
 //! `serve_scenarios` acoustic renders instead (slower startup, exercises
 //! real accept/reject decision traffic). Set `HT_OBS=json` or
-//! `HT_OBS=text` for the per-stage latency histograms and serve counters.
+//! `HT_OBS=summary` for the per-stage latency histograms and serve
+//! counters.
+//!
+//! Unparsable or out-of-range values (zero shards, slots, captures or
+//! minimum chunk, or `--chunk-min` above `--chunk-max`) print the usage
+//! text and exit with status 2.
 
 use std::time::Instant;
 
@@ -109,6 +114,24 @@ fn parse_args() -> Args {
                 usage();
             }
         }
+    }
+    for (value, what) in [
+        (args.shards, "--shards"),
+        (args.slots, "--slots"),
+        (args.captures, "--captures"),
+        (args.chunk_min, "--chunk-min"),
+    ] {
+        if value == 0 {
+            eprintln!("{what} must be at least 1");
+            usage();
+        }
+    }
+    if args.chunk_min > args.chunk_max {
+        eprintln!(
+            "--chunk-min {} exceeds --chunk-max {}",
+            args.chunk_min, args.chunk_max
+        );
+        usage();
     }
     args
 }

@@ -13,13 +13,15 @@
 //!   allocation-free because slots are reset in place, never rebuilt.
 //! * [`WakeServer`] ([`server`]) — session-sharded front end: open /
 //!   push / finalize with eager eviction on mid-stream geometry
-//!   violations and idle timeouts.
+//!   violations and idle timeouts. Single and batch finalize share one
+//!   per-session routine that runs `WakeStream::outcome` under the
+//!   session's shard lock.
 //! * [`run_load`] ([`schedule`]) — the seeded load generator: waves of
 //!   sessions, serial admission, shard-parallel ragged-chunk
 //!   interleavings, all byte-identical for a `(seed, scenario set)` pair
 //!   at any `HT_THREADS` (the interleaving property suite pins this
-//!   against solo batch [`process_wake`](headtalk::HeadTalk::process_wake)
-//!   results).
+//!   against solo batch
+//!   [`decide_batch`](headtalk::HeadTalk::decide_batch) results).
 //!
 //! The `ht_loadgen` binary drives [`run_load`] from the command line; the
 //! `server_throughput` bench gates sustained decisions/sec and tail

@@ -15,9 +15,11 @@
 //!    of sessions' chunks arbitrarily interleaved, yet fully determined by
 //!    `(seed, scenario set)`.
 //! 3. **Finalization (batched).** The wave's sessions decide through
-//!    [`WakeServer::finalize_batch`]: evidence assembly is O(features) per
-//!    session (the incremental accumulators — no capture re-transform) and
-//!    model inference for the whole wave runs on the pool.
+//!    [`WakeServer::finalize_batch`]: one pool task per shard decides that
+//!    shard's sessions in id order, each through the same routine as
+//!    [`WakeServer::finalize`] — O(features) evidence assembly from the
+//!    incremental accumulators (no capture re-transform), then the
+//!    models.
 //!
 //! Waves **overlap**: while wave `w` streams, wave `w+1`'s admission runs
 //! concurrently, so the serial admission phase costs no wall-clock between
@@ -319,8 +321,8 @@ pub fn run_load(
             now_ns = a.end_ns;
         }
 
-        // The wave decides as one batch: per-shard O(features) assembly,
-        // pooled model inference across every session at once.
+        // The wave decides as one batch: one pool task per shard, each
+        // deciding its sessions in id order under its own shard lock.
         let mut ids: Vec<u64> = wave.groups.iter().flatten().map(|p| p.id).collect();
         ids.sort_unstable();
         let finalized = server.finalize_batch(&ids, stream_now);

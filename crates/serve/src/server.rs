@@ -10,10 +10,11 @@
 //! cap — both produce typed [`RejectReason`]s instead of unbounded queues.
 //!
 //! Determinism contract: the server itself never reads a clock or an RNG.
-//! Every entry point takes a logical `now_ns`, every per-session result is
-//! produced by the same `WakeStream` → `decide_batch` path as solo batch
-//! processing, and the arena reuse is invisible to results (a reset slot
-//! is byte-identical to a fresh one — pinned by the interleaving suite).
+//! Every entry point takes a logical `now_ns`, every decision comes from
+//! one routine that runs `WakeStream::outcome` under its shard's lock —
+//! bit-identical to solo `decide_batch` over the same capture — and the
+//! arena reuse is invisible to results (a reset slot is byte-identical to
+//! a fresh one — pinned by the interleaving suite).
 //!
 //! Failure policy: a mid-stream geometry violation (channel count change,
 //! ragged chunk) is not survivable for that session — the stream's state
@@ -155,6 +156,37 @@ struct Shard<'ht> {
     sessions: BTreeMap<u64, Session>,
 }
 
+impl Shard<'_> {
+    /// The one finalize routine behind [`WakeServer::finalize`] and
+    /// [`WakeServer::finalize_batch`], run under this shard's lock: marks
+    /// the session active at `now_ns`, decides it through
+    /// [`WakeStream::outcome`](headtalk::WakeStream::outcome), and on
+    /// success closes it and recycles its slot. An undecidable capture
+    /// leaves the session open for a retry.
+    fn finalize(&mut self, id: u64, now_ns: u64) -> Result<StreamOutcome, ServeError> {
+        let _span = ht_obs::span("serve.decision");
+        let slot = match self.sessions.get_mut(&id) {
+            Some(session) => {
+                session.last_active_ns = now_ns;
+                session.slot
+            }
+            None => return Err(ServeError::UnknownSession(id)),
+        };
+        match self.arena.slot_mut(slot).outcome() {
+            Ok(o) => {
+                self.sessions.remove(&id);
+                self.arena.release(slot);
+                ht_obs::counter_add("serve.decisions", 1);
+                Ok(o)
+            }
+            Err(e) => {
+                ht_obs::counter_add("serve.finalize_retry", 1);
+                Err(ServeError::Pipeline(e))
+            }
+        }
+    }
+}
+
 /// Per-shard load numbers from [`WakeServer::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
@@ -181,20 +213,22 @@ pub struct ServeStats {
 /// A sharded multi-tenant front end over one [`HeadTalk`] pipeline.
 ///
 /// All entry points take `&self`; shards lock independently, so callers on
-/// different shards never contend. Lock order is fixed (bucket before
-/// shard, one shard at a time), so the server cannot deadlock against
+/// different shards never contend. No code path holds more than one shard
+/// lock, and the only nesting is `open`'s, which takes its shard's lock
+/// first and the bucket's second, so the server cannot deadlock against
 /// itself.
 #[derive(Debug)]
 pub struct WakeServer<'ht> {
-    ht: &'ht HeadTalk,
     config: ServeConfig,
     bucket: Mutex<TokenBucket>,
     shards: Vec<Mutex<Shard<'ht>>>,
 }
 
 impl<'ht> WakeServer<'ht> {
-    /// A server over `ht` with no sessions yet. Session slots are built
-    /// lazily on first use, per shard.
+    /// A server over `ht` with no sessions yet. With
+    /// [`ServeConfig::prewarm_slots`] at 0, session slots are built lazily
+    /// on first use, per shard; otherwise each shard builds that many
+    /// slots (up to its capacity) here and the rest lazily.
     ///
     /// # Panics
     ///
@@ -226,7 +260,6 @@ impl<'ht> WakeServer<'ht> {
             })
             .collect();
         let server = WakeServer {
-            ht,
             config,
             bucket: Mutex::new(TokenBucket::new(config.bucket)),
             shards,
@@ -388,27 +421,7 @@ impl<'ht> WakeServer<'ht> {
     /// session remains open); [`ServeError::LockPoisoned`] for a shard
     /// wrecked by a panicked handler.
     pub fn finalize(&self, id: u64, now_ns: u64) -> Result<StreamOutcome, ServeError> {
-        let _span = ht_obs::span("serve.decision");
-        let mut shard = self.lock_shard(self.shard_of(id))?;
-        let slot = match shard.sessions.get_mut(&id) {
-            Some(session) => {
-                session.last_active_ns = now_ns;
-                session.slot
-            }
-            None => return Err(ServeError::UnknownSession(id)),
-        };
-        match shard.arena.slot_mut(slot).outcome() {
-            Ok(o) => {
-                shard.sessions.remove(&id);
-                shard.arena.release(slot);
-                ht_obs::counter_add("serve.decisions", 1);
-                Ok(o)
-            }
-            Err(e) => {
-                ht_obs::counter_add("serve.finalize_retry", 1);
-                Err(ServeError::Pipeline(e))
-            }
-        }
+        self.lock_shard(self.shard_of(id))?.finalize(id, now_ns)
     }
 
     /// Closes a session without deciding, releasing its slot. The explicit
@@ -432,302 +445,56 @@ impl<'ht> WakeServer<'ht> {
         }
     }
 
-    /// Finalizes many sessions at logical time `now_ns`, parallelizing
-    /// both evidence assembly and model inference across them on the
-    /// `ht-par` pool.
+    /// Finalizes many sessions at logical time `now_ns`, grouped by shard
+    /// with one `ht-par` task per shard the batch touches.
     ///
-    /// Every involved shard is locked (in ascending index order — the
-    /// fixed order, so the server cannot deadlock against itself), the
-    /// batch's sessions are staged, and **assembly itself runs as one
-    /// per-session task fan-out** over disjoint slot borrows: the
-    /// remaining FFT/accumulator work of a finalize wave overlaps across
-    /// pool workers instead of serializing under one shard lock at a
-    /// time. The locks are dropped before any model runs, so inference
-    /// for sessions of *one* shard parallelizes too, which
-    /// single-session [`finalize`](WakeServer::finalize) under the shard
-    /// lock cannot do. Results come back in input order with per-session
-    /// errors: an undecidable session stays open (retryable, marked
-    /// active at `now_ns`) exactly as in single finalize, and never
-    /// blocks its batch neighbours. Outcomes are byte-identical to
-    /// calling [`finalize`](WakeServer::finalize) per id, at any
-    /// `HT_THREADS`.
+    /// Each task locks only its own shard and decides that shard's
+    /// members in input order through the same per-session routine as
+    /// [`finalize`](WakeServer::finalize), so sessions on different shards
+    /// decide in parallel while a shard's own members decide serially.
+    /// Results come back in input order with per-session errors. A
+    /// repeated id sees whatever its earlier occurrence left behind,
+    /// exactly as serial `finalize` calls would; an undecidable session
+    /// stays open (retryable, marked active at `now_ns`) and never blocks
+    /// its batch neighbours; a wrecked shard fails only its own members.
+    /// Outcomes are byte-identical to calling
+    /// [`finalize`](WakeServer::finalize) per id, at any `HT_THREADS`.
     pub fn finalize_batch(
         &self,
         ids: &[u64],
         now_ns: u64,
     ) -> Vec<(u64, Result<StreamOutcome, ServeError>)> {
-        /// Evidence cloned out of a slot, ready for lock-free inference.
-        struct Pack {
-            pos: usize,
-            id: u64,
-            features: Vec<f64>,
-            liveness: Vec<f64>,
-            muted: bool,
-            early_exit: Option<headtalk::stream::EarlyExit>,
-            frames: u64,
-            samples_per_channel: usize,
-        }
-
-        /// One session's assembly result, produced without touching any
-        /// shard bookkeeping so the tasks can run in parallel.
-        enum Assembled {
-            Ready {
-                features: Vec<f64>,
-                liveness: Vec<f64>,
-                muted: bool,
-                early_exit: Option<headtalk::stream::EarlyExit>,
-                frames: u64,
-                samples_per_channel: usize,
-            },
-            /// Same contract as `WakeStream::outcome`: the gate already
-            /// muted the stream, so an undecidable capture is a decision,
-            /// not an error.
-            Muted {
-                early_exit: Option<headtalk::stream::EarlyExit>,
-                frames: u64,
-                samples_per_channel: usize,
-            },
-            Retry(HeadTalkError),
-        }
-
-        /// Assembles one session's evidence. Clones the evidence out
-        /// eagerly so the borrow from `assemble` ends before the error
-        /// arms inspect the stream.
-        fn assemble_session(stream: &mut headtalk::WakeStream<'_>) -> Assembled {
-            let assembled = {
-                let _span = ht_obs::span("serve.assemble");
-                stream
-                    .assemble()
-                    .map(|ev| (ev.features.to_vec(), ev.liveness_input.to_vec()))
-            };
-            match assembled {
-                Ok((features, liveness)) => Assembled::Ready {
-                    features,
-                    liveness,
-                    muted: stream.is_muted(),
-                    early_exit: stream.early_exit(),
-                    frames: stream.frames(),
-                    samples_per_channel: stream.samples_per_channel(),
-                },
-                Err(_) if stream.is_muted() => Assembled::Muted {
-                    early_exit: stream.early_exit(),
-                    frames: stream.frames(),
-                    samples_per_channel: stream.samples_per_channel(),
-                },
-                Err(e) => Assembled::Retry(e),
-            }
-        }
-
-        /// Applies one assembly result to its shard's bookkeeping —
-        /// single-finalize semantics, in input order.
-        #[allow(clippy::too_many_arguments)]
-        fn apply<'ht>(
-            shard: &mut Shard<'ht>,
-            outcome: Assembled,
-            pos: usize,
-            id: u64,
-            slot: usize,
-            results: &mut [Option<(u64, Result<StreamOutcome, ServeError>)>],
-            packs: &mut Vec<Pack>,
-        ) {
-            match outcome {
-                Assembled::Ready {
-                    features,
-                    liveness,
-                    muted,
-                    early_exit,
-                    frames,
-                    samples_per_channel,
-                } => {
-                    shard.sessions.remove(&id);
-                    shard.arena.release(slot);
-                    ht_obs::counter_add("serve.decisions", 1);
-                    packs.push(Pack {
-                        pos,
-                        id,
-                        features,
-                        liveness,
-                        muted,
-                        early_exit,
-                        frames,
-                        samples_per_channel,
-                    });
-                }
-                Assembled::Muted {
-                    early_exit,
-                    frames,
-                    samples_per_channel,
-                } => {
-                    let outcome = StreamOutcome {
-                        verdict: WakeVerdict::SoftMute,
-                        decision: None,
-                        features: Vec::new(),
-                        early_exit,
-                        frames,
-                        samples_per_channel,
-                    };
-                    shard.sessions.remove(&id);
-                    shard.arena.release(slot);
-                    ht_obs::counter_add("serve.decisions", 1);
-                    results[pos] = Some((id, Ok(outcome)));
-                }
-                Assembled::Retry(e) => {
-                    ht_obs::counter_add("serve.finalize_retry", 1);
-                    results[pos] = Some((id, Err(ServeError::Pipeline(e))));
-                }
-            }
-        }
-
-        let mut results: Vec<Option<(u64, Result<StreamOutcome, ServeError>)>> =
-            (0..ids.len()).map(|_| None).collect();
-        let mut by_shard: Vec<Vec<(usize, u64)>> = vec![Vec::new(); self.shards.len()];
+        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for (pos, &id) in ids.iter().enumerate() {
-            by_shard[self.shard_of(id)].push((pos, id));
+            by_shard[self.shard_of(id)].push(pos);
         }
-
-        // Phase 1a: lock every involved shard, validate its batch members
-        // against the session map, and stage one assemble job per live
-        // session. A wrecked shard fails only its own members; the batch
-        // neighbours on healthy shards still decide.
-        let mut guards: Vec<std::sync::MutexGuard<'_, Shard<'ht>>> = Vec::new();
-        // (guard, pos, id, slot) per staged first-occurrence session.
-        let mut jobs: Vec<(usize, usize, u64, usize)> = Vec::new();
-        // (guard, pos, id) per repeated id, resolved after the fan-out.
-        let mut dups: Vec<(usize, usize, u64)> = Vec::new();
-        for (shard_idx, members) in by_shard.into_iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let mut shard = match self.lock_shard(shard_idx) {
-                Ok(shard) => shard,
-                Err(e) => {
-                    for (pos, id) in members {
-                        results[pos] = Some((id, Err(e.clone())));
-                    }
-                    continue;
-                }
-            };
-            let guard_pos = guards.len();
-            let mut claimed: Vec<u64> = Vec::new();
-            for (pos, id) in members {
-                if claimed.contains(&id) {
-                    // A repeated id decides against whatever state its
-                    // first occurrence leaves behind, so it cannot join
-                    // the parallel fan-out (two tasks would need the same
-                    // slot). Resolved serially below with single-finalize
-                    // semantics.
-                    dups.push((guard_pos, pos, id));
-                    continue;
-                }
-                match shard.sessions.get_mut(&id) {
-                    Some(session) => {
-                        session.last_active_ns = now_ns;
-                        claimed.push(id);
-                        jobs.push((guard_pos, pos, id, session.slot));
-                    }
-                    None => {
-                        results[pos] = Some((id, Err(ServeError::UnknownSession(id))));
-                    }
-                }
-            }
-            guards.push(shard);
-        }
-
-        // Phase 1b: assemble every staged session in parallel through
-        // disjoint slot borrows. Jobs sort by (guard, slot) so each
-        // arena's borrow splits cleanly; `par_map` preserves order, so
-        // `assembled[i]` belongs to `jobs[i]`.
-        jobs.sort_by_key(|&(guard, _, _, slot)| (guard, slot));
-        let assembled: Vec<Assembled> = {
-            let mut tasks: Vec<Mutex<&mut headtalk::WakeStream<'ht>>> =
-                Vec::with_capacity(jobs.len());
-            let mut job_iter = jobs.iter().peekable();
-            for (guard_pos, shard) in guards.iter_mut().enumerate() {
-                let mut slots = Vec::new();
-                while let Some(&&(g, _, _, slot)) = job_iter.peek() {
-                    if g != guard_pos {
-                        break;
-                    }
-                    slots.push(slot);
-                    job_iter.next();
-                }
-                for stream in shard.arena.disjoint_slots_mut(&slots) {
-                    tasks.push(Mutex::new(stream));
-                }
-            }
-            ht_par::par_map(&tasks, |task| {
-                let mut stream = task.lock().expect("assemble task lock");
-                assemble_session(&mut stream)
-            })
-        };
-
-        // Phase 1c: apply the results to the shard bookkeeping in job
-        // order, then resolve repeated ids serially — a retryable first
-        // occurrence leaves the session open, so its repeat re-assembles
-        // (hitting the cached directivity flush) exactly as two serial
-        // finalize calls would.
-        let mut packs: Vec<Pack> = Vec::with_capacity(jobs.len());
-        for (&(guard_pos, pos, id, slot), outcome) in jobs.iter().zip(assembled) {
-            apply(
-                &mut guards[guard_pos],
-                outcome,
-                pos,
-                id,
-                slot,
-                &mut results,
-                &mut packs,
-            );
-        }
-        for (guard_pos, pos, id) in dups {
-            let shard = &mut guards[guard_pos];
-            let slot = match shard.sessions.get_mut(&id) {
-                Some(session) => {
-                    session.last_active_ns = now_ns;
-                    session.slot
-                }
-                None => {
-                    results[pos] = Some((id, Err(ServeError::UnknownSession(id))));
-                    continue;
-                }
-            };
-            let outcome = assemble_session(shard.arena.slot_mut(slot));
-            apply(shard, outcome, pos, id, slot, &mut results, &mut packs);
-        }
-        drop(guards);
-
-        // Phase 2: model inference across sessions, outside every lock.
-        let inferred: Vec<(usize, u64, StreamOutcome)> = ht_par::par_map(&packs, |pack| {
-            let _span = ht_obs::span("serve.decision");
-            let decision = self.ht.infer_assembled(&pack.features, &pack.liveness);
-            let verdict = if pack.muted || !decision.accepted() {
-                WakeVerdict::SoftMute
-            } else {
-                WakeVerdict::Allow
-            };
-            (
-                pack.pos,
-                pack.id,
-                StreamOutcome {
-                    verdict,
-                    decision: Some(decision),
-                    features: pack.features.clone(),
-                    early_exit: pack.early_exit,
-                    frames: pack.frames,
-                    samples_per_channel: pack.samples_per_channel,
-                },
-            )
-        });
-        for (pos, id, outcome) in inferred {
-            results[pos] = Some((id, Ok(outcome)));
-        }
-        // Every position was filled in phase 1 or phase 2; if one ever
-        // isn't, report it for that id instead of panicking mid-batch.
-        results
+        let groups: Vec<(usize, Vec<usize>)> = by_shard
             .into_iter()
-            .zip(ids)
-            .map(|(r, &id)| {
-                r.unwrap_or((id, Err(ServeError::Internal("batch result missing for id"))))
+            .enumerate()
+            .filter(|(_, positions)| !positions.is_empty())
+            .collect();
+        let mut decided: Vec<(usize, Result<StreamOutcome, ServeError>)> =
+            ht_par::par_map(&groups, |(shard_idx, positions)| {
+                let mut shard = self.lock_shard(*shard_idx);
+                positions
+                    .iter()
+                    .map(|&pos| {
+                        let outcome = match &mut shard {
+                            Ok(shard) => shard.finalize(ids[pos], now_ns),
+                            Err(e) => Err(e.clone()),
+                        };
+                        (pos, outcome)
+                    })
+                    .collect::<Vec<_>>()
             })
+            .into_iter()
+            .flatten()
+            .collect();
+        // Every input position sits in exactly one shard's group.
+        decided.sort_unstable_by_key(|&(pos, _)| pos);
+        decided
+            .into_iter()
+            .map(|(pos, outcome)| (ids[pos], outcome))
             .collect()
     }
 
@@ -1345,8 +1112,9 @@ mod tests {
     #[test]
     fn int8_pipeline_serves_with_batch_single_and_solo_agreement() {
         // The server inherits the pipeline's quantization mode through
-        // `infer_assembled`: an int8-calibrated pipeline must serve with
-        // the same bits whether a session is finalized solo, singly, or
+        // its slots' frame analyzers and `infer_assembled`: an
+        // int8-calibrated pipeline must serve with the same bits — features
+        // included — whether a session is finalized solo, singly, or
         // batched.
         let mut ht = toy_pipeline();
         let captures: Vec<Vec<Vec<f64>>> = (0..3)
@@ -1367,7 +1135,26 @@ mod tests {
         for (id, result) in batch.finalize_batch(&[0, 1, 2], 2) {
             let b = result.expect("batch outcome");
             let s = single.finalize(id, 2).expect("single outcome");
-            let solo = ht.decide_batch(&captures[id as usize]).unwrap().0;
+            let (solo, solo_features) = ht.decide_batch(&captures[id as usize]).unwrap();
+            assert_eq!(b.features.len(), solo_features.len());
+            for (i, ((x, y), z)) in b
+                .features
+                .iter()
+                .zip(&s.features)
+                .zip(&solo_features)
+                .enumerate()
+            {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "session {id}: batch vs single feature {i}"
+                );
+                assert_eq!(
+                    x.to_bits(),
+                    z.to_bits(),
+                    "session {id}: served vs solo feature {i}"
+                );
+            }
             let (bd, sd) = (b.decision.unwrap(), s.decision.unwrap());
             assert_eq!(
                 bd.live_probability.to_bits(),

@@ -95,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     println!("\nwake-word decisions:");
     for (label, spec) in trials {
-        let decision = pipeline.process_wake(&spec.render()?)?;
+        let (decision, _) = pipeline.decide_batch(&spec.render()?)?;
         println!(
             "  {label}: live={} (p={:.2}) facing={} → {}",
             decision.live,

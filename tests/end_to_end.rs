@@ -88,8 +88,9 @@ fn facing_human_is_accepted_and_drives_the_controller() {
     let pipeline = pipeline();
     let spec = CaptureSpec::baseline(9100);
     let decision = pipeline
-        .process_wake(&spec.render().expect("render"))
-        .expect("decision");
+        .decide_batch(&spec.render().expect("render"))
+        .expect("decision")
+        .0;
     assert!(decision.live, "a live facing human must pass liveness");
     assert!(decision.facing, "a 0° speaker must be classified facing");
     assert!(decision.accepted());
@@ -111,8 +112,9 @@ fn backward_human_is_soft_muted() {
         ..CaptureSpec::baseline(9200)
     };
     let decision = pipeline
-        .process_wake(&spec.render().expect("render"))
-        .expect("decision");
+        .decide_batch(&spec.render().expect("render"))
+        .expect("decision")
+        .0;
     assert!(
         !decision.facing,
         "a 180° speaker must not be classified facing"
@@ -141,8 +143,9 @@ fn replay_attack_is_rejected() {
         ..CaptureSpec::baseline(9300)
     };
     let decision = pipeline
-        .process_wake(&spec.render().expect("render"))
-        .expect("decision");
+        .decide_batch(&spec.render().expect("render"))
+        .expect("decision")
+        .0;
     assert!(!decision.live, "replayed audio must fail liveness");
     assert!(!decision.accepted());
 }
@@ -152,8 +155,8 @@ fn decisions_are_deterministic() {
     let pipeline = pipeline();
     let spec = CaptureSpec::baseline(9400);
     let channels = spec.render().expect("render");
-    let a = pipeline.process_wake(&channels).expect("decision");
-    let b = pipeline.process_wake(&channels).expect("decision");
+    let a = pipeline.decide_batch(&channels).expect("decision").0;
+    let b = pipeline.decide_batch(&channels).expect("decision").0;
     assert_eq!(a, b);
 }
 

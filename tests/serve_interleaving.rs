@@ -2,16 +2,17 @@
 //! through a [`WakeServer`] in arbitrarily interleaved, arbitrarily ragged
 //! chunk schedules must each produce an outcome **byte-identical** to
 //! running that session's capture alone through the batch path
-//! (`HeadTalk::decide_batch` — the same reference `process_wake` rides) —
-//! at `HT_THREADS=1` and `4`, with failing sessions interleaved in, with
-//! slots recycled between sessions. Plus the admission-control invariants:
-//! in-flight sessions never exceed capacity, and rejected or evicted
-//! sessions leave no residual shard state.
+//! (`HeadTalk::decide_batch`) — whether finalized singly or in a shuffled
+//! `finalize_batch` with repeated and unknown ids — at `HT_THREADS=1` and
+//! `4`, with failing sessions interleaved in, with slots recycled between
+//! sessions. Plus the admission-control invariants: in-flight sessions
+//! never exceed capacity, rejected or evicted sessions leave no residual
+//! shard state, and a batch finalize keeps serial per-id semantics.
 //!
 //! Every property here replays from a printed seed via `HT_CHECK_SEED`.
 
 use headtalk::stream::WakeVerdict;
-use headtalk::HeadTalk;
+use headtalk::{HeadTalk, StreamOutcome};
 use ht_dsp::check::property;
 use ht_serve::{
     noise_captures, run_load, toy_pipeline, LoadConfig, RejectReason, ServeConfig, ServeError,
@@ -44,10 +45,43 @@ fn assert_bits_eq(a: &[f64], b: &[f64], ctx: &str) {
     }
 }
 
+/// A served outcome must equal the capture's solo `decide_batch` bit for
+/// bit: decision, scores, features, verdict and sample count.
+fn assert_matches_solo(ht: &HeadTalk, capture: &[Vec<f64>], served: &StreamOutcome, ctx: &str) {
+    let (solo_decision, solo_features) = ht.decide_batch(capture).expect("solo batch");
+    let decision = served.decision.expect("advisory decision");
+    assert_eq!(decision, solo_decision, "{ctx}: decision");
+    assert_eq!(
+        decision.live_probability.to_bits(),
+        solo_decision.live_probability.to_bits(),
+        "{ctx}: live probability bits"
+    );
+    assert_eq!(
+        decision.facing_score.to_bits(),
+        solo_decision.facing_score.to_bits(),
+        "{ctx}: facing score bits"
+    );
+    assert_bits_eq(&served.features, &solo_features, ctx);
+    let expected = if solo_decision.accepted() {
+        WakeVerdict::Allow
+    } else {
+        WakeVerdict::SoftMute
+    };
+    assert_eq!(served.verdict, expected, "{ctx}: verdict");
+    assert_eq!(
+        served.samples_per_channel,
+        capture[0].len(),
+        "{ctx}: samples"
+    );
+}
+
 /// The headline property: random session counts, random capture lengths,
 /// random ragged chunkings, random interleavings — every session's served
 /// outcome is byte-identical to its solo batch result, and in-flight
-/// counts never exceed capacity while the schedule runs.
+/// counts never exceed capacity while the schedule runs. A random subset
+/// of sessions is held back once fully fed and decided in one shuffled
+/// `finalize_batch` that also names one of them twice and one id that was
+/// never opened: both of those get `UnknownSession`.
 #[test]
 fn prop_interleaved_sessions_match_solo_batch() {
     let ht = pipeline();
@@ -64,6 +98,10 @@ fn prop_interleaved_sessions_match_solo_batch() {
         );
         let server = WakeServer::new(ht, serve_config(ht, n_shards, sessions_per_shard));
         let capacity = n_shards * sessions_per_shard;
+        // At least one session is deferred, so the batch has an id to
+        // repeat.
+        let mut deferred: Vec<bool> = (0..n_sessions).map(|_| g.bool()).collect();
+        deferred[g.usize_in(0..n_sessions)] = true;
 
         for id in 0..n_sessions as u64 {
             server.open(id, id).expect("open under capacity");
@@ -86,34 +124,48 @@ fn prop_interleaved_sessions_match_solo_batch() {
             server.push(id, &chunk, 0).expect("push");
             cursors[pick].1 = pos + take;
             if pos + take == len {
-                let served = server.finalize(id, 0).expect("finalize");
-                live -= 1;
                 cursors.swap_remove(pick);
-
-                let (solo_decision, solo_features) = ht.decide_batch(capture).expect("solo batch");
-                let ctx = format!("session {id}");
-                let decision = served.decision.expect("advisory decision");
-                assert_eq!(decision, solo_decision, "{ctx}: decision");
-                assert_eq!(
-                    decision.live_probability.to_bits(),
-                    solo_decision.live_probability.to_bits(),
-                    "{ctx}: live probability bits"
-                );
-                assert_eq!(
-                    decision.facing_score.to_bits(),
-                    solo_decision.facing_score.to_bits(),
-                    "{ctx}: facing score bits"
-                );
-                assert_bits_eq(&served.features, &solo_features, &ctx);
-                let expected = if solo_decision.accepted() {
-                    WakeVerdict::Allow
-                } else {
-                    WakeVerdict::SoftMute
-                };
-                assert_eq!(served.verdict, expected, "{ctx}: verdict");
-                assert_eq!(served.samples_per_channel, len, "{ctx}: samples");
+                if !deferred[id as usize] {
+                    let served = server.finalize(id, 0).expect("finalize");
+                    live -= 1;
+                    assert_matches_solo(ht, capture, &served, &format!("session {id}"));
+                }
             }
         }
+
+        let held: Vec<u64> = (0..n_sessions as u64)
+            .filter(|&id| deferred[id as usize])
+            .collect();
+        assert_eq!(
+            server.stats().live,
+            held.len(),
+            "deferred sessions stay open"
+        );
+        let repeated = *g.choose(&held);
+        let unknown = n_sessions as u64 + g.u64_in(0..1000);
+        let mut batch = held.clone();
+        batch.extend([repeated, unknown]);
+        for i in (1..batch.len()).rev() {
+            batch.swap(i, g.usize_in(0..i + 1));
+        }
+        let results = server.finalize_batch(&batch, 0);
+        assert_eq!(results.len(), batch.len(), "one result per batch entry");
+        let mut decided: Vec<u64> = Vec::new();
+        for (&asked, (id, result)) in batch.iter().zip(&results) {
+            assert_eq!(*id, asked, "batch results come back in input order");
+            let ctx = format!("batched session {id}");
+            if *id == unknown || decided.contains(id) {
+                assert!(
+                    matches!(result, Err(ServeError::UnknownSession(u)) if u == id),
+                    "{ctx}: an unknown or already decided id is UnknownSession"
+                );
+            } else {
+                let served = result.as_ref().expect("batch finalize");
+                assert_matches_solo(ht, &captures[*id as usize], served, &ctx);
+                decided.push(*id);
+            }
+        }
+        assert_eq!(decided.len(), held.len(), "every deferred session decided");
         assert_eq!(server.stats().live, 0, "every session closed");
     });
 }
@@ -169,9 +221,10 @@ fn prop_admission_never_overcommits_and_rejections_are_stateless() {
         let chunk_data = vec![vec![0.01f64; 480]; 4];
         let mut now = 0u64;
         let mut open_ids: Vec<u64> = Vec::new();
+        let empty: Vec<&[f64]> = chunk_data.iter().map(|c| &c[0..0]).collect();
         for _ in 0..g.usize_in(1..60) {
             now += g.u64_in(0..2_000_000_000);
-            match g.usize_in(0..10) {
+            match g.usize_in(0..11) {
                 // Mostly opens: pressure on admission.
                 0..=5 => {
                     let id = g.u64_in(0..12);
@@ -218,14 +271,46 @@ fn prop_admission_never_overcommits_and_rejections_are_stateless() {
                         }
                     }
                 }
+                // A batch finalize over a random multiset of ids keeps
+                // serial per-id semantics: each entry sees the state its
+                // predecessors in the batch left behind.
+                9 => {
+                    let ids: Vec<u64> = (0..g.usize_in(0..8)).map(|_| g.u64_in(0..12)).collect();
+                    let results = server.finalize_batch(&ids, now);
+                    assert_eq!(results.len(), ids.len(), "one result per entry");
+                    for (&asked, (id, result)) in ids.iter().zip(&results) {
+                        assert_eq!(*id, asked, "batch results come back in input order");
+                        let was_open = open_ids.contains(id);
+                        match result {
+                            Ok(_) => {
+                                assert!(was_open, "only an open session decides");
+                                open_ids.retain(|&open| open != *id);
+                            }
+                            Err(ServeError::Pipeline(_)) => {
+                                assert!(was_open, "only an open session retries");
+                            }
+                            Err(ServeError::UnknownSession(u)) => {
+                                assert_eq!(u, id, "UnknownSession names its own id");
+                                assert!(!was_open, "UnknownSession for an open session");
+                            }
+                            Err(e) => panic!("unexpected batch finalize error {e}"),
+                        }
+                    }
+                    // Decided ids left the server, retryable ones stayed
+                    // open (an empty push is a no-op probe).
+                    for &id in &ids {
+                        assert_eq!(
+                            server.push(id, &empty, now).is_ok(),
+                            open_ids.contains(&id),
+                            "session {id} open state after the batch"
+                        );
+                    }
+                }
                 _ => {
                     server.evict_idle(now);
                     // Resync the model: probe each id with an empty chunk
                     // (a no-op push) — unknown means it was evicted.
-                    open_ids.retain(|&id| {
-                        let chunk: Vec<&[f64]> = chunk_data.iter().map(|c| &c[0..0]).collect();
-                        server.push(id, &chunk, now).is_ok()
-                    });
+                    open_ids.retain(|&id| server.push(id, &empty, now).is_ok());
                 }
             }
             let stats = server.stats();

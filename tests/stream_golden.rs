@@ -195,10 +195,6 @@ fn streaming_is_byte_identical_to_batch_on_every_scenario() {
             let ctx = format!("{name} (chunk {chunk_len})");
             assert_outcome_matches_batch(ht, &channels, &outcome, &ctx);
         }
-        // The batch adapter rides the same streaming path.
-        let (batch_decision, _) = ht.decide_batch(&channels).expect("batch");
-        let adapted = ht.process_wake(&channels).expect("adapter");
-        assert_eq!(adapted, batch_decision, "{name}: process_wake adapter");
     }
 }
 
