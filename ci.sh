@@ -44,6 +44,12 @@ step "cargo fmt --check" cargo fmt --check
 step "cargo clippy (all targets, -D warnings)" \
     cargo clippy --offline --all-targets -- -D warnings
 
+# Rustdoc gate: a broken intra-doc link, or one to a private item (say,
+# an item a change deleted or hid), fails here instead of rendering as
+# plain text in the published docs.
+step "cargo doc (-D warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 step "cargo build --release" cargo build --release --offline
 
 # The end-to-end benchmark is a workspace of its own that calls the

@@ -8,12 +8,14 @@
 //! report: compare `…_w1` against `…_w4` in `BENCH_parallel.json`.
 //!
 //! The two workloads mirror the suites the paper's runtime discussion
-//! cares about: the §IV-B15 wake-capture-to-features path (parallel per
-//! mic / pair / channel) and the Table III train-and-evaluate kernel run
-//! with the random-forest model (parallel per tree).
+//! cares about: §IV-B15 wake decisions, as a `par_map` of
+//! `HeadTalk::decide_batch` over rendered 4-mic captures (one capture per
+//! pool task, the shape of perfbench's `batch-corpus` workload), and the
+//! Table III train-and-evaluate kernel run with the random-forest model
+//! (parallel per tree).
 
 use headtalk::orientation::{ModelKind, OrientationDetector};
-use headtalk::{HeadTalk, PipelineConfig};
+use headtalk::PipelineConfig;
 use ht_bench::{black_box, Suite};
 use ht_datagen::CaptureSpec;
 use ht_dsp::rng::SeedableRng;
@@ -46,17 +48,28 @@ fn synthetic_features(n_per: usize, dim: usize, seed: u64) -> Dataset {
     ds
 }
 
-fn bench_full_wake(s: &mut Suite) {
-    let cfg = PipelineConfig::default();
-    let capture = CaptureSpec::baseline(0xBEAC)
-        .render()
-        .expect("render succeeds");
+/// Rendered captures per timed `par_map`: enough tasks to keep four
+/// participants claiming.
+const CORPUS: u64 = 8;
+
+fn bench_decide_corpus(s: &mut Suite) {
+    let ht = ht_serve::toy_pipeline();
+    let corpus: Vec<Vec<Vec<f64>>> = (0..CORPUS)
+        .map(|i| {
+            CaptureSpec::baseline(0xBEAC + i)
+                .render()
+                .expect("render succeeds")
+        })
+        .collect();
     for width in WIDTHS {
         let pool = Pool::new(width);
-        s.bench(
-            &format!("runtime_b15/full_wake_capture_to_features_w{width}"),
-            || pool.install(|| HeadTalk::orientation_features(&cfg, black_box(&capture))),
-        );
+        s.bench(&format!("runtime_b15/decide_batch_corpus_w{width}"), || {
+            pool.install(|| {
+                ht_par::par_map(black_box(&corpus), |capture| {
+                    ht.decide_batch(capture).expect("rendered captures decide")
+                })
+            })
+        });
     }
 }
 
@@ -79,7 +92,7 @@ fn bench_forest_train_eval(s: &mut Suite) {
 
 fn main() {
     let mut s = Suite::new("parallel");
-    bench_full_wake(&mut s);
+    bench_decide_corpus(&mut s);
     bench_forest_train_eval(&mut s);
     s.finish();
 }

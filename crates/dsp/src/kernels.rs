@@ -138,7 +138,7 @@ const MAX_LANES: usize = 4;
 ///
 /// Identical contract to [`cross_whiten_reference_into`] but works in
 /// squared magnitudes throughout: the product pass stores `re² + im²` into
-/// `m2s` (no `hypot`), the maximum is folded over [`MAX_LANES`] independent
+/// `m2s` (no `hypot`), the maximum is folded over `MAX_LANES` (4) independent
 /// accumulators so the compiler can keep it in one vector register, and the
 /// normalize pass multiplies by `1/√m²`. The floors are squared
 /// (`(max·1e-4)² = max²·1e-8`, `(1e-15)² = 1e-30`), preserving the

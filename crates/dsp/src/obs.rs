@@ -1,5 +1,4 @@
-//! Byte-stable JSON export of [`ht_obs`] registry snapshots and
-//! [`ht_par`] pool statistics.
+//! Byte-stable JSON export of [`ht_obs`] registry snapshots.
 //!
 //! `ht-obs` is a `std`-only leaf crate (every layer of the workspace links
 //! it, so it cannot depend on anything), which is why its serialization
@@ -10,7 +9,6 @@
 
 use crate::json::{Json, ToJson};
 use ht_obs::{HistSnapshot, RegistrySnapshot};
-use ht_par::{PoolStats, WorkerStats};
 
 impl ToJson for HistSnapshot {
     fn to_json(&self) -> Json {
@@ -36,26 +34,6 @@ impl ToJson for RegistrySnapshot {
             counters = counters.set(name, *v);
         }
         Json::obj().set("spans", spans).set("counters", counters)
-    }
-}
-
-impl ToJson for WorkerStats {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("tasks", self.tasks)
-            .set("steals", self.steals)
-            .set("queue_hwm", self.queue_hwm)
-    }
-}
-
-impl ToJson for PoolStats {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .set("threads", self.threads)
-            .set("jobs", self.jobs)
-            .set("total_tasks", self.total_tasks())
-            .set("total_steals", self.total_steals())
-            .set("per_worker", self.per_worker.clone().to_json())
     }
 }
 
@@ -113,29 +91,5 @@ mod tests {
         let parsed = Json::parse(&text).expect("valid JSON");
         assert!(parsed.get("spans").is_some());
         assert!(parsed.get("counters").is_some());
-    }
-
-    #[test]
-    fn pool_stats_serialize_with_totals() {
-        let stats = PoolStats {
-            threads: 2,
-            jobs: 5,
-            per_worker: vec![
-                WorkerStats {
-                    tasks: 30,
-                    steals: 1,
-                    queue_hwm: 16,
-                },
-                WorkerStats {
-                    tasks: 10,
-                    steals: 2,
-                    queue_hwm: 8,
-                },
-            ],
-        };
-        let v = stats.to_json();
-        assert_eq!(v.get("total_tasks").and_then(Json::as_u64), Some(40));
-        assert_eq!(v.get("total_steals").and_then(Json::as_u64), Some(3));
-        assert_eq!(v.get("per_worker").unwrap().as_array().unwrap().len(), 2);
     }
 }

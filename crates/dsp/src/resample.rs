@@ -56,7 +56,7 @@ const BLOCK: usize = 256;
 /// may continue afterwards, and a later flush re-derives the (new) tail.
 ///
 /// Input lands in a linear buffer holding the last `taps − 1` samples plus
-/// at most [`BLOCK`] new ones, so every eager output reads one contiguous
+/// at most `BLOCK` (256) new ones, so every eager output reads one contiguous
 /// window and four outputs are summed side by side on independent
 /// accumulators. Each output is still summed in tap order, so the grouping
 /// (which depends on the chunking) never changes a bit. The buffer is

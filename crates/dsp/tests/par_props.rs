@@ -52,42 +52,6 @@ fn par_map_indexed_with_split_stream_is_width_independent() {
 }
 
 #[test]
-fn par_chunks_and_par_reduce_match_serial() {
-    property("par_chunks_and_par_reduce_match_serial").run(|g| {
-        let xs = g.vec_f64(-100.0..100.0, 1..300);
-        let chunk = g.usize_in(1..40);
-        let serial_chunks: Vec<f64> = xs.chunks(chunk).map(|c| c.iter().sum()).collect();
-        let serial_reduce = {
-            // Mirror par_reduce's fixed grouping: chunked left folds, then a
-            // fold over the partials in chunk order.
-            let partials: Vec<f64> = xs
-                .chunks(ht_par::REDUCE_CHUNK)
-                .map(|c| c.iter().fold(0.0f64, |a, &x| a + x / 3.0))
-                .collect();
-            partials.into_iter().fold(0.0f64, |a, b| a + b)
-        };
-        for threads in WIDTHS {
-            let pool = Pool::new(threads);
-            let pc = pool.par_chunks(&xs, chunk, |_, c| c.iter().sum::<f64>());
-            assert_eq!(
-                pc.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                serial_chunks
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "par_chunks, {threads} threads"
-            );
-            let pr = pool.par_reduce(&xs, 0.0f64, |&x| x / 3.0, |a, b| a + b);
-            assert_eq!(
-                pr.to_bits(),
-                serial_reduce.to_bits(),
-                "par_reduce, {threads} threads"
-            );
-        }
-    });
-}
-
-#[test]
 fn empty_and_singleton_inputs_for_every_width() {
     property("empty_and_singleton_inputs_for_every_width").run(|g| {
         let lone = g.f64_in(-10.0..10.0);
@@ -96,11 +60,6 @@ fn empty_and_singleton_inputs_for_every_width() {
             let empty: Vec<f64> = Vec::new();
             assert!(pool.par_map(&empty, |&x| x * 2.0).is_empty());
             assert_eq!(pool.par_map(&[lone], |&x| x * 2.0), vec![lone * 2.0]);
-            assert_eq!(
-                pool.par_reduce(&empty, 1.5, |&x: &f64| x, |a, b| a + b),
-                1.5
-            );
-            assert_eq!(pool.par_chunks(&[lone], 4, |_, c| c.len()), vec![1]);
         }
     });
 }

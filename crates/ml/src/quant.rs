@@ -72,11 +72,11 @@ fn quantize_into(values: &[f64], scale: f64, out: &mut Vec<i8>) {
 /// (`in_ch · kernel` ∈ {16, 64, 128}) divides evenly into them.
 const DOT_LANES: usize = 8;
 
-/// Flat i8·i8 → i32 dot product over [`DOT_LANES`] independent
+/// Flat i8·i8 → i32 dot product over `DOT_LANES` (8) independent
 /// accumulators, so the compiler widens each chunk to one vector
 /// multiply-add instead of a serial scalar chain. Portable reference for
 /// the [`simd`] backends and the fallback on machines without AVX2; the
-/// hot path dispatches through [`simd::dot_i8`].
+/// hot path dispatches through the crate-private `simd::dot_i8`.
 #[inline]
 pub fn dot_i8_scalar(w: &[i8], x: &[i8]) -> i32 {
     let mut lanes = [0i32; DOT_LANES];
@@ -97,7 +97,7 @@ pub fn dot_i8_scalar(w: &[i8], x: &[i8]) -> i32 {
 
 /// Flat squared Euclidean distance between i8 vectors, same lane structure
 /// as [`dot_i8_scalar`]. Portable reference; the hot path dispatches
-/// through [`simd::dist2_i8`].
+/// through the crate-private `simd::dist2_i8`.
 #[inline]
 pub fn dist2_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     let mut lanes = [0i32; DOT_LANES];

@@ -13,7 +13,8 @@
 //!   nanoseconds into the global registry on drop. **When observability is
 //!   off the span is free**: creating one costs an atomic load and a
 //!   branch, and its drop is a `None` check — no clock read, no lock.
-//! * [`counter_add`] — monotonic named counters (task counts, steals, …).
+//! * [`counter_add`] — monotonic named counters (pool jobs and tasks,
+//!   FFT plan hits, …).
 //! * [`Registry`] — the thread-safe global store: counters plus log-scale
 //!   latency histograms per span name, snapshotted as p50/p95/p99 with
 //!   deterministic (sorted) ordering so serialized reports are byte-stable

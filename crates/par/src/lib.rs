@@ -1,23 +1,25 @@
 //! # ht-par — deterministic data parallelism for the workspace
 //!
-//! A zero-dependency, persistent work-stealing thread pool powering the
-//! reproduction's hot paths (image-source rendering, GCC-PHAT pair
-//! extraction, random-forest training, fold evaluation) **without breaking
-//! the determinism contract**: for a fixed input and seed, every `par_*`
-//! result is byte-identical for any thread count, because
+//! A zero-dependency, persistent thread pool powering the reproduction's
+//! hot paths (image-source rendering, GCC-PHAT pair extraction,
+//! random-forest training, fold evaluation, shard-parallel serving)
+//! **without breaking the determinism contract**: for a fixed input and
+//! seed, every `par_*` result is byte-identical for any thread count,
+//! because
 //!
 //! * results are written to their input index (scheduling never reorders
 //!   outputs),
-//! * reductions use fixed chunk boundaries independent of the thread count,
 //! * per-item randomness comes from `ht_dsp::rng::split_stream(seed, index)`
 //!   — a deterministic fork per index, never a shared sequential stream.
 //!
-//! The pool spawns its threads once and parks them between jobs, so a
-//! `par_map` over four items costs a condvar wake, not four `thread::spawn`s.
-//! Worker counts come from `HT_THREADS` (read once, at global-pool
-//! initialization) or the machine's available parallelism; tests and
-//! benches that need a specific width create a dedicated [`Pool`] and run
-//! under [`Pool::install`].
+//! Every participant of a job (the submitting thread included) claims the
+//! next unclaimed index from one shared cursor, so no thread idles while
+//! work remains. The pool spawns its threads once and parks them between
+//! jobs, so a `par_map` over four items costs a condvar wake, not four
+//! `thread::spawn`s, and the thread-local FFT and int8 inference scratch
+//! survives from call to call. Worker counts come from
+//! [`default_threads`]; tests and benches that need a specific width
+//! create a dedicated [`Pool`] and run under [`Pool::install`].
 //!
 //! # Example
 //!
@@ -32,10 +34,9 @@
 //! assert_eq!(pool.par_map(&input, |&x| x * 2), serial);
 //! ```
 
-mod deque;
 mod pool;
 
-pub use pool::{default_threads, Pool, PoolStats, WorkerStats, REDUCE_CHUNK};
+pub use pool::{default_threads, Pool};
 
 /// [`Pool::par_map`] on the current pool (the innermost [`Pool::install`]
 /// on this thread, else the global pool).
@@ -66,35 +67,6 @@ where
     pool::current().par_map_indexed(items, f)
 }
 
-/// [`Pool::par_chunks`] on the current pool.
-///
-/// # Panics
-///
-/// Panics when `chunk == 0`; propagates panics from `f`.
-pub fn par_chunks<T, U, F>(items: &[T], chunk: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &[T]) -> U + Sync,
-{
-    pool::current().par_chunks(items, chunk, f)
-}
-
-/// [`Pool::par_reduce`] on the current pool.
-///
-/// # Panics
-///
-/// Propagates panics from `map` and `fold`.
-pub fn par_reduce<T, A, M, F>(items: &[T], init: A, map: M, fold: F) -> A
-where
-    T: Sync,
-    A: Send + Clone + Sync,
-    M: Fn(&T) -> A + Sync,
-    F: Fn(A, A) -> A + Sync,
-{
-    pool::current().par_reduce(items, init, map, fold)
-}
-
 /// The current pool's total parallelism (≥ 1).
 pub fn current_threads() -> usize {
     pool::current().threads()
@@ -105,6 +77,8 @@ mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier, Mutex};
+    use std::time::Duration;
 
     #[test]
     fn par_map_preserves_order_for_every_width() {
@@ -145,42 +119,6 @@ mod tests {
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
         assert_eq!(out, items);
-    }
-
-    #[test]
-    fn par_chunks_matches_serial_chunking() {
-        let items: Vec<usize> = (0..103).collect();
-        let serial: Vec<usize> = items.chunks(10).map(|c| c.iter().sum()).collect();
-        for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let par = pool.par_chunks(&items, 10, |_, c| c.iter().sum::<usize>());
-            assert_eq!(par, serial);
-        }
-        let pool = Pool::new(2);
-        let idx = pool.par_chunks(&items, 25, |ci, _| ci);
-        assert_eq!(idx, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero chunk")]
-    fn zero_chunk_is_rejected() {
-        Pool::new(1).par_chunks(&[1, 2], 0, |_, c| c.len());
-    }
-
-    #[test]
-    fn par_reduce_is_thread_count_independent() {
-        // Floating-point sum: grouping is fixed, so all widths agree bit
-        // for bit.
-        let items: Vec<f64> = (0..5000).map(|i| (i as f64) * 0.1 + 0.3).collect();
-        let reference = Pool::new(1).par_reduce(&items, 0.0, |&x| x / 7.0, |a, b| a + b);
-        for threads in [2, 3, 8] {
-            let got = Pool::new(threads).par_reduce(&items, 0.0, |&x| x / 7.0, |a, b| a + b);
-            assert_eq!(got.to_bits(), reference.to_bits(), "{threads} threads");
-        }
-        // Integer sum equals the plain serial fold exactly.
-        let ints: Vec<u64> = (0..3000).collect();
-        let total = Pool::new(5).par_reduce(&ints, 0u64, |&x| x, |a, b| a + b);
-        assert_eq!(total, ints.iter().sum::<u64>());
     }
 
     #[test]
@@ -242,37 +180,34 @@ mod tests {
     }
 
     #[test]
-    fn stats_totals_are_identical_across_thread_counts() {
-        let items: Vec<usize> = (0..500).collect();
-        let mut totals = Vec::new();
-        for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            let _ = pool.par_map(&items, |&x| x * 2);
-            let _ = pool.par_chunks(&items, 32, |_, c| c.len());
-            let stats = pool.stats();
-            assert_eq!(stats.threads, threads);
-            assert_eq!(stats.jobs, 2);
-            assert_eq!(stats.per_worker.len(), threads);
-            // Stealing moves items between workers but never duplicates or
-            // drops them, so the totals must not depend on the width.
-            totals.push((stats.total_tasks(), stats.jobs));
-        }
-        assert_eq!(totals[0], totals[1]);
-        // 500 map items plus ceil(500/32) = 16 chunk tasks.
-        assert_eq!(totals[0].0, 516);
-    }
-
-    #[test]
-    fn reset_stats_zeroes_every_counter() {
-        let items: Vec<usize> = (0..100).collect();
-        let pool = Pool::new(2);
-        let _ = pool.par_map(&items, |&x| x);
-        assert!(pool.stats().total_tasks() > 0);
-        pool.reset_stats();
-        let s = pool.stats();
-        assert_eq!(s.jobs, 0);
-        assert_eq!(s.total_tasks(), 0);
-        assert_eq!(s.total_steals(), 0);
-        assert!(s.per_worker.iter().all(|w| w.queue_hwm == 0));
+    fn an_idle_participant_claims_every_unclaimed_index() {
+        // The barrier holds item 0 until item 2 has started, so items 0
+        // and 2 run on different participants. Item 2 then waits for item
+        // 3 to start, which only the participant that ran item 0 can do:
+        // a scheduler that parks an unclaimed index behind a busy
+        // participant trips the 5 s guard.
+        let both_running = Barrier::new(2);
+        let (started, item_3) = mpsc::channel();
+        let item_3 = Mutex::new(item_3);
+        let items: Vec<usize> = (0..5).collect();
+        let out = Pool::new(2).par_map(&items, |&i| {
+            match i {
+                0 => {
+                    both_running.wait();
+                }
+                2 => {
+                    both_running.wait();
+                    item_3
+                        .lock()
+                        .expect("item 3 channel")
+                        .recv_timeout(Duration::from_secs(5))
+                        .expect("item 3 never started while item 2 waited");
+                }
+                3 => started.send(()).expect("item 2 is waiting"),
+                _ => {}
+            }
+            i
+        });
+        assert_eq!(out, items);
     }
 }

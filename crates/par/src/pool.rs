@@ -1,90 +1,26 @@
-//! The persistent work-stealing pool.
+//! The persistent thread pool.
 //!
 //! Threads are spawned **once** (per [`Pool`]) and parked on a condvar
-//! between jobs; a job is a lifetime-erased `Fn(worker_index)` that every
-//! participant (the submitting thread included) runs to completion before
-//! the submitting call returns, which is what makes borrowing from the
+//! between jobs; a job is a lifetime-erased `Fn()` that every participant
+//! (the submitting thread included) runs to completion before the
+//! submitting call returns, which is what makes borrowing from the
 //! caller's stack sound.
 
-use crate::deque::IndexDeque;
 use std::any::Any;
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
-/// One worker's lifetime counters (see [`PoolStats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WorkerStats {
-    /// Items this worker executed.
-    pub tasks: u64,
-    /// Successful back-half steals this worker performed.
-    pub steals: u64,
-    /// High-water mark of this worker's deque depth (items), observed at
-    /// initial partition and after every refill.
-    pub queue_hwm: u64,
-}
-
-/// A snapshot of a pool's scheduling counters since construction (or the
-/// last [`Pool::reset_stats`]).
-///
-/// The *sum* of per-worker task counts always equals the total number of
-/// items submitted — work stealing moves items between workers but never
-/// duplicates or drops them — so the total is identical for any thread
-/// count; only the per-worker split varies.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Total participants (worker threads + the submitting thread).
-    pub threads: usize,
-    /// Jobs (one `par_*` dispatch each) the pool has run.
-    pub jobs: u64,
-    /// Per-worker counters, indexed by worker id (0 = the submitting
-    /// thread).
-    pub per_worker: Vec<WorkerStats>,
-}
-
-impl PoolStats {
-    /// Total items executed across all workers.
-    pub fn total_tasks(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.tasks).sum()
-    }
-
-    /// Total successful steals across all workers.
-    pub fn total_steals(&self) -> u64 {
-        self.per_worker.iter().map(|w| w.steals).sum()
-    }
-}
-
-/// Lock-free scheduling counters, bumped with relaxed atomics on the job
-/// paths (one add per popped chunk, not per item, so the hot loop stays
-/// hot).
-struct StatsCells {
-    jobs: AtomicU64,
-    tasks: Vec<AtomicU64>,
-    steals: Vec<AtomicU64>,
-    queue_hwm: Vec<AtomicU64>,
-}
-
-impl StatsCells {
-    fn new(threads: usize) -> StatsCells {
-        StatsCells {
-            jobs: AtomicU64::new(0),
-            tasks: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            steals: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            queue_hwm: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-/// A lifetime-erased pointer to the current job's worker body.
+/// A lifetime-erased pointer to the current job's participant body.
 ///
 /// Soundness: the pointer is only dereferenced by pool workers between job
 /// publication and the final `active == 0` handshake, and `run_job` does
 /// not return (keeping the pointee alive on its stack) until that handshake
 /// completes.
 #[derive(Clone, Copy)]
-struct Job(*const (dyn Fn(usize) + Sync));
+struct Job(*const (dyn Fn() + Sync));
 
 // SAFETY: the pointee is `Sync` (shared-called from many threads) and the
 // pool's completion handshake bounds its lifetime; sending the pointer to
@@ -135,21 +71,19 @@ fn set_tls<T: Copy + 'static>(
     Restore { cell, prev }
 }
 
-/// A persistent work-stealing thread pool.
+/// A persistent thread pool.
 ///
 /// `Pool::new(t)` spawns `t - 1` worker threads; the thread that submits a
-/// job participates as worker 0, so `t` is the total parallelism. All
-/// `par_*` results are **independent of the thread count and of work-
-/// stealing order**: each item's result is written to its input index, and
-/// reductions use fixed chunk boundaries, so a pool of 8 produces bytes
-/// identical to a pool of 1.
+/// job participates too, so `t` is the total parallelism. All `par_*`
+/// results are **independent of the thread count and of which participant
+/// runs which item**: each item's result is written to its input index, so
+/// a pool of 8 produces bytes identical to a pool of 1.
 pub struct Pool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     threads: usize,
     /// Serializes concurrent job submissions from different threads.
     submit: Mutex<()>,
-    stats: StatsCells,
 }
 
 impl Pool {
@@ -172,7 +106,7 @@ impl Pool {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("ht-par-{w}"))
-                    .spawn(move || worker_loop(w, &shared))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -181,39 +115,11 @@ impl Pool {
             handles,
             threads,
             submit: Mutex::new(()),
-            stats: StatsCells::new(threads),
         }
     }
 
-    /// A snapshot of the pool's scheduling counters.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            threads: self.threads,
-            jobs: self.stats.jobs.load(Ordering::Relaxed),
-            per_worker: (0..self.threads)
-                .map(|w| WorkerStats {
-                    tasks: self.stats.tasks[w].load(Ordering::Relaxed),
-                    steals: self.stats.steals[w].load(Ordering::Relaxed),
-                    queue_hwm: self.stats.queue_hwm[w].load(Ordering::Relaxed),
-                })
-                .collect(),
-        }
-    }
-
-    /// Zeroes the scheduling counters (per-phase attribution in benches and
-    /// tests).
-    pub fn reset_stats(&self) {
-        self.stats.jobs.store(0, Ordering::Relaxed);
-        for w in 0..self.threads {
-            self.stats.tasks[w].store(0, Ordering::Relaxed);
-            self.stats.steals[w].store(0, Ordering::Relaxed);
-            self.stats.queue_hwm[w].store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// The global pool: sized by `HT_THREADS` when set (parsed, clamped to
-    /// ≥ 1), otherwise the machine's available parallelism minus one core
-    /// for the system. Initialized on first use; the env var is read once.
+    /// The global pool, sized by [`default_threads`]. Initialized on first
+    /// use; `HT_THREADS` is read once.
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(|| Pool::new(default_threads()))
@@ -279,66 +185,10 @@ impl Pool {
             .collect()
     }
 
-    /// Applies `f` to consecutive chunks of at most `chunk` items (the last
-    /// chunk may be short), preserving chunk order. `f` receives the chunk
-    /// index and the chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `chunk == 0`; propagates panics from `f`.
-    pub fn par_chunks<T, U, F>(&self, items: &[T], chunk: usize, f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &[T]) -> U + Sync,
-    {
-        assert!(chunk > 0, "par_chunks requires a non-zero chunk size");
-        let n_chunks = items.len().div_ceil(chunk);
-        let mut out: Vec<Option<U>> = Vec::with_capacity(n_chunks);
-        out.resize_with(n_chunks, || None);
-        {
-            let slots = SlotWriter(out.as_mut_ptr());
-            self.run_indexed(n_chunks, |ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(items.len());
-                let value = f(ci, &items[lo..hi]);
-                // SAFETY: every chunk index is executed exactly once.
-                unsafe { slots.write(ci, value) };
-            });
-        }
-        out.into_iter()
-            .map(|slot| slot.expect("run_indexed fills every slot"))
-            .collect()
-    }
-
-    /// Map-reduce with **fixed** chunk boundaries: items are split into
-    /// chunks of [`REDUCE_CHUNK`], each chunk is folded left-to-right from
-    /// a fresh `init.clone()`, and the per-chunk partials are folded
-    /// left-to-right in chunk order. The grouping depends only on
-    /// `items.len()`, never on the thread count, so floating-point results
-    /// are bit-identical for any parallelism (though not necessarily equal
-    /// to a single serial fold — the grouping differs).
-    ///
-    /// # Panics
-    ///
-    /// Propagates panics from `map` and `fold`.
-    pub fn par_reduce<T, A, M, F>(&self, items: &[T], init: A, map: M, fold: F) -> A
-    where
-        T: Sync,
-        A: Send + Clone + Sync,
-        M: Fn(&T) -> A + Sync,
-        F: Fn(A, A) -> A + Sync,
-    {
-        let partials = self.par_chunks(items, REDUCE_CHUNK, |_, chunk| {
-            chunk
-                .iter()
-                .fold(init.clone(), |acc, item| fold(acc, map(item)))
-        });
-        partials.into_iter().fold(init, &fold)
-    }
-
-    /// Executes `f(i)` exactly once for every `i in 0..n`, distributing
-    /// indices over the pool with chunked deques and back-half stealing.
+    /// Executes `f(i)` exactly once for every `i in 0..n`. Every
+    /// participant claims the next index from one shared cursor until the
+    /// cursor passes `n`, so no participant sits idle while an index is
+    /// unclaimed.
     fn run_indexed<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -347,102 +197,51 @@ impl Pool {
             return;
         }
         // Inline paths: trivial input, a serial pool, or a nested call from
-        // inside a pool job (workers must not wait on their own pool). The
-        // inline work is attributed to worker 0 so total task counts match
-        // the parallel path exactly.
+        // inside a pool job (workers must not wait on their own pool).
         if n == 1 || self.threads == 1 || IN_POOL.with(Cell::get) {
-            self.stats.jobs.fetch_add(1, Ordering::Relaxed);
-            self.stats.queue_hwm[0].fetch_max(n as u64, Ordering::Relaxed);
-            for i in 0..n {
-                f(i);
-            }
-            self.stats.tasks[0].fetch_add(n as u64, Ordering::Relaxed);
+            (0..n).for_each(f);
             publish_obs(n);
             return;
         }
 
-        let p = self.threads;
-        self.stats.jobs.fetch_add(1, Ordering::Relaxed);
-        // Even initial partition: one contiguous range per participant.
-        let deques: Vec<IndexDeque> = (0..p)
-            .map(|w| {
-                let (lo, hi) = (w * n / p, (w + 1) * n / p);
-                self.stats.queue_hwm[w].fetch_max((hi - lo) as u64, Ordering::Relaxed);
-                IndexDeque::new(lo, hi)
-            })
-            .collect();
-        // Owner pop granularity: coarse enough to amortize the CAS, fine
-        // enough to leave work stealable.
-        let grain = (n / (p * 8)).max(1);
-        let panicked = AtomicBool::new(false);
+        let cursor = AtomicUsize::new(0);
         let payload: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-
-        let worker = |w: usize| loop {
-            while let Some((lo, hi)) = deques[w].pop_chunk(grain) {
-                for i in lo..hi {
-                    if panicked.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(i))) {
-                        // Keep the first payload; later panics (if any
-                        // slip through before the flag lands) are dropped.
-                        let mut slot = payload.lock().expect("panic slot");
-                        if slot.is_none() {
-                            *slot = Some(p);
-                        }
-                        panicked.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                }
-                self.stats.tasks[w].fetch_add((hi - lo) as u64, Ordering::Relaxed);
-            }
-            if panicked.load(Ordering::Relaxed) {
+        let participant = || loop {
+            // The completion handshake in `run_job` publishes every write
+            // `f` made, so the cursor itself needs no ordering.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
                 return;
             }
-            // Own deque empty: steal the back half of the fullest victim.
-            let victim = (0..p)
-                .filter(|&v| v != w)
-                .map(|v| (deques[v].remaining(), v))
-                .max();
-            match victim {
-                Some((remaining, v)) if remaining > 0 => {
-                    if let Some((lo, hi)) = deques[v].steal_half() {
-                        deques[w].refill(lo, hi);
-                        self.stats.steals[w].fetch_add(1, Ordering::Relaxed);
-                        self.stats.queue_hwm[w].fetch_max((hi - lo) as u64, Ordering::Relaxed);
-                    }
-                    // Raced steal: rescan.
-                }
-                _ => return, // nothing left anywhere
+            if let Err(p) = catch_unwind(AssertUnwindSafe(|| f(i))) {
+                // Keep the first payload, and move the cursor to `n` so the
+                // other participants stop claiming.
+                payload.lock().expect("panic slot").get_or_insert(p);
+                cursor.store(n, Ordering::Relaxed);
+                return;
             }
         };
 
-        self.run_job(&worker);
+        self.run_job(&participant);
         publish_obs(n);
 
-        if panicked.load(Ordering::Relaxed) {
-            let p = payload
-                .lock()
-                .expect("panic slot")
-                .take()
-                .expect("panicked flag implies a stored payload");
+        if let Some(p) = payload.into_inner().expect("panic slot") {
             resume_unwind(p);
         }
     }
 
-    /// Publishes `task` to the worker threads, participates as worker 0,
+    /// Publishes `task` to the worker threads, runs it on this thread too,
     /// and blocks until every worker has finished it.
-    fn run_job(&self, task: &(dyn Fn(usize) + Sync)) {
+    fn run_job(&self, task: &(dyn Fn() + Sync)) {
         let _submit = self.submit.lock().expect("submit lock");
         let n_workers = self.handles.len();
         // SAFETY: pure lifetime erasure on a fat pointer (layout is
         // unchanged); the completion handshake below keeps the pointee
         // alive for as long as any worker can dereference it.
-        let erased: *const (dyn Fn(usize) + Sync + 'static) = unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize) + Sync + '_),
-                *const (dyn Fn(usize) + Sync + 'static),
-            >(task as *const _)
+        let erased: *const (dyn Fn() + Sync + 'static) = unsafe {
+            std::mem::transmute::<*const (dyn Fn() + Sync + '_), *const (dyn Fn() + Sync + 'static)>(
+                task as *const _,
+            )
         };
         {
             let mut st = self.shared.state.lock().expect("pool state");
@@ -453,7 +252,7 @@ impl Pool {
         }
         {
             let _inside = set_tls(&IN_POOL, true);
-            task(0);
+            task();
         }
         let mut st = self.shared.state.lock().expect("pool state");
         while st.active > 0 {
@@ -476,12 +275,8 @@ impl Drop for Pool {
     }
 }
 
-/// Items per [`Pool::par_reduce`] chunk — fixed so reduction grouping (and
-/// therefore floating-point results) never depends on the thread count.
-pub const REDUCE_CHUNK: usize = 1024;
-
 /// The parked-worker loop: wait for a fresh job, run it, hand shake, park.
-fn worker_loop(w: usize, shared: &Shared) {
+fn worker_loop(shared: &Shared) {
     let mut last_seq = 0u64;
     loop {
         let job = {
@@ -503,7 +298,7 @@ fn worker_loop(w: usize, shared: &Shared) {
             let _inside = set_tls(&IN_POOL, true);
             // SAFETY: `run_job` keeps the pointee alive until `active`
             // reaches 0, which only happens after this call returns.
-            unsafe { (*job.0)(w) };
+            unsafe { (*job.0)() };
         }
         let mut st = shared.state.lock().expect("pool state");
         st.active -= 1;
@@ -531,15 +326,15 @@ impl<U> SlotWriter<U> {
 }
 
 /// Mirrors a finished job into the ht-obs registry (no-op when `HT_OBS` is
-/// off). Per-worker detail stays in [`PoolStats`]; the registry gets the
-/// aggregate counters every layer shares.
+/// off).
 fn publish_obs(n: usize) {
     ht_obs::counter_add("par.jobs", 1);
     ht_obs::counter_add("par.tasks", n as u64);
 }
 
-/// The default pool width: `HT_THREADS` when set, otherwise the machine's
-/// available parallelism minus one core for the system.
+/// The default pool width: `HT_THREADS` when set (parsed, clamped to
+/// ≥ 1), otherwise the machine's available parallelism minus one core for
+/// the system (at least 1).
 pub fn default_threads() -> usize {
     if let Ok(s) = std::env::var("HT_THREADS") {
         if let Ok(v) = s.trim().parse::<usize>() {

@@ -6,17 +6,17 @@
 //!
 //! The layer stack:
 //!
-//! * [`TokenBucket`] / [`RejectReason`] ([`admission`]) — logical-clock
+//! * [`TokenBucket`] / [`RejectReason`] (`admission`) — logical-clock
 //!   rate limiting with typed backpressure; no wall clock anywhere.
-//! * [`ShardArena`] ([`arena`]) — per-shard pools of reusable
+//! * [`ShardArena`] (`arena`) — per-shard pools of reusable
 //!   [`WakeStream`](headtalk::WakeStream) slots; steady-state serving is
 //!   allocation-free because slots are reset in place, never rebuilt.
-//! * [`WakeServer`] ([`server`]) — session-sharded front end: open /
+//! * [`WakeServer`] (`server`) — session-sharded front end: open /
 //!   push / finalize with eager eviction on mid-stream geometry
 //!   violations and idle timeouts. Single and batch finalize share one
 //!   per-session routine that runs `WakeStream::outcome` under the
 //!   session's shard lock.
-//! * [`run_load`] ([`schedule`]) — the seeded load generator: waves of
+//! * [`run_load`] (`schedule`) — the seeded load generator: waves of
 //!   sessions, serial admission, shard-parallel ragged-chunk
 //!   interleavings, all byte-identical for a `(seed, scenario set)` pair
 //!   at any `HT_THREADS` (the interleaving property suite pins this

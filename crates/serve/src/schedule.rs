@@ -209,7 +209,8 @@ fn admit_wave(
 ///
 /// Propagates unexpected serving errors (the schedule itself never sends
 /// malformed chunks, so evictions and pipeline failures here mean the
-/// captures are degenerate).
+/// captures are degenerate). Before returning one, closes every session
+/// this call opened that is still open.
 ///
 /// # Panics
 ///
@@ -288,6 +289,7 @@ pub fn run_load(
             });
         }
         let mut next: Option<AdmitResult> = None;
+        let mut streamed = Ok(());
         for out in ht_par::par_map(&tasks, |task| match task {
             Task::Stream {
                 shard,
@@ -311,9 +313,12 @@ pub fn run_load(
             )),
         }) {
             match out {
-                TaskOut::Streamed(r) => r?,
+                TaskOut::Streamed(r) => streamed = streamed.and(r),
                 TaskOut::Admitted(a) => next = Some(a),
             }
+        }
+        if let Err(e) = streamed {
+            return Err(abandon(server, &wave, next.as_ref(), e));
         }
         if let Some(a) = &next {
             remaining -= next_count;
@@ -336,7 +341,10 @@ pub fn run_load(
         report.rejected_rate += wave.rejected_rate;
         report.rejected_capacity += wave.rejected_capacity;
         for (id, result) in finalized {
-            let outcome = result?;
+            let outcome = match result {
+                Ok(outcome) => outcome,
+                Err(e) => return Err(abandon(server, &wave, next.as_ref(), e)),
+            };
             let n_channels = captures[(id % captures.len() as u64) as usize].len();
             let mut fold = Fnv::new();
             for f in &outcome.features {
@@ -388,6 +396,25 @@ pub fn run_load(
     }
     report.checksum = checksum.0;
     Ok(report)
+}
+
+/// Closes every session of the waves in flight that is still open and
+/// hands back `err`, so a failed drive never leaves its undecided sessions
+/// holding slots until `evict_idle` reaps them.
+fn abandon(
+    server: &WakeServer<'_>,
+    wave: &AdmitResult,
+    next: Option<&AdmitResult>,
+    err: ServeError,
+) -> ServeError {
+    for pending in std::iter::once(wave)
+        .chain(next)
+        .flat_map(|w| w.groups.iter().flatten())
+    {
+        // Decided and evicted sessions are closed already.
+        let _ = server.close(pending.id);
+    }
+    err
 }
 
 /// Streams one shard's admitted sessions to completion under the group's
@@ -567,5 +594,29 @@ mod tests {
         assert_eq!(a.rejected_rate, 8);
         assert_eq!(a.rejected_capacity, 0);
         assert_eq!(a, run(()), "rejection pattern must replay");
+    }
+
+    #[test]
+    fn a_failed_drive_closes_every_session_it_opened() {
+        let ht = toy_pipeline();
+        // 100 samples hold no analysis frame, so every finalize fails; a
+        // NaN sample evicts its session mid-stream instead. Either error
+        // surfaces while the next wave is already admitted.
+        let short = noise_captures(1, 4, 100, 0, 0xF00D);
+        let mut poisoned = noise_captures(1, 4, 4800, 0, 0xF00D);
+        poisoned[0][2][1000] = f64::NAN;
+        let config = LoadConfig {
+            n_sessions: 16,
+            ..LoadConfig::default()
+        };
+        for (name, captures) in [("short", short), ("poisoned", poisoned)] {
+            let server = WakeServer::new(&ht, small_server_config(&ht));
+            assert!(run_load(&server, &captures, &config).is_err(), "{name}");
+            assert_eq!(
+                server.stats().live,
+                0,
+                "{name}: a failed drive pinned slots"
+            );
+        }
     }
 }
