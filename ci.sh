@@ -60,6 +60,13 @@ step "cargo build --release (perfbench)" \
 
 step "cargo test" cargo test -q --offline --release
 
+# Overflow-checked tests: release builds turn integer overflow checks off,
+# so an underflow in width or index arithmetic would wrap silently in
+# every step above. The library tests of the DSP, streaming and pipeline
+# crates run here in the debug profile, where it panics instead.
+step "cargo test (debug, overflow checks)" \
+    cargo test -q --offline --lib -p headtalk -p ht-stream -p ht-dsp
+
 # The ht-par determinism contract says thread count must never change any
 # result, so the whole suite must stay green at both extremes of the
 # HT_THREADS override (1 = serial global pool, 4 = oversubscribed on small

@@ -2,7 +2,6 @@
 //! wake-word capture (the paper: 42 ms liveness + 136 ms orientation on an
 //! i7-2600; 527 ms on the ReSpeaker's Cortex-A7).
 
-use headtalk::liveness::prepare_input;
 use headtalk::preprocess::Preprocessor;
 use headtalk::{HeadTalk, PipelineConfig};
 use ht_bench::{black_box, Suite};
@@ -14,18 +13,17 @@ fn bench_pipeline(s: &mut Suite) {
         .render()
         .expect("render succeeds");
     let pre = Preprocessor::new(&cfg).expect("preprocessor");
-    let denoised = pre.denoise_channels(&capture).expect("denoise");
 
+    // Zero-phase denoising: the Table IV mic-count path, not the decision
+    // path.
     s.bench("runtime_b15/preprocess_denoise_4ch", || {
         pre.denoise_channels(black_box(&capture))
     });
+    // The decision path's two evidence halves on the raw capture.
     s.bench("runtime_b15/liveness_input_preparation", || {
-        prepare_input(black_box(&denoised[0]), cfg.liveness_input_len)
+        HeadTalk::liveness_input(&cfg, black_box(&capture))
     });
     s.bench("runtime_b15/orientation_feature_extraction", || {
-        headtalk::features::extract(black_box(&denoised), &cfg)
-    });
-    s.bench("runtime_b15/full_wake_capture_to_features", || {
         HeadTalk::orientation_features(&cfg, black_box(&capture))
     });
 }

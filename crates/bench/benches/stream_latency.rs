@@ -127,18 +127,14 @@ fn run_scenario(
     passes: usize,
 ) -> ScenarioReport {
     let len = channels[0].len();
-    let config = StreamConfig {
-        capacity_hint: len,
-        ..StreamConfig::for_pipeline(ht.config())
-    };
-    let hop = config.hop;
+    let hop = StreamConfig::for_pipeline(ht.config()).hop;
     // Per-stream warmup: the first few chunks settle lazily sized scratch.
     let warm_chunks = 4;
 
     let mut steady_allocs = 0u64;
     let mut report = None;
     for pass in 0..passes.max(2) {
-        let mut stream = ht.streamer_with(channels.len(), config).expect("streamer");
+        let mut stream = ht.streamer(channels.len()).expect("streamer");
         let mut chunk: Vec<&[f64]> = Vec::with_capacity(channels.len());
         let mut push_range = |stream: &mut headtalk::WakeStream<'_>, from: usize, to: usize| {
             let mut pos = from;

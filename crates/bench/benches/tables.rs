@@ -6,7 +6,7 @@
 use headtalk::facing::FacingDefinition;
 use headtalk::orientation::{ModelKind, OrientationDetector};
 use headtalk::userstudy;
-use headtalk::PipelineConfig;
+use headtalk::{HeadTalk, PipelineConfig};
 use ht_bench::{black_box, Suite};
 use ht_datagen::{datasets, CaptureSpec};
 use ht_dsp::rng::SeedableRng;
@@ -82,7 +82,7 @@ fn bench_table4(s: &mut Suite) {
     for n in [2usize, 4, 6] {
         let subset: Vec<Vec<f64>> = denoised[..n].to_vec();
         s.bench(&format!("table4_mic_count/features_{n}_mics"), || {
-            headtalk::features::extract(black_box(&subset), &cfg)
+            HeadTalk::orientation_features(&cfg, black_box(&subset))
         });
     }
 }

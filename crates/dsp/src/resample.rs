@@ -273,21 +273,6 @@ pub fn to_16k_from_48k(x: &[f64]) -> Result<Vec<f64>, DspError> {
     decimate(x, 3)
 }
 
-/// Naive zero-order-hold upsampling by an integer factor (used only by test
-/// fixtures; real rendering happens natively at 48 kHz).
-pub fn upsample_hold(x: &[f64], factor: usize) -> Result<Vec<f64>, DspError> {
-    if factor == 0 {
-        return Err(DspError::param("factor", "must be at least 1"));
-    }
-    let mut y = Vec::with_capacity(x.len() * factor);
-    for &v in x {
-        for _ in 0..factor {
-            y.push(v);
-        }
-    }
-    Ok(y)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,7 +322,6 @@ mod tests {
     #[test]
     fn factor_zero_is_rejected() {
         assert!(decimate(&[1.0], 0).is_err());
-        assert!(upsample_hold(&[1.0], 0).is_err());
     }
 
     #[test]
@@ -371,14 +355,6 @@ mod tests {
     #[test]
     fn empty_input_gives_empty_output() {
         assert!(decimate(&[], 3).unwrap().is_empty());
-    }
-
-    #[test]
-    fn upsample_hold_repeats_samples() {
-        assert_eq!(
-            upsample_hold(&[1.0, 2.0], 3).unwrap(),
-            vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]
-        );
     }
 
     /// Deterministic noise in [-1, 1) (xorshift; tests must not use wall

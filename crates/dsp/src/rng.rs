@@ -326,11 +326,6 @@ pub fn white_noise<R: Rng>(rng: &mut R, n: usize) -> Vec<f64> {
     (0..n).map(|_| gaussian(rng)).collect()
 }
 
-/// A buffer of `n` uniform samples in `[-1, 1)`.
-pub fn uniform_noise<R: Rng>(rng: &mut R, n: usize) -> Vec<f64> {
-    (0..n).map(|_| rng.next_f64() * 2.0 - 1.0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,13 +562,6 @@ mod tests {
         let xs: Vec<f64> = (0..50_000).map(|_| normal(&mut rng, 5.0, 2.0)).collect();
         assert!((crate::stats::mean(&xs) - 5.0).abs() < 0.05);
         assert!((crate::stats::std_dev(&xs) - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn uniform_noise_is_bounded() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let xs = uniform_noise(&mut rng, 10_000);
-        assert!(xs.iter().all(|v| (-1.0..1.0).contains(v)));
     }
 
     #[test]

@@ -1,11 +1,8 @@
-//! Spectral analysis: band energies, Welch PSD, and the paper's speech
-//! directivity features (high/low band ratio and low-band chunk statistics,
-//! §III-B3).
+//! Spectral analysis: band energies and the paper's speech directivity
+//! features (high/low band ratio and low-band chunk statistics, §III-B3).
 
 use crate::error::DspError;
 use crate::fft;
-use crate::stft;
-use crate::window::Window;
 
 /// A one-sided magnitude spectrum with its frequency axis metadata.
 #[derive(Debug, Clone, PartialEq)]
@@ -141,88 +138,6 @@ pub fn push_low_band_chunk_stats(spectrum: &Spectrum, chunks: usize, out: &mut V
     }
 }
 
-/// Welch power-spectral-density estimate: mean periodogram over Hann-windowed
-/// half-overlapping segments of length `segment`.
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidLength`] if the signal is shorter than one
-/// segment, and [`DspError::InvalidParameter`] for a zero segment length.
-pub fn welch_psd(x: &[f64], segment: usize, sample_rate: f64) -> Result<Spectrum, DspError> {
-    if segment == 0 {
-        return Err(DspError::param("segment", "must be at least 1"));
-    }
-    if x.len() < segment {
-        return Err(DspError::length(
-            "x",
-            format!("signal ({}) shorter than segment ({segment})", x.len()),
-        ));
-    }
-    let frames = stft::frames(x, segment, segment / 2);
-    let w = Window::Hann.coefficients(segment);
-    let wnorm: f64 = w.iter().map(|v| v * v).sum();
-    // One windowing processor reused across segments: the plan, window and
-    // working buffers are allocated once for the whole estimate.
-    let mut processor = stft::StftProcessor::new(segment, Window::Hann);
-    let n_fft = processor.n_fft();
-    let mut acc = vec![0.0; processor.onesided_len()];
-    let mut spec = vec![crate::complex::Complex::ZERO; processor.onesided_len()];
-    for frame in &frames {
-        processor.process_into(frame, &mut spec);
-        for (a, z) in acc.iter_mut().zip(spec.iter()) {
-            *a += z.norm_sqr();
-        }
-    }
-    let scale = 1.0 / (frames.len() as f64 * wnorm * sample_rate);
-    for a in &mut acc {
-        *a *= scale;
-    }
-    Ok(Spectrum {
-        magnitudes: acc,
-        sample_rate,
-        n_fft,
-    })
-}
-
-/// Log-spaced band energies of a signal — the compact spectral signature fed
-/// to the liveness network's input layer (see `headtalk::liveness`).
-///
-/// Produces `bands` energies covering `[f_lo, f_hi]` with logarithmic band
-/// edges, each in log-power (`ln(energy + eps)`).
-///
-/// # Errors
-///
-/// Returns [`DspError::InvalidParameter`] for invalid band counts/edges and
-/// [`DspError::InvalidLength`] for an empty signal.
-pub fn log_band_energies(
-    x: &[f64],
-    sample_rate: f64,
-    bands: usize,
-    f_lo: f64,
-    f_hi: f64,
-) -> Result<Vec<f64>, DspError> {
-    if bands == 0 {
-        return Err(DspError::param("bands", "must be at least 1"));
-    }
-    if f_lo <= 0.0 || f_lo.is_nan() || f_hi <= f_lo || f_hi > sample_rate / 2.0 {
-        return Err(DspError::param(
-            "f_lo/f_hi",
-            format!("band edges must satisfy 0 < f_lo < f_hi <= fs/2, got [{f_lo}, {f_hi}]"),
-        ));
-    }
-    let spec = Spectrum::of(x, sample_rate)?;
-    let log_lo = f_lo.ln();
-    let log_hi = f_hi.ln();
-    let eps = 1e-12;
-    Ok((0..bands)
-        .map(|b| {
-            let lo = (log_lo + (log_hi - log_lo) * b as f64 / bands as f64).exp();
-            let hi = (log_lo + (log_hi - log_lo) * (b + 1) as f64 / bands as f64).exp();
-            (spec.band_energy(lo, hi) + eps).ln()
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,46 +215,11 @@ mod tests {
     }
 
     #[test]
-    fn welch_psd_peaks_at_tone() {
-        let x = tone(3000.0, FS, 48_000, 1.0);
-        let psd = welch_psd(&x, 2048, FS).unwrap();
-        let peak = crate::peak::argmax(&psd.magnitudes).unwrap();
-        assert!((psd.bin_to_hz(peak) - 3000.0).abs() < 50.0);
-    }
-
-    #[test]
-    fn welch_rejects_short_signal() {
-        assert!(welch_psd(&[1.0; 10], 64, FS).is_err());
-        assert!(welch_psd(&[1.0; 10], 0, FS).is_err());
-    }
-
-    #[test]
     fn normalized_peak_is_one() {
         let x = tone(500.0, FS, 2048, 3.0);
         let s = Spectrum::of(&x, FS).unwrap();
         let n = s.normalized();
         assert!((crate::stats::max(&n) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn log_band_energies_shape_and_order() {
-        let x = tone(1000.0, 16_000.0, 8000, 1.0);
-        let e = log_band_energies(&x, 16_000.0, 32, 50.0, 8000.0).unwrap();
-        assert_eq!(e.len(), 32);
-        assert!(e.iter().all(|v| v.is_finite()));
-        // The band containing 1 kHz dominates.
-        let imax = crate::peak::argmax(&e).unwrap();
-        let lo = (50f64.ln() + (8000f64 / 50.0).ln() * imax as f64 / 32.0).exp();
-        let hi = (50f64.ln() + (8000f64 / 50.0).ln() * (imax + 1) as f64 / 32.0).exp();
-        assert!(lo <= 1000.0 && 1000.0 <= hi, "peak band [{lo}, {hi}]");
-    }
-
-    #[test]
-    fn log_band_energies_validates_edges() {
-        let x = vec![0.1; 100];
-        assert!(log_band_energies(&x, 16_000.0, 0, 50.0, 8000.0).is_err());
-        assert!(log_band_energies(&x, 16_000.0, 8, 0.0, 8000.0).is_err());
-        assert!(log_band_energies(&x, 16_000.0, 8, 100.0, 9000.0).is_err());
     }
 
     #[test]

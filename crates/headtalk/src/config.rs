@@ -35,10 +35,9 @@ impl PipelineConfig {
 
     /// The analysis frame geometry `(frame_len, hop)` this configuration
     /// implies: 20 ms frames advancing by 10 ms (960/480 samples at the
-    /// paper's 48 kHz), the classic speech-analysis framing. The streaming
-    /// engine and the batch feature extractor both derive their framing
-    /// from here, which is what makes the incremental finalize path
-    /// bit-identical to [`HeadTalk::decide_batch`](crate::HeadTalk).
+    /// paper's 48 kHz), the classic speech-analysis framing.
+    /// [`Evidence`](crate::evidence::Evidence), the one route every
+    /// decision takes, frames at this geometry.
     pub fn analysis_frame_geometry(&self) -> (usize, usize) {
         let hop = (self.sample_rate / 100.0).round().max(1.0) as usize;
         (2 * hop, hop)
@@ -47,9 +46,7 @@ impl PipelineConfig {
     /// The directivity accumulation segment length in samples: the next
     /// power of two above half a second of audio (32 768 at the paper's
     /// 48 kHz, ≈683 ms — ≈1.5 Hz bins), long enough to resolve the voice's
-    /// harmonic structure inside each 15 Hz low-band chunk. Shared by the
-    /// batch extractor and the streaming engine so their Welch segment
-    /// boundaries — and therefore their feature bits — coincide.
+    /// harmonic structure inside each 15 Hz low-band chunk.
     pub fn directivity_segment_len(&self) -> usize {
         let half_second = (self.sample_rate * 0.5).ceil().max(1.0) as usize;
         half_second.next_power_of_two()

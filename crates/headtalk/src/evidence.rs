@@ -1,0 +1,356 @@
+//! The one route from raw samples to decision evidence.
+//!
+//! HeadTalk scores two pieces of evidence per wake-word capture: the
+//! §III-B3 orientation feature vector from every channel and the 16 kHz
+//! liveness input from channel 0 (§IV-B15). [`Evidence`] builds both chunk
+//! by chunk. The [`FrameRing`] refuses a malformed or non-finite chunk
+//! before any state changes and frames the capture at
+//! [`PipelineConfig::analysis_frame_geometry`]; each frame goes through the
+//! [`FrameAnalyzer`] while the [`DirectivityAccum`] folds in every sample;
+//! channel 0 runs the preprocessing band-pass causally, then a streaming
+//! ÷3 decimator. [`assemble`](Evidence::assemble) reads only the
+//! accumulators, in O(features).
+//!
+//! A [`WakeStream`](crate::WakeStream) pushes microphone chunks;
+//! [`HeadTalk::decide_batch`] and [`HeadTalk::enable_int8`] push a finished
+//! capture hop by hop, checking it once up front so a bad sample is
+//! reported at its index in the capture. With one implementation, stream
+//! and batch agree bit for bit for any chunking. The training helpers
+//! [`HeadTalk::orientation_features`] and [`HeadTalk::liveness_input`] each
+//! run only the half whose output they return.
+
+use crate::config::PipelineConfig;
+use crate::features;
+use crate::liveness::prepare_decimated_into;
+use crate::pipeline::HeadTalk;
+use crate::preprocess::Preprocessor;
+use crate::HeadTalkError;
+use ht_dsp::filter::StreamingSos;
+use ht_dsp::resample::StreamDecimator;
+use ht_dsp::{spectrum, QuantMode};
+use ht_stream::ring::check_chunk;
+use ht_stream::{DirectivityAccum, FrameAnalyzer, FrameFeatures, FrameRing, StreamError};
+
+/// Seconds of audio the liveness branch is presized for: pushes of a
+/// capture up to this long never reallocate it.
+const PRESIZE_SECS: f64 = 4.0;
+
+/// The assembled decision evidence, borrowed from an [`Evidence`]'s
+/// scratch: feed it to [`HeadTalk::infer_assembled`] without a copy.
+#[derive(Debug, Clone, Copy)]
+pub struct AssembledEvidence<'s> {
+    /// The §III-B3 orientation feature vector.
+    pub features: &'s [f64],
+    /// The z-scored fixed-width 16 kHz liveness input.
+    pub liveness_input: &'s [f64],
+}
+
+/// Incremental decision evidence for `n_channels`-channel audio. Needs no
+/// trained model.
+#[derive(Debug, Clone)]
+pub struct Evidence {
+    orientation: OrientationHalf,
+    liveness: LivenessHalf,
+}
+
+impl Evidence {
+    /// Builds an accumulator whose frame analysis whitens with `quant`'s
+    /// GCC kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeadTalkError::Stream`] for fewer than two channels and
+    /// [`HeadTalkError::Dsp`] for a band-pass the configuration cannot
+    /// design.
+    pub fn new(
+        config: &PipelineConfig,
+        n_channels: usize,
+        quant: QuantMode,
+    ) -> Result<Evidence, HeadTalkError> {
+        Ok(Evidence {
+            orientation: OrientationHalf::new(config, n_channels, quant)?,
+            liveness: LivenessHalf::new(config)?,
+        })
+    }
+
+    /// Ingests one chunk of any length. Frames that become ready wait for
+    /// [`next_frame`](Evidence::next_frame).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeadTalkError::Stream`] for a chunk with the wrong channel
+    /// count, ragged channels or a NaN or infinite sample; the ring checks
+    /// first, so a refused chunk changes nothing.
+    pub fn push(&mut self, chunk: &[&[f64]]) -> Result<(), HeadTalkError> {
+        let _ingest = ht_obs::span("stream.ingest");
+        self.orientation.push(chunk)?;
+        self.liveness.push(chunk[0]);
+        Ok(())
+    }
+
+    /// `true` when a complete frame waits for analysis.
+    pub(crate) fn frame_ready(&self) -> bool {
+        self.orientation.ring.ready_frames() > 0
+    }
+
+    /// Analyzes the oldest ready frame and returns its evidence for the
+    /// early-exit gate, or `None` when no frame is ready.
+    ///
+    /// # Errors
+    ///
+    /// Propagates analyzer errors (none for frames the ring produced).
+    pub fn next_frame(&mut self) -> Result<Option<&FrameFeatures>, HeadTalkError> {
+        self.orientation.next_frame()
+    }
+
+    /// Pushes a finished capture hop by hop, analyzing every frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeadTalkError::InvalidInput`] without a non-empty first
+    /// channel, and [`HeadTalkError::Stream`] as [`push`](Evidence::push)
+    /// does, with a bad sample reported at its index in the capture.
+    pub(crate) fn push_capture(&mut self, channels: &[Vec<f64>]) -> Result<(), HeadTalkError> {
+        push_hops(channels, self.orientation.ring.hop(), |chunk| {
+            self.push(chunk)?;
+            while self.next_frame()?.is_some() {}
+            Ok(())
+        })
+    }
+
+    /// Assembles the feature vector and the liveness input from the
+    /// accumulators. O(features), non-destructive (more audio may follow)
+    /// and allocation-free once the scratch has grown.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeadTalkError::Stream`] with [`StreamError::NoFrames`] for
+    /// a capture shorter than one analysis frame, and
+    /// [`HeadTalkError::InvalidInput`] for a silent or DC-only liveness
+    /// window.
+    pub fn assemble(&mut self) -> Result<AssembledEvidence<'_>, HeadTalkError> {
+        let _span = ht_obs::span("stream.assemble");
+        Ok(AssembledEvidence {
+            features: self.orientation.assemble()?,
+            liveness_input: self.liveness.assemble()?,
+        })
+    }
+
+    /// Returns to the just-built state, keeping every buffer's capacity:
+    /// results are bit-identical to a fresh accumulator's.
+    pub fn reset(&mut self) {
+        self.orientation.reset();
+        self.liveness.reset();
+    }
+
+    /// Frames analyzed so far.
+    pub(crate) fn frames(&self) -> u64 {
+        self.orientation.analyzer.frames_analyzed()
+    }
+
+    /// Samples ingested per channel so far.
+    pub(crate) fn samples_per_channel(&self) -> usize {
+        self.orientation.ring.samples_pushed() as usize
+    }
+
+    /// Forward FFTs the directivity flush has run since construction
+    /// (cache hits run none); survives [`reset`](Evidence::reset).
+    pub(crate) fn directivity_flush_ffts(&self) -> u64 {
+        self.orientation.dir.flush_ffts()
+    }
+}
+
+impl HeadTalk {
+    /// The orientation feature vector of a raw capture: the orientation
+    /// half of [`Evidence`] under [`QuantMode::Reference`], bit for bit the
+    /// vector [`decide_batch`](HeadTalk::decide_batch) scores in that mode.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeadTalkError::Stream`] for fewer than two channels,
+    /// ragged channels, a NaN or infinite sample or a capture shorter than
+    /// one analysis frame, and [`HeadTalkError::InvalidInput`] without a
+    /// non-empty first channel.
+    pub fn orientation_features(
+        config: &PipelineConfig,
+        channels: &[Vec<f64>],
+    ) -> Result<Vec<f64>, HeadTalkError> {
+        let mut half = OrientationHalf::new(config, channels.len(), QuantMode::Reference)?;
+        push_hops(channels, half.ring.hop(), |chunk| {
+            half.push(chunk)?;
+            while half.next_frame()?.is_some() {}
+            Ok(())
+        })?;
+        Ok(half.assemble()?.to_vec())
+    }
+
+    /// The liveness input of a raw capture: the liveness half of
+    /// [`Evidence`] (causal band-pass on channel 0, ÷3 decimation,
+    /// crop or pad to [`PipelineConfig::liveness_input_len`], z-score), bit
+    /// for bit the input a decision scores.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HeadTalkError::Stream`] for ragged channels or a NaN or
+    /// infinite sample, and [`HeadTalkError::InvalidInput`] without a
+    /// non-empty first channel or for a silent or DC-only liveness window.
+    pub fn liveness_input(
+        config: &PipelineConfig,
+        channels: &[Vec<f64>],
+    ) -> Result<Vec<f64>, HeadTalkError> {
+        let mut half = LivenessHalf::new(config)?;
+        let (_, hop) = config.analysis_frame_geometry();
+        push_hops(channels, hop, |chunk| {
+            half.push(chunk[0]);
+            Ok(())
+        })?;
+        Ok(half.assemble()?.to_vec())
+    }
+}
+
+/// Ring framing, per-frame analysis and the directivity spectrum.
+#[derive(Debug, Clone)]
+struct OrientationHalf {
+    srp_peaks: usize,
+    low_band_chunks: usize,
+    ring: FrameRing,
+    frame: Vec<Vec<f64>>,
+    analyzer: FrameAnalyzer,
+    dir: DirectivityAccum,
+    features: Vec<f64>,
+}
+
+impl OrientationHalf {
+    fn new(
+        config: &PipelineConfig,
+        n_channels: usize,
+        quant: QuantMode,
+    ) -> Result<OrientationHalf, HeadTalkError> {
+        let (frame_len, hop) = config.analysis_frame_geometry();
+        // Built first: it refuses fewer than two channels before the
+        // width arithmetic below.
+        let mut analyzer =
+            FrameAnalyzer::new(n_channels, frame_len, config.max_lag, config.sample_rate)?;
+        analyzer.set_quant_mode(quant);
+        Ok(OrientationHalf {
+            srp_peaks: config.srp_peaks,
+            low_band_chunks: config.low_band_chunks,
+            ring: FrameRing::with_capacity(n_channels, frame_len, hop, frame_len + 2 * hop)?,
+            frame: vec![vec![0.0; frame_len]; n_channels],
+            analyzer,
+            dir: DirectivityAccum::new(
+                n_channels,
+                config.directivity_segment_len(),
+                config.sample_rate,
+            )?,
+            features: Vec::with_capacity(features::feature_width(n_channels, config)),
+        })
+    }
+
+    fn push(&mut self, chunk: &[&[f64]]) -> Result<(), HeadTalkError> {
+        self.ring.push(chunk)?;
+        self.dir.push(chunk)?;
+        Ok(())
+    }
+
+    fn next_frame(&mut self) -> Result<Option<&FrameFeatures>, HeadTalkError> {
+        if !self.ring.pop_frame_into(&mut self.frame) {
+            return Ok(None);
+        }
+        Ok(Some(self.analyzer.analyze(&self.frame)?))
+    }
+
+    fn assemble(&mut self) -> Result<&[f64], HeadTalkError> {
+        let _span = ht_obs::span("wake.feature_extract");
+        self.features.clear();
+        self.analyzer
+            .assemble_features_into(self.srp_peaks, &mut self.features)?;
+        // A frame implies pushed samples, so a spectrum exists.
+        let spec = self.dir.flush_spectrum().ok_or(StreamError::NoFrames)?;
+        self.features.push(spectrum::hlbr(spec));
+        spectrum::push_low_band_chunk_stats(spec, self.low_band_chunks, &mut self.features);
+        Ok(&self.features)
+    }
+
+    fn reset(&mut self) {
+        self.ring.reset();
+        self.analyzer.reset();
+        self.dir.reset();
+    }
+}
+
+/// Channel 0 through the causal band-pass and the ÷3 decimator, then
+/// crop or pad and z-score.
+#[derive(Debug, Clone)]
+struct LivenessHalf {
+    sos: StreamingSos,
+    filtered: Vec<f64>,
+    dec: StreamDecimator,
+    x16k: Vec<f64>,
+    prepared: Vec<f64>,
+    input_len: usize,
+}
+
+impl LivenessHalf {
+    fn new(config: &PipelineConfig) -> Result<LivenessHalf, HeadTalkError> {
+        let (_, hop) = config.analysis_frame_geometry();
+        let presize = (config.sample_rate * PRESIZE_SECS) as usize / 3;
+        Ok(LivenessHalf {
+            sos: StreamingSos::new(Preprocessor::new(config)?.sos().clone()),
+            filtered: Vec::with_capacity(2 * hop + 16),
+            dec: StreamDecimator::new(3)?,
+            // Room for the decimator's flushed FIR tail too.
+            x16k: Vec::with_capacity(presize + 128),
+            prepared: Vec::with_capacity(config.liveness_input_len),
+            input_len: config.liveness_input_len,
+        })
+    }
+
+    fn push(&mut self, x: &[f64]) {
+        self.filtered.clear();
+        self.sos.process(x, &mut self.filtered);
+        self.dec.push(&self.filtered, &mut self.x16k);
+    }
+
+    /// Prepares the decimated samples plus the decimator's flushed tail,
+    /// then drops the tail again so more audio can follow.
+    fn assemble(&mut self) -> Result<&[f64], HeadTalkError> {
+        let emitted = self.x16k.len();
+        self.dec.flush_into(&mut self.x16k);
+        let prepared = prepare_decimated_into(&self.x16k, self.input_len, &mut self.prepared);
+        self.x16k.truncate(emitted);
+        prepared?;
+        Ok(&self.prepared)
+    }
+
+    fn reset(&mut self) {
+        self.sos.reset();
+        self.dec.reset();
+        self.x16k.clear();
+    }
+}
+
+/// Checks a finished capture with the ring's chunk check, run once over
+/// the whole capture so a bad sample is reported at its index in the
+/// capture (as by a stream fed it in one chunk), then calls `push` on
+/// consecutive `hop`-sample views of it.
+fn push_hops(
+    channels: &[Vec<f64>],
+    hop: usize,
+    mut push: impl FnMut(&[&[f64]]) -> Result<(), HeadTalkError>,
+) -> Result<(), HeadTalkError> {
+    if channels.first().is_none_or(Vec::is_empty) {
+        return Err(HeadTalkError::InvalidInput(
+            "capture must have at least one non-empty channel".into(),
+        ));
+    }
+    let views: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
+    let len = check_chunk(&views)?;
+    let mut chunk = Vec::with_capacity(views.len());
+    for start in (0..len).step_by(hop) {
+        chunk.clear();
+        chunk.extend(views.iter().map(|c| &c[start..len.min(start + hop)]));
+        push(&chunk)?;
+    }
+    Ok(())
+}

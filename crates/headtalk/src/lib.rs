@@ -12,11 +12,15 @@
 //!
 //! * [`preprocess`] — 5th-order Butterworth band-pass (100–16 000 Hz) and
 //!   normalization,
+//! * [`evidence`] — the one route from raw samples to decision evidence:
+//!   frame-by-frame orientation features from every channel and the
+//!   causally band-passed 16 kHz liveness input from channel 0, shared by
+//!   the batch decision, the stream and the training helpers,
 //! * [`liveness`] — human-vs-mechanical-speaker detection on downsampled
 //!   16 kHz audio ("wav2vec2-mini", §III-A),
-//! * [`features`] — the orientation feature set: SRP-PHAT peaks, pairwise
-//!   GCC-PHAT vectors and TDoAs with statistical summaries, plus speech
-//!   directivity features (HLBR, low-band chunks) (§III-B3),
+//! * [`features`] — the orientation feature layout: SRP-PHAT peaks,
+//!   pairwise GCC-PHAT vectors and TDoAs with statistical summaries, plus
+//!   speech directivity features (HLBR, low-band chunks) (§III-B3),
 //! * [`facing`] — the facing/blind/non-facing zones and the four
 //!   training-label definitions of Table III,
 //! * [`orientation`] — the facing classifier (SVM by default; RF/DT/kNN for
@@ -24,7 +28,8 @@
 //! * [`pipeline`] — the end-to-end wake-command decision,
 //! * [`stream`] — the frame-by-frame streaming engine with the early-exit
 //!   soft-mute gate, bit-identical to the batch
-//!   [`decide_batch`](HeadTalk::decide_batch) it is tested against,
+//!   [`decide_batch`](HeadTalk::decide_batch) because both build their
+//!   evidence through [`evidence`],
 //! * [`control`] — the privacy-mode state machine of Fig. 1 (Normal, Mute,
 //!   HeadTalk; soft mute; session semantics),
 //! * [`userstudy`] — SUS scoring and the paper's Table V survey data.
@@ -45,6 +50,7 @@
 pub mod config;
 pub mod control;
 pub mod error;
+pub mod evidence;
 pub mod facing;
 pub mod features;
 pub mod liveness;

@@ -6,9 +6,7 @@
 //! contract — raw 16 kHz audio, zero mean / unit variance — and the same
 //! adaptation protocol ([`LivenessDetector::adapt`]).
 
-use crate::config::PipelineConfig;
 use crate::HeadTalkError;
-use ht_dsp::resample::to_16k_from_48k;
 use ht_dsp::QuantMode;
 use ht_ml::dataset::Dataset;
 use ht_ml::nn::{NeuralNet, NeuralNetConfig};
@@ -20,43 +18,12 @@ pub const LIVE_HUMAN: usize = 1;
 /// Label for loudspeaker-replayed audio.
 pub const REPLAYED: usize = 0;
 
-/// Prepares a 48 kHz capture channel for the liveness network: downsample
-/// to 16 kHz, center-crop or zero-pad to `target_len`, then normalize to
-/// zero mean and unit variance (the wav2vec2 input contract).
-///
-/// # Errors
-///
-/// Returns [`HeadTalkError::InvalidInput`] for empty audio, and for silent
-/// or DC-only audio: after resampling and cropping such a capture has
-/// (numerically) zero variance, so z-scoring would hand the network an
-/// all-zero — or rounding-noise-amplified — input instead of an utterance.
-/// A capture with no AC energy is not a classifiable utterance; callers get
-/// an error rather than a garbage verdict.
-pub fn prepare_input(audio_48k: &[f64], target_len: usize) -> Result<Vec<f64>, HeadTalkError> {
-    if audio_48k.is_empty() {
-        return Err(HeadTalkError::InvalidInput("empty audio".into()));
-    }
-    let x16k = to_16k_from_48k(audio_48k)?;
-    prepare_decimated(&x16k, target_len)
-}
-
-/// [`prepare_decimated_into`] returning a fresh vector.
-///
-/// # Errors
-///
-/// As for [`prepare_decimated_into`].
-pub fn prepare_decimated(x16k: &[f64], target_len: usize) -> Result<Vec<f64>, HeadTalkError> {
-    let mut out = Vec::with_capacity(target_len);
-    prepare_decimated_into(x16k, target_len, &mut out)?;
-    Ok(out)
-}
-
-/// The post-decimation core of [`prepare_input`]: center-crop or zero-pad
-/// already-16 kHz audio to `target_len` into `out` (cleared first), guard
-/// against zero variance, and z-score in place. Allocation-free once `out`
-/// has capacity — the streaming finalize path calls this on a reused
-/// scratch buffer with the decimated samples its stream accumulated, and
-/// produces the very bits the batch path produces.
+/// Prepares 16 kHz audio for the liveness network (the wav2vec2 input
+/// contract): center-crop or zero-pad it to `target_len` into `out`
+/// (cleared first), guard against zero variance, and z-score in place.
+/// Allocation-free once `out` has capacity — evidence assembly calls this
+/// on a reused scratch buffer with the decimated channel-0 samples it
+/// accumulated.
 ///
 /// # Errors
 ///
@@ -109,8 +76,11 @@ pub struct LivenessDetector {
 }
 
 impl LivenessDetector {
-    /// Trains on a dataset of *prepared* inputs (see [`prepare_input`])
-    /// labeled [`LIVE_HUMAN`] / [`REPLAYED`].
+    /// Trains on a dataset of *prepared* inputs (see
+    /// [`HeadTalk::liveness_input`](crate::HeadTalk::liveness_input))
+    /// labeled [`LIVE_HUMAN`] / [`REPLAYED`]. A pipeline accepts the
+    /// detector only when the dataset's width is the configuration's
+    /// [`liveness_input_len`](crate::PipelineConfig::liveness_input_len).
     ///
     /// # Errors
     ///
@@ -157,7 +127,8 @@ impl LivenessDetector {
 
     /// Builds the int8 inference backend from *prepared* calibration inputs
     /// (the same representation the detector scores — see
-    /// [`prepare_input`]). The f64 network is untouched.
+    /// [`HeadTalk::liveness_input`](crate::HeadTalk::liveness_input)). The
+    /// f64 network is untouched.
     ///
     /// # Errors
     ///
@@ -187,20 +158,6 @@ impl LivenessDetector {
             (Some(q), QuantMode::Int8) => q.predict_proba(prepared),
             _ => self.net.predict_proba(prepared),
         }
-    }
-
-    /// Classifies a raw 48 kHz capture channel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeadTalkError::InvalidInput`] for empty audio.
-    pub fn is_live_48k(
-        &self,
-        audio_48k: &[f64],
-        _config: &PipelineConfig,
-    ) -> Result<bool, HeadTalkError> {
-        let x = prepare_input(audio_48k, self.input_len)?;
-        Ok(self.net.predict(&x) == LIVE_HUMAN)
     }
 
     /// The expected prepared-input length.
@@ -290,29 +247,39 @@ mod tests {
         ds
     }
 
+    fn prepare(x16k: &[f64], target_len: usize) -> Result<Vec<f64>, HeadTalkError> {
+        let mut out = Vec::new();
+        prepare_decimated_into(x16k, target_len, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn prepare_input_shapes_and_normalizes() {
-        let audio = ht_dsp::signal::tone(440.0, 48_000.0, 48_000, 0.3);
-        let x = prepare_input(&audio, 8_000).unwrap();
+        let audio = ht_dsp::signal::tone(440.0, 16_000.0, 16_000, 0.3);
+        let x = prepare(&audio, 8_000).unwrap();
         assert_eq!(x.len(), 8_000);
         let mean = ht_dsp::stats::mean(&x);
         let var = ht_dsp::stats::variance(&x);
         assert!(mean.abs() < 1e-9);
         assert!((var - 1.0).abs() < 1e-6);
         // Short audio is padded.
-        let short = ht_dsp::signal::tone(440.0, 48_000.0, 6_000, 0.3);
-        assert_eq!(prepare_input(&short, 8_000).unwrap().len(), 8_000);
-        assert!(prepare_input(&[], 8_000).is_err());
+        let short = ht_dsp::signal::tone(440.0, 16_000.0, 2_000, 0.3);
+        assert_eq!(prepare(&short, 8_000).unwrap().len(), 8_000);
+        assert!(prepare(&[], 8_000).is_err());
     }
 
     #[test]
     fn silent_and_dc_only_audio_is_rejected() {
         // A soft-muted microphone delivers exact zeros.
-        let err = prepare_input(&vec![0.0; 48_000], 8_000).unwrap_err();
+        let err = prepare(&vec![0.0; 16_000], 8_000).unwrap_err();
         assert!(err.to_string().contains("zero-variance"), "{err}");
         // A DC offset survives the decimation FIR with rounding-level —
         // not exactly zero — variance; the relative threshold catches it.
-        let err = prepare_input(&vec![0.75; 48_000], 8_000).unwrap_err();
+        let mut dec = ht_dsp::resample::StreamDecimator::new(3).unwrap();
+        let mut dc = Vec::new();
+        dec.push(&vec![0.75; 48_000], &mut dc);
+        dec.flush_into(&mut dc);
+        let err = prepare(&dc, 8_000).unwrap_err();
         assert!(err.to_string().contains("zero-variance"), "{err}");
     }
 

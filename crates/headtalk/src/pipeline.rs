@@ -1,13 +1,19 @@
-//! The end-to-end HeadTalk pipeline (Fig. 2): preprocessing → liveness →
+//! The end-to-end HeadTalk pipeline (Fig. 2): evidence → liveness →
 //! orientation → accept/soft-mute decision.
+//!
+//! [`HeadTalk`] holds the trained models. Both decision routes build their
+//! evidence through one [`Evidence`] accumulator —
+//! [`decide_batch`](HeadTalk::decide_batch) pushes a finished capture,
+//! a [`WakeStream`](crate::WakeStream) pushes live chunks — and both end in
+//! [`infer_assembled`](HeadTalk::infer_assembled).
 
 use crate::config::PipelineConfig;
+use crate::evidence::Evidence;
 use crate::features;
-use crate::liveness::{prepare_decimated, LivenessDetector, LIVE_HUMAN};
+use crate::liveness::{LivenessDetector, LIVE_HUMAN};
 use crate::orientation::OrientationDetector;
 use crate::preprocess::Preprocessor;
 use crate::HeadTalkError;
-use ht_dsp::resample::to_16k_from_48k;
 use ht_dsp::QuantMode;
 
 /// The pipeline's verdict on one wake-word capture.
@@ -33,12 +39,11 @@ impl WakeDecision {
     }
 }
 
-/// The assembled HeadTalk system: preprocessor + liveness detector +
-/// orientation detector.
+/// The assembled HeadTalk system: a configuration plus the trained
+/// liveness and orientation detectors.
 #[derive(Debug, Clone)]
 pub struct HeadTalk {
     config: PipelineConfig,
-    preprocessor: Preprocessor,
     liveness: LivenessDetector,
     orientation: OrientationDetector,
     /// Which inference backend the decision path runs. Defaults to the
@@ -53,16 +58,26 @@ impl HeadTalk {
     /// # Errors
     ///
     /// Returns [`HeadTalkError::Dsp`] for an invalid preprocessing
-    /// configuration.
+    /// configuration, and [`HeadTalkError::InvalidInput`] for a liveness
+    /// detector trained at a width other than
+    /// [`PipelineConfig::liveness_input_len`] — the width every decision
+    /// prepares.
     pub fn new(
         config: PipelineConfig,
         liveness: LivenessDetector,
         orientation: OrientationDetector,
     ) -> Result<HeadTalk, HeadTalkError> {
-        let preprocessor = Preprocessor::new(&config)?;
+        Preprocessor::new(&config)?;
+        if liveness.input_len() != config.liveness_input_len {
+            return Err(HeadTalkError::InvalidInput(format!(
+                "liveness detector takes {}-sample inputs, but the configuration prepares \
+                 {}-sample inputs",
+                liveness.input_len(),
+                config.liveness_input_len
+            )));
+        }
         Ok(HeadTalk {
             config,
-            preprocessor,
             liveness,
             orientation,
             quant: QuantMode::Reference,
@@ -101,11 +116,11 @@ impl HeadTalk {
 
     /// Calibrates the int8 backends offline from raw training captures and
     /// switches the pipeline to [`QuantMode::Int8`]: each capture is pushed
-    /// through the same preprocessing as inference (feature extraction for
-    /// the orientation SVM, causal band-pass → 16 kHz → z-score for the
-    /// liveness net) and the observed activation ranges fix the static
-    /// per-layer scales. The f64 models are untouched and stay selectable
-    /// via [`set_quant_mode`](HeadTalk::set_quant_mode).
+    /// through an [`Evidence`] under [`QuantMode::Reference`] — the
+    /// features training saw — and the observed activation ranges of the
+    /// assembled evidence fix the static per-layer scales. The f64 models
+    /// are untouched and stay selectable via
+    /// [`set_quant_mode`](HeadTalk::set_quant_mode).
     ///
     /// # Errors
     ///
@@ -120,16 +135,11 @@ impl HeadTalk {
         let mut liveness_calib = Vec::with_capacity(captures.len());
         let mut feature_calib = Vec::with_capacity(captures.len());
         for channels in captures {
-            if channels.is_empty() || channels[0].is_empty() {
-                return Err(HeadTalkError::InvalidInput(
-                    "calibration capture must have at least one non-empty channel".into(),
-                ));
-            }
-            self.validate_feature_width(channels.len())?;
-            feature_calib.push(features::extract(channels, &self.config)?);
-            let filtered = self.preprocessor.filter_causal(&channels[0]);
-            let x16k = to_16k_from_48k(&filtered)?;
-            liveness_calib.push(prepare_decimated(&x16k, self.liveness.input_len())?);
+            let mut evidence = self.evidence(channels.len(), QuantMode::Reference)?;
+            evidence.push_capture(channels)?;
+            let assembled = evidence.assemble()?;
+            feature_calib.push(assembled.features.to_vec());
+            liveness_calib.push(assembled.liveness_input.to_vec());
         }
         let liv: Vec<&[f64]> = liveness_calib.iter().map(Vec::as_slice).collect();
         let feat: Vec<&[f64]> = feature_calib.iter().map(Vec::as_slice).collect();
@@ -157,73 +167,43 @@ impl HeadTalk {
     }
 
     /// Decides one multichannel wake-word capture (raw 48 kHz channels):
-    /// extract the frame-averaged orientation features from the raw capture,
-    /// prepare the causally-filtered liveness input, run both trained models,
-    /// and return the accept/soft-mute decision together with the
-    /// orientation feature vector it was based on. Every stage here is a
-    /// whole-capture view of an *incrementally computable* operation —
-    /// frame-accumulated feature statistics, a causal (single-pass) band-pass
-    /// plus streaming decimation for liveness — which is exactly why the
-    /// streaming engine's finalize path can produce the same bits without
-    /// revisiting the audio. Frame analysis follows the pipeline's
-    /// [`QuantMode`] as a stream's does, and the golden/property tests pin
-    /// the two paths bit-identical for any chunking at any `HT_THREADS`.
+    /// pushes it hop by hop through an [`Evidence`] in the pipeline's
+    /// [`QuantMode`], runs both trained models on the assembled evidence,
+    /// and returns the accept/soft-mute decision with the orientation
+    /// feature vector behind it. A [`WakeStream`](crate::WakeStream) of
+    /// this pipeline takes the same route, so its outcome is bit-identical
+    /// for any chunking.
     ///
-    /// Liveness runs on a single channel (the paper: "we needed one channel
-    /// of audio data to detect liveliness and 4-channel audio data to detect
-    /// speaker orientation", §IV-B15); orientation runs on all channels.
-    /// Each stage runs under an `ht_obs` span (`wake.feature_extract`,
-    /// `wake.denoise`, `wake.liveness_prepare`, `wake.liveness_infer`,
-    /// `wake.orientation_infer`), so with `HT_OBS` enabled the per-stage
-    /// breakdown of §IV-B15 falls out of the registry.
+    /// Liveness reads channel 0 only (the paper: "we needed one channel of
+    /// audio data to detect liveliness and 4-channel audio data to detect
+    /// speaker orientation", §IV-B15). With `HT_OBS` enabled, the spans
+    /// `wake.feature_extract`, `wake.liveness_prepare`,
+    /// `wake.liveness_infer` and `wake.orientation_infer` give the
+    /// per-stage breakdown.
     ///
     /// # Errors
     ///
-    /// Returns [`HeadTalkError::InvalidInput`] for empty, mismatched,
-    /// silent/DC-only captures, or a channel count whose feature width does
-    /// not match the width the orientation model was trained on.
+    /// Returns [`HeadTalkError::Stream`] for fewer than two channels,
+    /// ragged channels, a NaN or infinite sample or a capture shorter than
+    /// one analysis frame, and [`HeadTalkError::InvalidInput`] for empty or
+    /// silent/DC-only captures, or a channel count whose feature width
+    /// does not match the width the orientation model was trained on.
     pub fn decide_batch(
         &self,
         channels: &[Vec<f64>],
     ) -> Result<(WakeDecision, Vec<f64>), HeadTalkError> {
-        if channels.is_empty() || channels[0].is_empty() {
-            return Err(HeadTalkError::InvalidInput(
-                "capture must have at least one non-empty channel".into(),
-            ));
-        }
-        let len = channels[0].len();
-        if channels.iter().any(|c| c.len() != len) {
-            return Err(HeadTalkError::InvalidInput(
-                "all channels must share one length".into(),
-            ));
-        }
-        self.validate_feature_width(channels.len())?;
-
-        // Orientation on the raw array: the frame analyzer whitens each
-        // pair's cross-spectrum (PHAT), so a pre-filter would only reshape
-        // the phase evidence the TDoA features are built from.
-        let fv = features::extract_mode(channels, &self.config, self.quant)?;
-
-        // Liveness on channel 0: causal band-pass (incrementally computable,
-        // unlike the zero-phase filtfilt) -> 16 kHz -> fixed-width z-scored
-        // window.
-        let filtered = {
-            let _s = ht_obs::span("wake.denoise");
-            self.preprocessor.filter_causal(&channels[0])
-        };
-        let x16k = to_16k_from_48k(&filtered)?;
-        let prepared = prepare_decimated(&x16k, self.liveness.input_len())?;
-
-        Ok((self.infer_assembled(&fv, &prepared), fv))
+        let mut evidence = self.evidence(channels.len(), self.quant)?;
+        evidence.push_capture(channels)?;
+        let assembled = evidence.assemble()?;
+        Ok((
+            self.infer_assembled(assembled.features, assembled.liveness_input),
+            assembled.features.to_vec(),
+        ))
     }
 
     /// Runs the trained models over already-assembled evidence: the
     /// fixed-width orientation feature vector and the prepared liveness
-    /// input. This is the O(models) tail of the decision path — the
-    /// streaming engine calls it at finalize time with evidence it
-    /// accumulated frame by frame, and `decide_batch` calls it with the
-    /// same bits computed in one pass, so the two paths cannot diverge
-    /// after assembly.
+    /// input. This is the O(models) tail of every decision.
     pub fn infer_assembled(&self, features: &[f64], liveness_input: &[f64]) -> WakeDecision {
         let (live_probability, live) = {
             let _s = ht_obs::span("wake.liveness_infer");
@@ -247,22 +227,17 @@ impl HeadTalk {
         }
     }
 
-    /// The preprocessor, for the streaming engine's causal liveness branch.
-    pub(crate) fn preprocessor(&self) -> &Preprocessor {
-        &self.preprocessor
-    }
-
-    /// The liveness model's fixed input width in 16 kHz samples.
-    pub(crate) fn liveness_input_len(&self) -> usize {
-        self.liveness.input_len()
-    }
-
-    /// Rejects a channel count whose feature width differs from the width
-    /// the orientation model was trained on. The width is a pure function
-    /// of the channel count; a capture from a different geometry must be
-    /// rejected up front, not fed to the classifier (whose distance/kernel
-    /// code would index out of the trained width).
-    pub(crate) fn validate_feature_width(&self, n_channels: usize) -> Result<(), HeadTalkError> {
+    /// An [`Evidence`] accumulator for `n_channels`-channel captures,
+    /// refusing up front a channel count whose feature width the
+    /// orientation model was not trained on (its kernel code would index
+    /// out of the trained width).
+    pub(crate) fn evidence(
+        &self,
+        n_channels: usize,
+        quant: QuantMode,
+    ) -> Result<Evidence, HeadTalkError> {
+        // Refuses fewer than two channels before the width arithmetic.
+        let evidence = Evidence::new(&self.config, n_channels, quant)?;
         let expected = self.orientation.input_dim();
         let width = features::feature_width(n_channels, &self.config);
         if width != expected {
@@ -271,47 +246,7 @@ impl HeadTalk {
                  orientation model was trained on feature width {expected}"
             )));
         }
-        Ok(())
-    }
-
-    /// Extracts the orientation feature vector from a raw capture (used by
-    /// the dataset builders so training and inference share one code path —
-    /// this is exactly the feature view `decide_batch` scores in
-    /// [`QuantMode::Reference`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates feature-extraction errors.
-    pub fn orientation_features(
-        config: &PipelineConfig,
-        channels: &[Vec<f64>],
-    ) -> Result<Vec<f64>, HeadTalkError> {
-        features::extract(channels, config)
-    }
-
-    /// Prepares the liveness input from a raw capture (shared by training
-    /// and inference): causal band-pass on channel 0, decimate to 16 kHz,
-    /// crop/pad and z-score.
-    ///
-    /// # Errors
-    ///
-    /// Propagates preprocessing errors; rejects empty or silent captures.
-    pub fn liveness_input(
-        config: &PipelineConfig,
-        channels: &[Vec<f64>],
-    ) -> Result<Vec<f64>, HeadTalkError> {
-        if channels.is_empty() || channels[0].is_empty() {
-            return Err(HeadTalkError::InvalidInput(
-                "capture must have at least one non-empty channel".into(),
-            ));
-        }
-        let pre = Preprocessor::new(config)?;
-        let filtered = {
-            let _s = ht_obs::span("wake.denoise");
-            pre.filter_causal(&channels[0])
-        };
-        let x16k = to_16k_from_48k(&filtered)?;
-        prepare_decimated(&x16k, config.liveness_input_len)
+        Ok(evidence)
     }
 }
 
@@ -319,6 +254,7 @@ impl HeadTalk {
 mod tests {
     use super::*;
     use crate::orientation::ModelKind;
+    use crate::stream::{StreamConfig, StreamError};
     use ht_dsp::rng::{SeedableRng, StdRng};
     use ht_ml::dataset::Dataset;
 
@@ -402,6 +338,49 @@ mod tests {
         // A single-channel capture fails the same structured way.
         let one = vec![ht_dsp::rng::white_noise(&mut rng, 4800)];
         assert!(ht.decide_batch(&one).is_err());
+        // Fewer than two channels is refused with a typed error before any
+        // width arithmetic.
+        for n in [0, 1] {
+            assert!(
+                matches!(
+                    ht.streamer(n),
+                    Err(HeadTalkError::Stream(StreamError::BadGeometry(_)))
+                ),
+                "{n} channel(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn custom_stream_geometry_is_refused() {
+        let ht = tiny_pipeline();
+        let default = StreamConfig::for_pipeline(ht.config());
+        for (frame_len, hop) in [(1024, 512), (960, 240)] {
+            let config = StreamConfig {
+                frame_len,
+                hop,
+                ..default
+            };
+            assert!(
+                matches!(
+                    ht.streamer_with(2, config),
+                    Err(HeadTalkError::Stream(StreamError::BadGeometry(_)))
+                ),
+                "{frame_len}/{hop}"
+            );
+        }
+        assert!(ht.streamer_with(2, default).is_ok());
+    }
+
+    #[test]
+    fn liveness_width_must_match_the_config() {
+        let ht = tiny_pipeline(); // liveness trained at 512 samples
+        let config = PipelineConfig {
+            liveness_input_len: 1024,
+            ..*ht.config()
+        };
+        let err = HeadTalk::new(config, ht.liveness.clone(), ht.orientation.clone()).unwrap_err();
+        assert!(err.to_string().contains("512"), "{err}");
     }
 
     #[test]

@@ -39,22 +39,14 @@ impl Preprocessor {
         self.filter.filtfilt(x)
     }
 
-    /// The band-pass cascade itself, for callers that need to run it
-    /// causally with carried state (`ht_dsp::filter::StreamingSos` on the
-    /// streaming liveness branch).
+    /// The band-pass cascade itself, for callers that run it causally with
+    /// carried state: the decision path's liveness branch
+    /// ([`Evidence`](crate::evidence::Evidence)) filters channel 0 through
+    /// an `ht_dsp::filter::StreamingSos` over this cascade, so a chunked
+    /// stream and a finished capture get the same bits. Orientation reads
+    /// raw frames, so no filter phase touches the TDoA evidence.
     pub fn sos(&self) -> &Sos {
         &self.filter
-    }
-
-    /// Causal single-pass band-pass. Unlike [`denoise`](Self::denoise)
-    /// (zero-phase forward–backward, a whole-capture operation), each
-    /// output sample depends only on past inputs, so a chunked stream can
-    /// compute this incrementally with carried per-section state and match
-    /// the batch call bit for bit. The decision path's liveness branch uses
-    /// this; the orientation features analyze raw frames, so no filter
-    /// phase ever touches the TDoA evidence.
-    pub fn filter_causal(&self, x: &[f64]) -> Vec<f64> {
-        self.filter.filter(x)
     }
 
     /// Denoises all channels of a multichannel capture, applying one common

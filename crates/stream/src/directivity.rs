@@ -14,9 +14,7 @@
 //! The accumulator is chunking-independent by construction: samples fill
 //! the segment buffer by absolute index, so any split of the capture into
 //! push calls produces the same segment boundaries, the same FFT inputs,
-//! and bit-identical averaged magnitudes. The batch feature extractor
-//! pushes the whole capture in one call; the streaming engine pushes
-//! microphone chunks — both end at the same bits.
+//! and bit-identical averaged magnitudes.
 //!
 //! Flushing is cached and adaptive. The flushed spectrum is stamped with
 //! the sample-count epoch it was computed at, so repeat flushes with no

@@ -23,10 +23,11 @@
 //!   (sample rate, channel count, ragged chunks) that would otherwise
 //!   produce silently wrong GCC lags.
 //!
-//! The model-bearing streaming engine (`headtalk::stream::WakeStream`)
-//! composes these with the trained liveness/orientation detectors; this
-//! crate stays zero-dependency on the model layer so the substrate can be
-//! reused (and tested) in isolation.
+//! `headtalk::evidence::Evidence` composes the ring, the analyzer and the
+//! directivity accumulator into the decision evidence, and
+//! `headtalk::stream::WakeStream` adds the gate and the trained models;
+//! this crate stays zero-dependency on the model layer so the substrate
+//! can be reused (and tested) in isolation.
 
 pub mod analyzer;
 pub mod directivity;

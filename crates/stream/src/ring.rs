@@ -102,24 +102,7 @@ impl FrameRing {
                 got: chunk.len(),
             });
         }
-        let add = chunk[0].len();
-        for c in chunk {
-            if c.len() != add {
-                return Err(StreamError::RaggedChunk {
-                    first: add,
-                    other: c.len(),
-                });
-            }
-        }
-        for (channel, c) in chunk.iter().enumerate() {
-            if !all_finite(c) {
-                let index = c
-                    .iter()
-                    .position(|v| !v.is_finite())
-                    .expect("all_finite found a non-finite sample");
-                return Err(StreamError::NonFinite { channel, index });
-            }
-        }
+        let add = check_chunk(chunk)?;
         if add == 0 {
             return Ok(self.ready_frames());
         }
@@ -233,6 +216,33 @@ impl FrameRing {
         self.head = 0;
         self.cap = cap;
     }
+}
+
+/// The sample checks [`FrameRing::push`] runs before it writes anything.
+/// Returns the per-channel length.
+///
+/// # Errors
+///
+/// Returns [`StreamError::RaggedChunk`] for channels of unequal length and
+/// [`StreamError::NonFinite`] for the first NaN or infinite sample.
+pub fn check_chunk(chunk: &[&[f64]]) -> Result<usize, StreamError> {
+    let len = chunk.first().map_or(0, |c| c.len());
+    if let Some(other) = chunk.iter().find(|c| c.len() != len) {
+        return Err(StreamError::RaggedChunk {
+            first: len,
+            other: other.len(),
+        });
+    }
+    for (channel, c) in chunk.iter().enumerate() {
+        if !all_finite(c) {
+            let index = c
+                .iter()
+                .position(|v| !v.is_finite())
+                .expect("all_finite found a non-finite sample");
+            return Err(StreamError::NonFinite { channel, index });
+        }
+    }
+    Ok(len)
 }
 
 /// `true` when no sample is NaN or infinite. Checks eight samples per step

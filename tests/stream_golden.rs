@@ -388,6 +388,57 @@ fn non_finite_chunks_are_refused_without_touching_state() {
     assert_eq!(outcome.frames, clean.frames);
     assert_eq!(outcome.samples_per_channel, clean.samples_per_channel);
     assert_outcome_matches_batch(ht, &channels, &outcome, "after non-finite chunks");
+
+    // The batch route refuses the same samples at the same position. The
+    // bad sample sits on channel 0, which every helper reads.
+    for bad in [f64::NAN, f64::INFINITY] {
+        let mut capture = channels.clone();
+        capture[0][1000] = bad;
+        let refs: Vec<&[f64]> = capture.iter().map(Vec::as_slice).collect();
+        let streamed = ht.streamer(4).expect("streamer").push(&refs).unwrap_err();
+        assert!(
+            matches!(
+                streamed,
+                HeadTalkError::Stream(StreamError::NonFinite {
+                    channel: 0,
+                    index: 1000
+                })
+            ),
+            "{streamed:?}"
+        );
+        assert_eq!(ht.decide_batch(&capture).unwrap_err(), streamed, "{bad}");
+        assert_eq!(
+            HeadTalk::orientation_features(ht.config(), &capture).unwrap_err(),
+            streamed,
+            "{bad}"
+        );
+        assert_eq!(
+            HeadTalk::liveness_input(ht.config(), &capture).unwrap_err(),
+            streamed,
+            "{bad}"
+        );
+    }
+}
+
+#[test]
+fn training_helpers_equal_the_decision_evidence() {
+    // The helpers dataset builders train on run half of the decision's
+    // evidence route each; what they return must be exactly what a
+    // decision scores.
+    let ht = pipeline();
+    assert_eq!(ht.quant_mode(), headtalk::QuantMode::Reference);
+    let hop = StreamConfig::for_pipeline(ht.config()).hop;
+    for (name, spec) in scenarios() {
+        let channels = spec.render().expect("render");
+        let features = HeadTalk::orientation_features(ht.config(), &channels).expect("features");
+        let (_, decided) = ht.decide_batch(&channels).expect("batch");
+        assert_bits_eq(&features, &decided, &format!("{name}: orientation"));
+        let live = HeadTalk::liveness_input(ht.config(), &channels).expect("liveness input");
+        let mut stream = ht.streamer(channels.len()).expect("streamer");
+        push_chunks(&mut stream, &channels, hop);
+        let evidence = stream.assemble().expect("assemble");
+        assert_bits_eq(&live, evidence.liveness_input, &format!("{name}: liveness"));
+    }
 }
 
 #[test]
