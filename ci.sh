@@ -58,6 +58,14 @@ step "cargo build --release" cargo build --release --offline
 step "cargo build --release (perfbench)" \
     cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# The benchmark's self-test runs every workload on rendered captures and
+# checks that served bits equal solo bits and that the mix holds accepts,
+# orientation rejects and liveness rejects — the contract a change that
+# moves output bits puts at risk. Renders are cached under
+# target/perfbench-renders, so only the first run pays for them.
+step "cargo test --release (perfbench self-test)" \
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo test" cargo test -q --offline --release
 
 # Overflow-checked tests: release builds turn integer overflow checks off,

@@ -76,6 +76,39 @@ fn validate_pair(x: &[f64], y: &[f64]) -> Result<(), DspError> {
     Ok(())
 }
 
+/// Inverse-transforms a one-sided cross spectrum into `r` (the
+/// `plan.len()`-point circular correlation) and copies its `±max_lag`
+/// window into `values`. Allocation-free once `scratch` has warmed up to
+/// the plan's size. The inverse is linear, so the window of a sum of cross
+/// spectra is the sum of their windows (up to rounding): the streaming
+/// frame analyzer accumulates whitened spectra and inverts each sum once.
+///
+/// # Panics
+///
+/// Panics if `cross.len() != plan.onesided_len()`, `r.len() != plan.len()`,
+/// `values.len() != 2 * max_lag + 1`, or `max_lag >= plan.len()` (the
+/// circular correlation has no such lag).
+pub fn lag_window_into(
+    plan: &RealFftPlan,
+    cross: &[Complex],
+    max_lag: usize,
+    r: &mut [f64],
+    scratch: &mut RealFftScratch,
+    values: &mut [f64],
+) {
+    assert_eq!(values.len(), 2 * max_lag + 1, "lag window length");
+    assert!(
+        max_lag < plan.len(),
+        "max_lag {} outside the {}-point circular correlation",
+        max_lag,
+        plan.len()
+    );
+    // The cross spectrum of two real signals is conjugate-symmetric, so
+    // its inverse is real and the one-sided inverse applies directly.
+    plan.inverse_into(cross, r, scratch);
+    extract_lags(r, max_lag, values);
+}
+
 /// Copies the circular correlation `r` into the `±max_lag` window: lag
 /// `l >= 0` lives at index `l`, lag `l < 0` at index `r.len() + l`.
 fn extract_lags(r: &[f64], max_lag: usize, values: &mut [f64]) {
@@ -223,11 +256,14 @@ impl Correlator {
                 *c = *a * b.conj();
             }
         }
-        // The cross spectrum of two real signals is conjugate-symmetric, so
-        // its inverse is real and the one-sided inverse applies directly.
-        self.plan
-            .inverse_into(&self.cross, &mut self.r, &mut self.scratch);
-        extract_lags(&self.r, self.max_lag, values);
+        lag_window_into(
+            &self.plan,
+            &self.cross,
+            self.max_lag,
+            &mut self.r,
+            &mut self.scratch,
+            values,
+        );
         Ok(())
     }
 }
@@ -290,8 +326,8 @@ pub fn gcc_phat_from_spectra_into(
 /// [`QuantMode::Reference`] the fused byte-stable whitening kernel runs
 /// (identical to [`gcc_phat`] on the time-domain channels); under
 /// [`QuantMode::Int8`] the vectorized squared-magnitude kernel runs,
-/// agreeing within tolerance but not bitwise. The streaming frame analyzer
-/// dispatches here from its configured mode.
+/// agreeing within tolerance but not bitwise. Batch SRP-PHAT
+/// ([`crate::srp::srp_phat`]) calls it once per pair.
 ///
 /// # Panics
 ///
@@ -309,26 +345,18 @@ pub fn gcc_phat_from_spectra_into_mode(
     let bins = plan.onesided_len();
     assert_eq!(xf.len(), bins, "x spectrum length");
     assert_eq!(yf.len(), bins, "y spectrum length");
-    assert_eq!(values.len(), 2 * max_lag + 1, "lag window length");
-    assert!(
-        max_lag < plan.len(),
-        "max_lag {} outside the {}-point circular correlation",
-        max_lag,
-        plan.len()
-    );
     scratch.cross.resize(bins, Complex::ZERO);
     scratch.mags.resize(bins, 0.0);
     scratch.r.resize(plan.len(), 0.0);
-    match mode {
-        QuantMode::Reference => {
-            kernels::cross_whiten_reference_into(xf, yf, &mut scratch.cross, &mut scratch.mags);
-        }
-        QuantMode::Int8 => {
-            kernels::cross_whiten_fast_into(xf, yf, &mut scratch.cross, &mut scratch.mags);
-        }
-    }
-    plan.inverse_into(&scratch.cross, &mut scratch.r, &mut scratch.fft);
-    extract_lags(&scratch.r, max_lag, values);
+    kernels::cross_whiten_into(mode, xf, yf, &mut scratch.cross, &mut scratch.mags);
+    lag_window_into(
+        plan,
+        &scratch.cross,
+        max_lag,
+        &mut scratch.r,
+        &mut scratch.fft,
+        values,
+    );
 }
 
 /// Computes the whitened (`phat = true`) or plain cross-correlation of two

@@ -87,6 +87,27 @@ const PHAT_REL_FLOOR: f64 = 1e-4;
 /// Absolute magnitude floor guarding all-silent spectra.
 const PHAT_ABS_FLOOR: f64 = 1e-15;
 
+/// Fused cross-power product + PHAT whitening with the kernel `mode`
+/// selects: [`cross_whiten_reference_into`] under [`QuantMode::Reference`],
+/// [`cross_whiten_fast_into`] under [`QuantMode::Int8`]. The one place the
+/// whitening kernel is chosen.
+///
+/// # Panics
+///
+/// Panics if the four slices disagree in length.
+pub fn cross_whiten_into(
+    mode: QuantMode,
+    xf: &[Complex],
+    yf: &[Complex],
+    cross: &mut [Complex],
+    mags: &mut [f64],
+) {
+    match mode {
+        QuantMode::Reference => cross_whiten_reference_into(xf, yf, cross, mags),
+        QuantMode::Int8 => cross_whiten_fast_into(xf, yf, cross, mags),
+    }
+}
+
 /// Fused cross-power product + PHAT whitening, reference flavour.
 ///
 /// Computes `cross[i] = xf[i] · conj(yf[i])` whitened to unit magnitude

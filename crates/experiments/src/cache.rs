@@ -51,7 +51,9 @@ impl FromJson for Meta {
 /// v6: adaptive directivity flush — short captures (< one 32k segment)
 /// transform at the next power of two instead of the full segment, which
 /// moves their directivity-band feature values.
-const CACHE_VERSION: u32 = 6;
+/// v7: GCC-PHAT accumulates whitened cross spectra and inverts the sums,
+/// which moves the reverberation features in their last bits.
+const CACHE_VERSION: u32 = 7;
 
 /// The cache directory (`target/ht_cache`, created on demand).
 pub fn cache_dir() -> PathBuf {

@@ -43,6 +43,16 @@ impl PipelineConfig {
         (2 * hop, hop)
     }
 
+    /// The longest capture a decision accepts, in samples per channel:
+    /// 4 s of audio (192 000 samples at 48 kHz), the length the liveness
+    /// buffer is presized for. [`Evidence`](crate::evidence::Evidence)
+    /// refuses a push past it with
+    /// [`StreamError::CaptureTooLong`](ht_stream::StreamError::CaptureTooLong),
+    /// so a session that never stops pushing stays bounded.
+    pub fn max_capture_samples(&self) -> usize {
+        (self.sample_rate * crate::evidence::PRESIZE_SECS) as usize
+    }
+
     /// The directivity accumulation segment length in samples: the next
     /// power of two above half a second of audio (32 768 at the paper's
     /// 48 kHz, ≈683 ms — ≈1.5 Hz bins), long enough to resolve the voice's

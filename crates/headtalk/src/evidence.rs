@@ -9,13 +9,15 @@
 //! [`FrameAnalyzer`] while the [`DirectivityAccum`] folds in every sample;
 //! channel 0 runs the preprocessing band-pass causally, then a streaming
 //! ÷3 decimator. [`assemble`](Evidence::assemble) reads only the
-//! accumulators, in O(features).
+//! accumulators, in time independent of the capture's length.
 //!
 //! A [`WakeStream`](crate::WakeStream) pushes microphone chunks;
 //! [`HeadTalk::decide_batch`] and [`HeadTalk::enable_int8`] push a finished
 //! capture hop by hop, checking it once up front so a bad sample is
 //! reported at its index in the capture. With one implementation, stream
-//! and batch agree bit for bit for any chunking. The training helpers
+//! and batch agree bit for bit for any chunking. Both routes refuse a
+//! capture longer than [`PipelineConfig::max_capture_samples`] (4 s of
+//! audio), so no session's buffers grow past the size they are built for. The training helpers
 //! [`HeadTalk::orientation_features`] and [`HeadTalk::liveness_input`] each
 //! run only the half whose output they return.
 
@@ -31,9 +33,9 @@ use ht_dsp::{spectrum, QuantMode};
 use ht_stream::ring::check_chunk;
 use ht_stream::{DirectivityAccum, FrameAnalyzer, FrameFeatures, FrameRing, StreamError};
 
-/// Seconds of audio the liveness branch is presized for: pushes of a
-/// capture up to this long never reallocate it.
-const PRESIZE_SECS: f64 = 4.0;
+/// The capture length cap in seconds, and the length the liveness branch
+/// is presized for: a capture never reallocates it.
+pub(crate) const PRESIZE_SECS: f64 = 4.0;
 
 /// The assembled decision evidence, borrowed from an [`Evidence`]'s
 /// scratch: feed it to [`HeadTalk::infer_assembled`] without a copy.
@@ -51,6 +53,7 @@ pub struct AssembledEvidence<'s> {
 pub struct Evidence {
     orientation: OrientationHalf,
     liveness: LivenessHalf,
+    max_samples: usize,
 }
 
 impl Evidence {
@@ -70,19 +73,27 @@ impl Evidence {
         Ok(Evidence {
             orientation: OrientationHalf::new(config, n_channels, quant)?,
             liveness: LivenessHalf::new(config)?,
+            max_samples: config.max_capture_samples(),
         })
     }
 
     /// Ingests one chunk of any length. Frames that become ready wait for
-    /// [`next_frame`](Evidence::next_frame).
+    /// [`next_frame`](Evidence::next_frame). An empty chunk (channels of
+    /// length 0) is accepted and changes nothing: it completes no frame
+    /// and adds no liveness sample.
     ///
     /// # Errors
     ///
-    /// Returns [`HeadTalkError::Stream`] for a chunk with the wrong channel
-    /// count, ragged channels or a NaN or infinite sample; the ring checks
-    /// first, so a refused chunk changes nothing.
+    /// Returns [`HeadTalkError::Stream`] with
+    /// [`StreamError::CaptureTooLong`] for a chunk that would take the
+    /// capture past [`PipelineConfig::max_capture_samples`], and for a
+    /// chunk with the wrong channel count, ragged channels or a NaN or
+    /// infinite sample. Every check runs before anything is written, so a
+    /// refused chunk changes nothing.
     pub fn push(&mut self, chunk: &[&[f64]]) -> Result<(), HeadTalkError> {
         let _ingest = ht_obs::span("stream.ingest");
+        let got = self.samples_per_channel() + chunk.first().map_or(0, |c| c.len());
+        check_capture_len(got, self.max_samples)?;
         self.orientation.push(chunk)?;
         self.liveness.push(chunk[0]);
         Ok(())
@@ -111,7 +122,8 @@ impl Evidence {
     /// channel, and [`HeadTalkError::Stream`] as [`push`](Evidence::push)
     /// does, with a bad sample reported at its index in the capture.
     pub(crate) fn push_capture(&mut self, channels: &[Vec<f64>]) -> Result<(), HeadTalkError> {
-        push_hops(channels, self.orientation.ring.hop(), |chunk| {
+        let (hop, max_samples) = (self.orientation.ring.hop(), self.max_samples);
+        push_hops(channels, hop, max_samples, |chunk| {
             self.push(chunk)?;
             while self.next_frame()?.is_some() {}
             Ok(())
@@ -119,8 +131,9 @@ impl Evidence {
     }
 
     /// Assembles the feature vector and the liveness input from the
-    /// accumulators. O(features), non-destructive (more audio may follow)
-    /// and allocation-free once the scratch has grown.
+    /// accumulators, in time independent of the capture's length.
+    /// Non-destructive (more audio may follow) and allocation-free once the
+    /// scratch has grown.
     ///
     /// # Errors
     ///
@@ -168,15 +181,17 @@ impl HeadTalk {
     /// # Errors
     ///
     /// Returns [`HeadTalkError::Stream`] for fewer than two channels,
-    /// ragged channels, a NaN or infinite sample or a capture shorter than
-    /// one analysis frame, and [`HeadTalkError::InvalidInput`] without a
-    /// non-empty first channel.
+    /// ragged channels, a NaN or infinite sample, or a capture shorter than
+    /// one analysis frame or longer than
+    /// [`PipelineConfig::max_capture_samples`], and
+    /// [`HeadTalkError::InvalidInput`] without a non-empty first channel.
     pub fn orientation_features(
         config: &PipelineConfig,
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
         let mut half = OrientationHalf::new(config, channels.len(), QuantMode::Reference)?;
-        push_hops(channels, half.ring.hop(), |chunk| {
+        let (hop, max_samples) = (half.ring.hop(), config.max_capture_samples());
+        push_hops(channels, hop, max_samples, |chunk| {
             half.push(chunk)?;
             while half.next_frame()?.is_some() {}
             Ok(())
@@ -191,16 +206,18 @@ impl HeadTalk {
     ///
     /// # Errors
     ///
-    /// Returns [`HeadTalkError::Stream`] for ragged channels or a NaN or
-    /// infinite sample, and [`HeadTalkError::InvalidInput`] without a
-    /// non-empty first channel or for a silent or DC-only liveness window.
+    /// Returns [`HeadTalkError::Stream`] for ragged channels, a NaN or
+    /// infinite sample or a capture longer than
+    /// [`PipelineConfig::max_capture_samples`], and
+    /// [`HeadTalkError::InvalidInput`] without a non-empty first channel or
+    /// for a silent or DC-only liveness window.
     pub fn liveness_input(
         config: &PipelineConfig,
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
         let mut half = LivenessHalf::new(config)?;
         let (_, hop) = config.analysis_frame_geometry();
-        push_hops(channels, hop, |chunk| {
+        push_hops(channels, hop, config.max_capture_samples(), |chunk| {
             half.push(chunk[0]);
             Ok(())
         })?;
@@ -294,7 +311,7 @@ struct LivenessHalf {
 impl LivenessHalf {
     fn new(config: &PipelineConfig) -> Result<LivenessHalf, HeadTalkError> {
         let (_, hop) = config.analysis_frame_geometry();
-        let presize = (config.sample_rate * PRESIZE_SECS) as usize / 3;
+        let presize = config.max_capture_samples() / 3;
         Ok(LivenessHalf {
             sos: StreamingSos::new(Preprocessor::new(config)?.sos().clone()),
             filtered: Vec::with_capacity(2 * hop + 16),
@@ -330,13 +347,23 @@ impl LivenessHalf {
     }
 }
 
-/// Checks a finished capture with the ring's chunk check, run once over
-/// the whole capture so a bad sample is reported at its index in the
-/// capture (as by a stream fed it in one chunk), then calls `push` on
-/// consecutive `hop`-sample views of it.
+/// Refuses a capture of `got` samples per channel past the `limit` cap.
+fn check_capture_len(got: usize, limit: usize) -> Result<(), StreamError> {
+    if got > limit {
+        return Err(StreamError::CaptureTooLong { limit, got });
+    }
+    Ok(())
+}
+
+/// Checks a finished capture with the ring's chunk check and the
+/// `max_samples` length cap, run once over the whole capture so a bad
+/// sample is reported at its index in the capture (as by a stream fed it
+/// in one chunk), then calls `push` on consecutive `hop`-sample views of
+/// it.
 fn push_hops(
     channels: &[Vec<f64>],
     hop: usize,
+    max_samples: usize,
     mut push: impl FnMut(&[&[f64]]) -> Result<(), HeadTalkError>,
 ) -> Result<(), HeadTalkError> {
     if channels.first().is_none_or(Vec::is_empty) {
@@ -346,6 +373,7 @@ fn push_hops(
     }
     let views: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
     let len = check_chunk(&views)?;
+    check_capture_len(len, max_samples)?;
     let mut chunk = Vec::with_capacity(views.len());
     for start in (0..len).step_by(hop) {
         chunk.clear();

@@ -13,8 +13,8 @@
 //!
 //! The vector is built frame by frame by
 //! [`Evidence`](crate::evidence::Evidence): the reverberation half from the
-//! `FrameAnalyzer`'s accumulated lag windows, the directivity half from
-//! the `DirectivityAccum`. [`HeadTalk::orientation_features`] runs that
+//! `FrameAnalyzer`'s accumulated whitened cross spectra (one inverse FFT
+//! per pair at assembly), the directivity half from the `DirectivityAccum`. [`HeadTalk::orientation_features`] runs that
 //! route on a finished capture for dataset builders; [`feature_width`]
 //! gives its length without a capture.
 //!

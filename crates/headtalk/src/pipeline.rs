@@ -184,10 +184,13 @@ impl HeadTalk {
     /// # Errors
     ///
     /// Returns [`HeadTalkError::Stream`] for fewer than two channels,
-    /// ragged channels, a NaN or infinite sample or a capture shorter than
-    /// one analysis frame, and [`HeadTalkError::InvalidInput`] for empty or
-    /// silent/DC-only captures, or a channel count whose feature width
-    /// does not match the width the orientation model was trained on.
+    /// ragged channels, a NaN or infinite sample, a capture shorter than
+    /// one analysis frame or longer than
+    /// [`PipelineConfig::max_capture_samples`]
+    /// ([`StreamError::CaptureTooLong`](ht_stream::StreamError::CaptureTooLong)),
+    /// and [`HeadTalkError::InvalidInput`] for empty or silent/DC-only
+    /// captures, or a channel count whose feature width does not match the
+    /// width the orientation model was trained on.
     pub fn decide_batch(
         &self,
         channels: &[Vec<f64>],

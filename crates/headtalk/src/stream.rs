@@ -154,7 +154,9 @@ impl HeadTalk {
 
 impl WakeStream<'_> {
     /// Ingests one chunk (any length; hop-aligned or ragged) and processes
-    /// every frame that becomes ready. Returns the rolling verdict.
+    /// every frame that becomes ready. Returns the rolling verdict. An
+    /// empty chunk is accepted and changes nothing: no frame, no liveness
+    /// sample, the same verdict.
     ///
     /// After an enforcing gate has fired, further pushes are dropped and
     /// return [`WakeVerdict::SoftMute`] immediately — the soft mute is the
@@ -163,10 +165,13 @@ impl WakeStream<'_> {
     /// # Errors
     ///
     /// Returns [`HeadTalkError::Stream`] for a chunk whose channel count
-    /// differs from the stream's, whose channels have unequal lengths, or
-    /// that holds a NaN or infinite sample ([`StreamError::NonFinite`]);
-    /// the ring is the first stage to see the chunk and refuses it whole,
-    /// so the stream state is untouched and subsequent valid pushes work.
+    /// differs from the stream's, whose channels have unequal lengths, that
+    /// holds a NaN or infinite sample ([`StreamError::NonFinite`]), or that
+    /// would take the capture past
+    /// [`PipelineConfig::max_capture_samples`]
+    /// ([`StreamError::CaptureTooLong`]). The chunk is refused whole before
+    /// anything is written, so the stream state is untouched and
+    /// subsequent valid pushes work.
     pub fn push(&mut self, chunk: &[&[f64]]) -> Result<WakeVerdict, HeadTalkError> {
         if self.muted {
             return Ok(WakeVerdict::SoftMute);

@@ -366,12 +366,16 @@ impl<'ht> WakeServer<'ht> {
     }
 
     /// Streams one audio chunk into a session at logical time `now_ns`.
+    /// An empty chunk changes no evidence but still marks the session
+    /// active at `now_ns`, so it defers idle eviction like any push.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownSession`] for an id that isn't open,
     /// [`ServeError::LockPoisoned`] for a shard wrecked by a panicked
-    /// handler. A mid-stream geometry violation or a NaN/infinite sample
+    /// handler. A mid-stream geometry violation, a NaN/infinite sample or
+    /// a chunk past the capture cap
+    /// ([`PipelineConfig::max_capture_samples`](headtalk::PipelineConfig::max_capture_samples))
     /// eagerly evicts the session (slot reset and released before
     /// returning) and surfaces as [`ServeError::Evicted`].
     pub fn push(&self, id: u64, chunk: &[&[f64]], now_ns: u64) -> Result<WakeVerdict, ServeError> {
@@ -750,6 +754,36 @@ mod tests {
         for (a, b) in served.features.iter().zip(&features) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn pushing_past_the_capture_cap_evicts_the_session() {
+        let ht = toy_pipeline();
+        let server = WakeServer::new(&ht, serve_config(&ht));
+        let limit = ht.config().max_capture_samples();
+        let quarter = noise_capture(0x77, 4, limit / 4);
+        let views: Vec<&[f64]> = quarter.iter().map(Vec::as_slice).collect();
+        server.open(5, 0).unwrap();
+        // Four quarters fill the cap exactly; one more sample passes it.
+        for t in 1..=4 {
+            server.push(5, &views, t).unwrap();
+        }
+        let one: Vec<&[f64]> = quarter.iter().map(|c| &c[..1]).collect();
+        assert_eq!(
+            server.push(5, &one, 5).unwrap_err(),
+            ServeError::Evicted {
+                id: 5,
+                cause: StreamError::CaptureTooLong {
+                    limit,
+                    got: limit + 1
+                }
+            }
+        );
+        assert_eq!(server.stats().live, 0, "evicted immediately");
+        assert_eq!(
+            server.push(5, &one, 6).unwrap_err(),
+            ServeError::UnknownSession(5)
+        );
     }
 
     #[test]

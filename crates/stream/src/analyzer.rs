@@ -1,28 +1,33 @@
 //! Per-frame spectral analysis: one shared forward FFT per channel, then
-//! sliding SRP-PHAT across every microphone pair from those shared spectra.
+//! PHAT-whitened cross spectra for every microphone pair from those shared
+//! spectra.
 //!
 //! The analyzer owns every buffer it needs — STFT plan and scratch,
-//! per-channel spectra, GCC cross/lag workspaces, the summed SRP curve —
-//! so [`analyze`](FrameAnalyzer::analyze) is allocation-free after
-//! construction. Frames are zero-padded to
-//! `next_pow2(frame_len + max_lag + 1)` so circular GCC lags up to
-//! `±max_lag` never alias (the same pad rule as the batch
-//! `ht_dsp::srp::srp_phat`).
+//! per-channel spectra, whitening and inverse-FFT workspaces, the spectral
+//! accumulators — all sized in [`FrameAnalyzer::new`], so
+//! [`analyze`](FrameAnalyzer::analyze) is allocation-free from the first
+//! frame. Frames are zero-padded to `next_pow2(frame_len + max_lag + 1)` so
+//! circular GCC lags up to `±max_lag` never alias (the same pad rule as the
+//! batch `ht_dsp::srp::srp_phat`).
 //!
-//! Beyond the per-frame evidence, the analyzer also *accumulates* the
-//! running statistics the batch decision needs — per-pair GCC lag-window
-//! sums — so the reverberation half of the §III-B3 feature vector can be
-//! assembled at finalize time in O(features) via
-//! [`assemble_features_into`](FrameAnalyzer::assemble_features_into),
-//! without revisiting any audio. (The directivity half accumulates in
-//! [`crate::directivity::DirectivityAccum`], which needs longer windows
-//! than one analysis frame.)
+//! GCC-PHAT stays in the frequency domain until it is read. Each frame adds
+//! every pair's whitened cross spectrum to that pair's running sum and to
+//! the frame's sum over pairs; the inverse FFT is linear, so one inverse of
+//! the pair sum gives the frame's SRP curve (Eq. 6) for the early-exit
+//! gate, whatever the pair count.
+//! [`assemble_features_into`](FrameAnalyzer::assemble_features_into)
+//! inverts each pair's running sum once per decision, giving the
+//! frame-averaged GCC lag curves (Eq. 5) that the reverberation half of
+//! the §III-B3 feature vector is built from, in time independent of the
+//! capture's length and without revisiting any audio. (The directivity
+//! half accumulates in [`crate::directivity::DirectivityAccum`], which
+//! needs longer windows than one analysis frame.)
 
 use crate::error::StreamError;
 use ht_dsp::complex::Complex;
-use ht_dsp::correlate::{gcc_phat_from_spectra_into_mode, SpectraGccScratch};
-use ht_dsp::fft::{self, RealFftPlan};
-use ht_dsp::kernels::QuantMode;
+use ht_dsp::correlate::lag_window_into;
+use ht_dsp::fft::{self, RealFftPlan, RealFftScratch};
+use ht_dsp::kernels::{self, QuantMode};
 use ht_dsp::spectrum::{HIGH_BAND_HZ, LOW_BAND_HZ};
 use ht_dsp::stft::StftProcessor;
 use ht_dsp::window::Window;
@@ -44,9 +49,6 @@ pub struct FrameFeatures {
     pub srp_peak: f64,
     /// Mean absolute value of the summed SRP-PHAT curve.
     pub srp_mean_abs: f64,
-    /// Interpolated GCC-PHAT peak lag (samples) per microphone pair, in
-    /// `(i, j)` pair order.
-    pub tdoas: Vec<f64>,
     /// Mean magnitude of the paper's 100–400 Hz low band (channel 0).
     pub low_band: f64,
     /// Mean magnitude of the paper's 500–4000 Hz high band (channel 0).
@@ -92,8 +94,23 @@ pub struct FrameAnalyzer {
     plan: Arc<RealFftPlan>,
     spectra: Vec<Vec<Complex>>,
     pairs: Vec<(usize, usize)>,
-    gcc: SpectraGccScratch,
-    lag_window: Vec<f64>,
+    /// One pair's whitened cross spectrum and the kernel's magnitude
+    /// scratch.
+    cross: Vec<Complex>,
+    mags: Vec<f64>,
+    /// This frame's whitened cross spectra summed over pairs; its inverse
+    /// is the frame's SRP curve.
+    pair_sum: Vec<Complex>,
+    /// Running per-pair sums of whitened cross spectra, `pairs × bins`
+    /// laid out pair-major. A pair's inverse divided by the frame count is
+    /// its Welch-style frame-averaged GCC lag curve.
+    spec_accum: Vec<Complex>,
+    /// Inverse-FFT output (`n_fft` samples) and scratch.
+    r: Vec<f64>,
+    fft: RealFftScratch,
+    /// Per-pair lag windows of the running sums, `pairs × (2·max_lag + 1)`,
+    /// filled and then frame-averaged by assembly.
+    lag_sums: Vec<f64>,
     srp: Vec<f64>,
     /// `[lo, hi)` bin ranges of the paper's low/high bands for this
     /// geometry (fixed at construction — this is why a mid-stream sample
@@ -102,12 +119,8 @@ pub struct FrameAnalyzer {
     high_bins: (usize, usize),
     frames: u64,
     features: FrameFeatures,
-    /// Running per-pair GCC lag-window sums, `pairs × (2·max_lag + 1)` laid
-    /// out pair-major. Dividing by the frame count yields the Welch-style
-    /// frame-averaged lag curves the batch features are built from.
-    gcc_accum: Vec<f64>,
-    /// Which whitening kernel per-frame GCC runs on: the byte-stable
-    /// reference (default) or the vectorized Int8-path variant.
+    /// Which whitening kernel runs: the byte-stable reference (default) or
+    /// the vectorized Int8-path variant.
     quant: QuantMode,
 }
 
@@ -144,7 +157,7 @@ impl FrameAnalyzer {
         let max_lag = max_lag.min(frame_len - 1);
         // Same pad rule as the batch SRP-PHAT: room for every lag we read.
         let n_fft = fft::next_pow2(frame_len + max_lag + 1);
-        let stft = StftProcessor::with_n_fft(frame_len, n_fft, Window::Hann);
+        let mut stft = StftProcessor::with_n_fft(frame_len, n_fft, Window::Hann);
         let plan = fft::rfft_plan(n_fft);
         let bins = plan.onesided_len();
         let pairs: Vec<(usize, usize)> = (0..channels)
@@ -155,16 +168,30 @@ impl FrameAnalyzer {
             k.min(bins - 1)
         };
         let n_pairs = pairs.len();
+        let w = 2 * max_lag + 1;
+        let mut spectra = vec![vec![Complex::ZERO; bins]; channels];
+        let pair_sum = vec![Complex::ZERO; bins];
+        let mut r = vec![0.0; n_fft];
+        // Throwaway transforms warm both lazily sized FFT scratches, so a
+        // pooled analyzer allocates nothing from its first frame on.
+        stft.process_into(&[], &mut spectra[0]);
+        let mut scratch = RealFftScratch::new();
+        plan.inverse_into(&pair_sum, &mut r, &mut scratch);
         Ok(FrameAnalyzer {
             channels,
             frame_len,
             max_lag,
             stft,
-            spectra: vec![vec![Complex::ZERO; bins]; channels],
+            spectra,
             pairs,
-            gcc: SpectraGccScratch::new(),
-            lag_window: vec![0.0; 2 * max_lag + 1],
-            srp: vec![0.0; 2 * max_lag + 1],
+            cross: vec![Complex::ZERO; bins],
+            mags: vec![0.0; bins],
+            pair_sum,
+            spec_accum: vec![Complex::ZERO; n_pairs * bins],
+            r,
+            fft: scratch,
+            lag_sums: vec![0.0; n_pairs * w],
+            srp: vec![0.0; w],
             low_bins: (hz_to_bin(LOW_BAND_HZ.0), hz_to_bin(LOW_BAND_HZ.1)),
             high_bins: (hz_to_bin(HIGH_BAND_HZ.0), hz_to_bin(HIGH_BAND_HZ.1)),
             frames: 0,
@@ -173,12 +200,10 @@ impl FrameAnalyzer {
                 rms: 0.0,
                 srp_peak: 0.0,
                 srp_mean_abs: 0.0,
-                tdoas: vec![0.0; n_pairs],
                 low_band: 0.0,
                 high_band: 0.0,
             },
             plan,
-            gcc_accum: vec![0.0; n_pairs * (2 * max_lag + 1)],
             quant: QuantMode::Reference,
         })
     }
@@ -227,30 +252,30 @@ impl FrameAnalyzer {
         }
         {
             let _srp = ht_obs::span("stream.srp");
-            self.srp.fill(0.0);
-            let w = 2 * self.max_lag + 1;
-            for (p, &(i, j)) in self.pairs.iter().enumerate() {
-                gcc_phat_from_spectra_into_mode(
+            let bins = self.pair_sum.len();
+            self.pair_sum.fill(Complex::ZERO);
+            let accums = self.spec_accum.chunks_exact_mut(bins);
+            for (&(i, j), accum) in self.pairs.iter().zip(accums) {
+                kernels::cross_whiten_into(
+                    self.quant,
                     &self.spectra[i],
                     &self.spectra[j],
-                    &self.plan,
-                    self.max_lag,
-                    &mut self.gcc,
-                    &mut self.lag_window,
-                    self.quant,
+                    &mut self.cross,
+                    &mut self.mags,
                 );
-                self.features.tdoas[p] = peak_lag_interpolated(&self.lag_window, self.max_lag);
-                for (acc, v) in self.srp.iter_mut().zip(&self.lag_window) {
-                    *acc += v;
-                }
-                // Running evidence for the finalize-time feature vector.
-                for (acc, v) in self.gcc_accum[p * w..(p + 1) * w]
-                    .iter_mut()
-                    .zip(&self.lag_window)
-                {
-                    *acc += v;
+                for ((a, s), c) in accum.iter_mut().zip(&mut self.pair_sum).zip(&self.cross) {
+                    *a += *c;
+                    *s += *c;
                 }
             }
+            lag_window_into(
+                &self.plan,
+                &self.pair_sum,
+                self.max_lag,
+                &mut self.r,
+                &mut self.fft,
+                &mut self.srp,
+            );
         }
         let f = &mut self.features;
         f.frame_index = self.frames;
@@ -296,9 +321,9 @@ impl FrameAnalyzer {
 
     /// Assembles the reverberation half of the §III-B3 feature vector from
     /// the accumulated evidence, appending `srp_peaks + 5 +
-    /// pairs·(window + 6)` values to `out`. O(features): no audio is
-    /// revisited and, once `out` has capacity, no allocation happens. (The
-    /// directivity features follow from
+    /// pairs·(window + 6)` values to `out`. Runs one inverse FFT per pair
+    /// and revisits no audio; once `out` has capacity, no allocation
+    /// happens. (The directivity features follow from
     /// [`crate::directivity::DirectivityAccum`].)
     ///
     /// Non-destructive and idempotent — the accumulators are left intact,
@@ -318,12 +343,30 @@ impl FrameAnalyzer {
         }
         let frames = self.frames as f64;
         let w = 2 * self.max_lag + 1;
+        let bins = self.pair_sum.len();
+
+        // Per-pair lag-window sums: one inverse FFT of each pair's running
+        // spectral sum.
+        for (sum, window) in self
+            .spec_accum
+            .chunks_exact(bins)
+            .zip(self.lag_sums.chunks_exact_mut(w))
+        {
+            lag_window_into(
+                &self.plan,
+                sum,
+                self.max_lag,
+                &mut self.r,
+                &mut self.fft,
+                window,
+            );
+        }
 
         // Frame-averaged SRP curve: sum of per-pair lag sums, then one
         // division per lag.
         self.srp.fill(0.0);
-        for p in 0..self.pairs.len() {
-            for (s, v) in self.srp.iter_mut().zip(&self.gcc_accum[p * w..(p + 1) * w]) {
+        for window in self.lag_sums.chunks_exact(w) {
+            for (s, v) in self.srp.iter_mut().zip(window) {
                 *s += v;
             }
         }
@@ -335,17 +378,13 @@ impl FrameAnalyzer {
 
         // Per-pair frame-averaged GCC windows: full window, interpolated
         // TDoA, summary statistics.
-        for p in 0..self.pairs.len() {
-            for (dst, v) in self
-                .lag_window
-                .iter_mut()
-                .zip(&self.gcc_accum[p * w..(p + 1) * w])
-            {
-                *dst = v / frames;
+        for window in self.lag_sums.chunks_exact_mut(w) {
+            for v in window.iter_mut() {
+                *v /= frames;
             }
-            out.extend_from_slice(&self.lag_window);
-            out.push(peak_lag_interpolated(&self.lag_window, self.max_lag));
-            out.extend_from_slice(&ht_dsp::stats::feature_summary(&self.lag_window));
+            out.extend_from_slice(window);
+            out.push(peak_lag_interpolated(window, self.max_lag));
+            out.extend_from_slice(&ht_dsp::stats::feature_summary(window));
         }
         Ok(())
     }
@@ -357,7 +396,7 @@ impl FrameAnalyzer {
     /// analyzer's and allocation-free from the first frame.
     pub fn reset(&mut self) {
         self.frames = 0;
-        self.gcc_accum.fill(0.0);
+        self.spec_accum.fill(Complex::ZERO);
     }
 }
 
@@ -396,6 +435,7 @@ fn peak_lag_interpolated(values: &[f64], max_lag: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ht_dsp::correlate::{gcc_phat_from_spectra_into_mode, SpectraGccScratch};
     use ht_dsp::signal::{fractional_delay, tone};
 
     fn noise(n: usize, mut state: u64) -> Vec<f64> {
@@ -414,10 +454,14 @@ mod tests {
         let x = noise(960, 7);
         let y = fractional_delay(&x, 4.0, 16);
         let mut a = FrameAnalyzer::new(2, 960, 13, 48_000.0).unwrap();
-        let f = a.analyze(&[x, y]).unwrap();
-        // Negative lag: the first channel leads (mirrors gcc_phat).
-        assert!((f.tdoas[0] + 4.0).abs() < 0.3, "tdoa {}", f.tdoas[0]);
-        assert!(f.srp_sharpness() > 1.0);
+        assert!(a.analyze(&[x, y]).unwrap().srp_sharpness() > 1.0);
+        let mut out = Vec::new();
+        a.assemble_features_into(3, &mut out).unwrap();
+        // The pair's TDoA follows the SRP block (3 peaks + 5 stats) and
+        // the pair's 27-lag window. Negative lag: the first channel leads
+        // (mirrors gcc_phat).
+        let tdoa = out[3 + 5 + 27];
+        assert!((tdoa + 4.0).abs() < 0.3, "tdoa {tdoa}");
     }
 
     #[test]
@@ -448,7 +492,8 @@ mod tests {
         assert_eq!(f.rms, 0.0);
         assert_eq!(f.srp_sharpness(), 0.0);
         assert_eq!(f.band_ratio(), 0.0);
-        assert!(f.tdoas.iter().all(|t| t.is_finite()));
+        assert_eq!(f.srp_peak, 0.0);
+        assert_eq!(f.srp_mean_abs, 0.0);
     }
 
     #[test]
@@ -504,8 +549,8 @@ mod tests {
         assert_eq!(a.frames_analyzed(), 0);
         let again = a.analyze(&[x, y]).unwrap();
         assert_eq!(again.frame_index, 0);
-        assert_eq!(again.tdoas, fresh.tdoas);
         assert_eq!(again.srp_peak.to_bits(), fresh.srp_peak.to_bits());
+        assert_eq!(again.srp_mean_abs.to_bits(), fresh.srp_mean_abs.to_bits());
         assert_eq!(again.low_band.to_bits(), fresh.low_band.to_bits());
     }
 
@@ -629,9 +674,106 @@ mod tests {
         let first = a.analyze(&[x.clone(), y.clone()]).unwrap().clone();
         for _ in 0..3 {
             let again = a.analyze(&[x.clone(), y.clone()]).unwrap();
-            assert_eq!(again.tdoas, first.tdoas);
             assert_eq!(again.srp_peak.to_bits(), first.srp_peak.to_bits());
+            assert_eq!(again.srp_mean_abs.to_bits(), first.srp_mean_abs.to_bits());
             assert_eq!(again.low_band.to_bits(), first.low_band.to_bits());
+        }
+    }
+
+    /// Analyzes `frames` with `a` and checks each frame's SRP bits against
+    /// a lag-domain oracle: every pair's per-frame GCC-PHAT window from the
+    /// analyzer's own spectra, summed over pairs — what the analyzer
+    /// computed before it accumulated in the frequency domain. Returns each
+    /// pair's windows summed over frames.
+    fn lag_domain_oracle(a: &mut FrameAnalyzer, frames: &[Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
+        let w = 2 * a.max_lag() + 1;
+        let mut scratch = SpectraGccScratch::new();
+        let mut window = vec![0.0; w];
+        let mut pair_sums = vec![vec![0.0; w]; a.pairs().len()];
+        for frame in frames {
+            let got = a.analyze(frame).unwrap();
+            let (peak, mean_abs) = (got.srp_peak, got.srp_mean_abs);
+            let mut srp = vec![0.0; w];
+            for (p, &(i, j)) in a.pairs.iter().enumerate() {
+                gcc_phat_from_spectra_into_mode(
+                    &a.spectra[i],
+                    &a.spectra[j],
+                    &a.plan,
+                    a.max_lag,
+                    &mut scratch,
+                    &mut window,
+                    a.quant,
+                );
+                for ((s, acc), v) in srp.iter_mut().zip(&mut pair_sums[p]).zip(&window) {
+                    *s += v;
+                    *acc += v;
+                }
+            }
+            let want_peak = srp.iter().copied().fold(f64::MIN, f64::max);
+            let want_mean_abs = srp.iter().map(|v| v.abs()).sum::<f64>() / w as f64;
+            let tol = 1e-12 * srp.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            assert!((peak - want_peak).abs() <= tol, "{peak} vs {want_peak}");
+            assert!(
+                (mean_abs - want_mean_abs).abs() <= tol,
+                "{mean_abs} vs {want_mean_abs}"
+            );
+        }
+        pair_sums
+    }
+
+    fn assert_close(got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len());
+        let tol = 1e-12 * want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        for (g, w) in got.iter().zip(want) {
+            assert!((g - w).abs() <= tol, "{g} vs {w} (tol {tol})");
+        }
+    }
+
+    #[test]
+    fn frequency_domain_sums_equal_the_lag_domain_oracle() {
+        let (frame_len, hop, n_frames) = (960, 480, 9);
+        let len = frame_len + (n_frames - 1) * hop;
+        for channels in [2, 4] {
+            let x = noise(len + 16, 41 + channels as u64);
+            let signals: Vec<Vec<f64>> = (0..channels)
+                .map(|c| fractional_delay(&x, 1.5 * c as f64 + 0.25, 16))
+                .collect();
+            let frames: Vec<Vec<Vec<f64>>> = (0..n_frames)
+                .map(|f| {
+                    let at = f * hop;
+                    signals
+                        .iter()
+                        .map(|s| s[at..at + frame_len].to_vec())
+                        .collect()
+                })
+                .collect();
+            for mode in [QuantMode::Reference, QuantMode::Int8] {
+                let mut a = FrameAnalyzer::new(channels, frame_len, 13, 48_000.0).unwrap();
+                a.set_quant_mode(mode);
+                let w = 2 * a.max_lag() + 1;
+                for round in 0..2 {
+                    if round == 1 {
+                        a.reset();
+                    }
+                    let pair_sums = lag_domain_oracle(&mut a, &frames);
+                    let mut out = Vec::new();
+                    a.assemble_features_into(3, &mut out).unwrap();
+                    let mut want_srp = vec![0.0; w];
+                    for (p, sums) in pair_sums.iter().enumerate() {
+                        let want: Vec<f64> = sums.iter().map(|v| v / n_frames as f64).collect();
+                        let at = 3 + 5 + p * (w + 6);
+                        assert_close(&out[at..at + w], &want);
+                        for (s, v) in want_srp.iter_mut().zip(sums) {
+                            *s += v;
+                        }
+                    }
+                    for s in &mut want_srp {
+                        *s /= n_frames as f64;
+                    }
+                    // Assembly leaves the frame-averaged SRP curve in `srp`.
+                    assert_close(&a.srp, &want_srp);
+                }
+            }
         }
     }
 }

@@ -49,6 +49,16 @@ pub enum StreamError {
         /// Its index within the chunk.
         index: usize,
     },
+    /// A chunk would take the capture past its length cap. Evidence
+    /// buffers grow with the capture, so a session that never stops
+    /// pushing would hold memory without bound; the chunk is refused
+    /// before any of it is ingested.
+    CaptureTooLong {
+        /// The cap, in samples per channel.
+        limit: usize,
+        /// Samples per channel the capture would hold with the chunk.
+        got: usize,
+    },
     /// Invalid construction-time geometry (zero sizes, hop larger than the
     /// frame, too few channels, …).
     BadGeometry(String),
@@ -76,6 +86,10 @@ impl fmt::Display for StreamError {
             StreamError::NonFinite { channel, index } => write!(
                 f,
                 "non-finite sample in chunk: channel {channel}, index {index}"
+            ),
+            StreamError::CaptureTooLong { limit, got } => write!(
+                f,
+                "capture too long: {got} samples per channel exceed the {limit}-sample cap"
             ),
             StreamError::BadGeometry(msg) => write!(f, "bad stream geometry: {msg}"),
             StreamError::NoFrames => write!(
@@ -123,6 +137,13 @@ mod tests {
             msg.contains("channel 2") && msg.contains("index 17"),
             "{msg}"
         );
+
+        let e = StreamError::CaptureTooLong {
+            limit: 192_000,
+            got: 192_480,
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("192000") && msg.contains("192480"), "{msg}");
 
         let e = StreamError::BadGeometry("hop 0".into());
         assert!(e.to_string().contains("hop 0"));

@@ -9,10 +9,11 @@
 //!   frame/hop geometry; accepts pushes of any size and yields overlapping
 //!   analysis frames with no steady-state allocations.
 //! * [`FrameAnalyzer`] — one shared forward FFT per channel per frame
-//!   (the alloc-free `StftProcessor` scratch path), then sliding SRP-PHAT
-//!   over every microphone pair via
-//!   `ht_dsp::correlate::gcc_phat_from_spectra_into`, plus the paper's
-//!   low/high band evidence.
+//!   (the alloc-free `StftProcessor` scratch path), then PHAT-whitened
+//!   cross spectra for every microphone pair, accumulated in the
+//!   frequency domain: one inverse FFT per frame gives the frame's SRP
+//!   curve, and one per pair at assembly gives the frame-averaged GCC
+//!   curves. Plus the paper's low/high band evidence.
 //! * [`DirectivityAccum`] — Welch-style running average of long
 //!   channel-mean magnitude spectra, the incremental carrier of the
 //!   paper's speech-directivity evidence (HLBR + low-band chunks).
@@ -21,7 +22,8 @@
 //!   enforcing ([`GateMode`]).
 //! * [`StreamError`] — typed rejection of mid-stream geometry changes
 //!   (sample rate, channel count, ragged chunks) that would otherwise
-//!   produce silently wrong GCC lags.
+//!   produce silently wrong GCC lags, of non-finite samples and of
+//!   over-long captures.
 //!
 //! `headtalk::evidence::Evidence` composes the ring, the analyzer and the
 //! directivity accumulator into the decision evidence, and

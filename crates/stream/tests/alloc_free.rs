@@ -83,3 +83,31 @@ fn steady_state_frame_loop_is_allocation_free() {
     ht_obs::set_mode(ht_obs::Mode::Off);
     assert_eq!(n, 0, "steady-state streaming frames allocated {n} times");
 }
+
+#[test]
+fn a_fresh_analyzer_allocates_nothing_from_its_first_frame() {
+    // Every buffer, FFT scratch included, is sized in `new`, so a pooled
+    // slot's first frame and first assembly allocate nothing.
+    ht_obs::set_mode(ht_obs::Mode::Json);
+    let (channels, frame_len) = (4, 960);
+    let frame: Vec<Vec<f64>> = (0..channels)
+        .map(|c| {
+            (0..frame_len)
+                .map(|k| ((k + c * 31) as f64 * 0.01).sin())
+                .collect()
+        })
+        .collect();
+    // A first analyzer creates any registry entries the spans need.
+    FrameAnalyzer::new(channels, frame_len, 13, 48_000.0)
+        .unwrap()
+        .analyze(&frame)
+        .unwrap();
+    let mut analyzer = FrameAnalyzer::new(channels, frame_len, 13, 48_000.0).unwrap();
+    let mut out = Vec::with_capacity(1024);
+    let n = allocs_during(|| {
+        analyzer.analyze(&frame).unwrap();
+        analyzer.assemble_features_into(3, &mut out).unwrap();
+    });
+    ht_obs::set_mode(ht_obs::Mode::Off);
+    assert_eq!(n, 0, "a fresh analyzer allocated {n} times");
+}

@@ -174,6 +174,29 @@ fn prop_interleaved_sessions_match_solo_batch() {
 /// `HT_THREADS=1` and `4`: same decisions, same rejections, same
 /// fingerprint. This is the `(seed, scenario set)` replay contract.
 #[test]
+fn empty_chunks_change_nothing_in_a_served_session() {
+    // Empty pushes at the start, mid-frame (333-sample chunks never align
+    // with the 480-sample hop) and at the end: the served outcome is the
+    // solo one, bit for bit (`stream_golden` pins the same for a stream).
+    let ht = pipeline();
+    let capture = noise_captures(1, 4, 4800, 0, 0xE3E7).remove(0);
+    let server = WakeServer::new(ht, serve_config(ht, 1, 1));
+    let empty: Vec<&[f64]> = vec![&[]; capture.len()];
+    let len = capture[0].len();
+    server.open(1, 0).expect("open");
+    server.push(1, &empty, 0).expect("empty push at the start");
+    for start in (0..len).step_by(333) {
+        let end = (start + 333).min(len);
+        let chunk: Vec<&[f64]> = capture.iter().map(|c| &c[start..end]).collect();
+        server.push(1, &chunk, 1).expect("push");
+        server.push(1, &empty, 2).expect("empty push mid-frame");
+    }
+    server.push(1, &empty, 3).expect("empty push at the end");
+    let served = server.finalize(1, 4).expect("finalize");
+    assert_matches_solo(ht, &capture, &served, "with empty chunks");
+}
+
+#[test]
 fn load_drive_is_byte_identical_across_thread_counts() {
     let ht = pipeline();
     let captures = noise_captures(4, 4, 4000, 300, 0x1A7E);

@@ -421,6 +421,83 @@ fn non_finite_chunks_are_refused_without_touching_state() {
 }
 
 #[test]
+fn captures_past_the_cap_are_refused_on_every_route() {
+    let ht = pipeline();
+    let hop = StreamConfig::for_pipeline(ht.config()).hop;
+    let limit = ht.config().max_capture_samples();
+    // A rendered wake word repeated to exactly the cap.
+    let word = CaptureSpec::baseline(9735).render().expect("render");
+    let capped: Vec<Vec<f64>> = word
+        .iter()
+        .map(|c| c.iter().copied().cycle().take(limit).collect())
+        .collect();
+    let full = stream_outcome(ht, &capped, hop);
+    assert_outcome_matches_batch(ht, &capped, &full, "capture at the cap");
+    let want = HeadTalkError::Stream(StreamError::CaptureTooLong {
+        limit,
+        got: limit + 1,
+    });
+
+    // One sample past the cap is refused whole and leaves the stream as
+    // it was.
+    let mut stream = ht.streamer(4).expect("streamer");
+    push_chunks(&mut stream, &capped, hop);
+    let one: Vec<&[f64]> = capped.iter().map(|c| &c[..1]).collect();
+    assert_eq!(stream.push(&one).unwrap_err(), want);
+    let outcome = stream.finalize().expect("finalize");
+    assert_eq!(outcome.decision, full.decision);
+    assert_bits_eq(&outcome.features, &full.features, "after the refused push");
+    assert_eq!(outcome.frames, full.frames);
+    assert_eq!(outcome.samples_per_channel, limit);
+
+    // The batch routes refuse the over-long capture up front.
+    let over: Vec<Vec<f64>> = capped
+        .iter()
+        .map(|c| c.iter().copied().chain([c[0]]).collect())
+        .collect();
+    assert_eq!(ht.decide_batch(&over).unwrap_err(), want);
+    assert_eq!(
+        HeadTalk::orientation_features(ht.config(), &over).unwrap_err(),
+        want
+    );
+    assert_eq!(
+        HeadTalk::liveness_input(ht.config(), &over).unwrap_err(),
+        want
+    );
+}
+
+#[test]
+fn empty_chunks_change_nothing() {
+    // An empty push is accepted and ignored: at the start, mid-frame
+    // (333-sample chunks never align with the 480-sample hop) and at the
+    // end, a stream decides exactly what it decides without them.
+    // (`serve_interleaving` pins the same for a served session.)
+    let ht = pipeline();
+    let channels = CaptureSpec::baseline(9745).render().expect("render");
+    let hop = StreamConfig::for_pipeline(ht.config()).hop;
+    let clean = stream_outcome(ht, &channels, hop);
+    let empty: Vec<&[f64]> = vec![&[]; channels.len()];
+    let len = channels[0].len();
+    let mut stream = ht.streamer(channels.len()).expect("streamer");
+    stream.push(&empty).expect("empty push at the start");
+    for start in (0..len).step_by(333) {
+        let end = (start + 333).min(len);
+        let chunk: Vec<&[f64]> = channels.iter().map(|c| &c[start..end]).collect();
+        stream.push(&chunk).expect("push");
+        stream.push(&empty).expect("empty push mid-frame");
+    }
+    stream.push(&empty).expect("empty push at the end");
+    let outcome = stream.finalize().expect("finalize");
+    assert_eq!(outcome.verdict, clean.verdict);
+    assert_eq!(outcome.decision, clean.decision);
+    assert_bits_eq(&outcome.features, &clean.features, "with empty chunks");
+    assert_eq!(outcome.early_exit, clean.early_exit);
+    assert_eq!(outcome.frames, clean.frames);
+    assert_eq!(outcome.samples_per_channel, clean.samples_per_channel);
+    assert_outcome_matches_batch(ht, &channels, &outcome, "with empty chunks");
+}
+
+#[test]
 fn training_helpers_equal_the_decision_evidence() {
     // The helpers dataset builders train on run half of the decision's
     // evidence route each; what they return must be exactly what a
