@@ -1,8 +1,8 @@
 //! Per-frame latency and allocation budget of the streaming wake pipeline.
 //!
-//! The real-time contract: each analysis frame (ingest → STFT → sliding
-//! SRP-PHAT → evidence scoring → gate) must finish well inside one hop of
-//! audio (10 ms at 48 kHz), and the steady-state loop must not touch the
+//! The real-time contract: each analysis frame (STFT → whitened cross
+//! spectra accumulated per microphone pair) must finish well inside one hop
+//! of audio (10 ms at 48 kHz), and the steady-state loop must not touch the
 //! heap. This bench drives [`headtalk::WakeStream`] over rendered
 //! `ht-datagen` scenarios with observability on, reads the per-stage
 //! latency histograms back out of the `ht-obs` registry, and doubles as
@@ -15,14 +15,13 @@
 //!   `crates/dsp/tests/alloc_free.rs`).
 //!
 //! Writes `BENCH_stream.json` (frame/stage percentiles, frames per
-//! second, per-scenario early-exit indices) into `HT_BENCH_DIR`.
+//! second, per-scenario frame counts) into `HT_BENCH_DIR`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use headtalk::liveness::LivenessDetector;
 use headtalk::orientation::{ModelKind, OrientationDetector};
-use headtalk::stream::ExitReason;
 use headtalk::{HeadTalk, PipelineConfig, StreamConfig};
 use ht_bench::format_ns;
 use ht_datagen::{CaptureSpec, SourceKind};
@@ -112,8 +111,6 @@ fn toy_pipeline() -> HeadTalk {
 struct ScenarioReport {
     name: &'static str,
     frames: u64,
-    early_exit_frame: i64,
-    early_exit_reason: &'static str,
     steady_allocs: u64,
 }
 
@@ -152,21 +149,9 @@ fn run_scenario(
         if pass > 0 {
             steady_allocs = steady_allocs.max(allocs);
         }
-        let (frame, reason) = match stream.early_exit() {
-            Some(e) => (
-                e.frame as i64,
-                match e.reason {
-                    ExitReason::NotLive => "not_live",
-                    ExitReason::NotFacing => "not_facing",
-                },
-            ),
-            None => (-1, "none"),
-        };
         report = Some(ScenarioReport {
             name,
             frames: stream.frames(),
-            early_exit_frame: frame,
-            early_exit_reason: reason,
             steady_allocs,
         });
     }
@@ -230,15 +215,8 @@ fn main() {
         let channels = spec.render().expect("render");
         let r = run_scenario(&ht, name, &channels, passes);
         eprintln!(
-            "  {:<16} {:>4} frames  early exit {}  steady allocs {}",
-            r.name,
-            r.frames,
-            if r.early_exit_frame < 0 {
-                "none".to_string()
-            } else {
-                format!("frame {} ({})", r.early_exit_frame, r.early_exit_reason)
-            },
-            r.steady_allocs,
+            "  {:<16} {:>4} frames  steady allocs {}",
+            r.name, r.frames, r.steady_allocs,
         );
         reports.push(r);
     }
@@ -246,14 +224,7 @@ fn main() {
     let snapshot = ht_obs::registry().snapshot();
     ht_obs::set_mode(ht_obs::Mode::Off);
 
-    let stage_names = [
-        "stream.ingest",
-        "stream.stft",
-        "stream.srp",
-        "stream.score",
-        "stream.gate",
-        "stream.frame",
-    ];
+    let stage_names = ["stream.ingest", "stream.stft", "stream.srp", "stream.frame"];
     let mut stages = Vec::new();
     for name in stage_names {
         let h = snapshot
@@ -299,8 +270,6 @@ fn main() {
                         Json::obj()
                             .set("name", r.name)
                             .set("frames", r.frames)
-                            .set("early_exit_frame", r.early_exit_frame)
-                            .set("early_exit_reason", r.early_exit_reason)
                             .set("steady_allocs", r.steady_allocs)
                     })
                     .collect(),

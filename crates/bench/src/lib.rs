@@ -13,9 +13,10 @@
 //! `HT_BENCH_DIR` to redirect the JSON output (default: current
 //! directory — run `cargo bench` from the repo root).
 //!
-//! The perf-trajectory contract: `BENCH_baseline.json` at the repo root
-//! records the anchor run; later performance PRs compare their
-//! `BENCH_*.json` against it.
+//! The perf trajectory lives in `BENCH_trajectory.jsonl` at the repo root:
+//! one row per end-to-end `perfbench` workload per performance-relevant
+//! change. The `BENCH_*.json` files these suites write are per-run
+//! snapshots, overwritten on every run.
 
 use ht_dsp::json::{Json, ToJson};
 use std::time::{Duration, Instant};

@@ -1,16 +1,16 @@
-//! Streaming wake pipeline — frame-by-frame processing with the early-exit
-//! gate, checked against the batch reference path.
+//! Streaming wake pipeline — frame-by-frame processing, checked against
+//! the batch reference path.
 //!
 //! Not a paper table: this experiment validates the repo's streaming
 //! engine (`headtalk::WakeStream`) at experiment scale. For every scenario
 //! it streams the capture twice (hop-aligned chunks and ragged 997-sample
 //! chunks) and demands the decision and feature vector be byte-identical
 //! to `HeadTalk::decide_batch` over the same audio; the report rows pin
-//! frames analyzed, the advisory gate's early-exit frame, the verdict, and
-//! a bitwise feature checksum. Per-frame wall-clock latency is
-//! deliberately absent — hardware-dependent numbers live in the
-//! `stream_latency` bench (`BENCH_stream.json`), keeping this report
-//! byte-stable for the golden-determinism contract.
+//! frames analyzed, the verdict, and a bitwise feature checksum.
+//! Per-frame wall-clock latency is deliberately absent —
+//! hardware-dependent numbers live in the `stream_latency` bench
+//! (`BENCH_stream.json`), keeping this report byte-stable for the
+//! golden-determinism contract.
 
 use crate::context::Context;
 use crate::report::ExperimentResult;
@@ -106,7 +106,7 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     let mut res = ExperimentResult::new(
         "stream",
         "streaming wake pipeline: frame-by-frame engine vs batch reference",
-        "every chunking of every scenario reproduces the batch decision and features bit-for-bit; the advisory gate never fires on a facing live human",
+        "every chunking of every scenario reproduces the batch decision and features bit-for-bit",
     );
 
     for (name, spec) in scenarios() {
@@ -129,28 +129,17 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
         if !identical {
             return Err(format!("{name}: streamed outcome diverges from batch"));
         }
-        if name.starts_with("facing human") && hop_run.early_exit.is_some() {
-            return Err(format!(
-                "{name}: advisory gate fired on a facing live human: {:?}",
-                hop_run.early_exit
-            ));
-        }
-
         let verdict = match hop_run.verdict {
             WakeVerdict::Allow => "allow",
             WakeVerdict::SoftMute => "soft-mute",
             WakeVerdict::Undecided => "undecided",
-        };
-        let exit = match hop_run.early_exit {
-            Some(e) => format!("frame {} ({:?})", e.frame, e.reason),
-            None => "none".to_string(),
         };
         let checksum: f64 = batch_features.iter().sum();
         res.push_row(
             name,
             "",
             format!(
-                "{} frames, verdict {verdict}, early exit {exit}, checksum {:016x}, stream == batch",
+                "{} frames, verdict {verdict}, checksum {:016x}, stream == batch",
                 hop_run.frames,
                 checksum.to_bits(),
             ),

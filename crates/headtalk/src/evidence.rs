@@ -5,11 +5,12 @@
 //! liveness input from channel 0 (§IV-B15). [`Evidence`] builds both chunk
 //! by chunk. The [`FrameRing`] refuses a malformed or non-finite chunk
 //! before any state changes and frames the capture at
-//! [`PipelineConfig::analysis_frame_geometry`]; each frame goes through the
-//! [`FrameAnalyzer`] while the [`DirectivityAccum`] folds in every sample;
-//! channel 0 runs the preprocessing band-pass causally, then a streaming
-//! ÷3 decimator. [`assemble`](Evidence::assemble) reads only the
-//! accumulators, in time independent of the capture's length.
+//! [`PipelineConfig::analysis_frame_geometry`]; every frame a chunk
+//! completes goes through the [`FrameAnalyzer`] before the push returns,
+//! while the [`DirectivityAccum`] folds in every sample; channel 0 runs
+//! the preprocessing band-pass causally, then a streaming ÷3 decimator.
+//! [`assemble`](Evidence::assemble) reads only the accumulators, in time
+//! independent of the capture's length.
 //!
 //! A [`WakeStream`](crate::WakeStream) pushes microphone chunks;
 //! [`HeadTalk::decide_batch`] and [`HeadTalk::enable_int8`] push a finished
@@ -17,9 +18,10 @@
 //! reported at its index in the capture. With one implementation, stream
 //! and batch agree bit for bit for any chunking. Both routes refuse a
 //! capture longer than [`PipelineConfig::max_capture_samples`] (4 s of
-//! audio), so no session's buffers grow past the size they are built for. The training helpers
-//! [`HeadTalk::orientation_features`] and [`HeadTalk::liveness_input`] each
-//! run only the half whose output they return.
+//! audio), so no session's buffers grow past the size they are built for.
+//! The training helpers [`HeadTalk::orientation_features`] and
+//! [`HeadTalk::liveness_input`] each run only the half whose output they
+//! return.
 
 use crate::config::PipelineConfig;
 use crate::features;
@@ -31,7 +33,7 @@ use ht_dsp::filter::StreamingSos;
 use ht_dsp::resample::StreamDecimator;
 use ht_dsp::{spectrum, QuantMode};
 use ht_stream::ring::check_chunk;
-use ht_stream::{DirectivityAccum, FrameAnalyzer, FrameFeatures, FrameRing, StreamError};
+use ht_stream::{DirectivityAccum, FrameAnalyzer, FrameRing, StreamError};
 
 /// The capture length cap in seconds, and the length the liveness branch
 /// is presized for: a capture never reallocates it.
@@ -77,10 +79,9 @@ impl Evidence {
         })
     }
 
-    /// Ingests one chunk of any length. Frames that become ready wait for
-    /// [`next_frame`](Evidence::next_frame). An empty chunk (channels of
-    /// length 0) is accepted and changes nothing: it completes no frame
-    /// and adds no liveness sample.
+    /// Ingests one chunk of any length and analyzes every frame it
+    /// completes. An empty chunk (channels of length 0) is accepted and
+    /// changes nothing: it completes no frame and adds no liveness sample.
     ///
     /// # Errors
     ///
@@ -91,27 +92,14 @@ impl Evidence {
     /// infinite sample. Every check runs before anything is written, so a
     /// refused chunk changes nothing.
     pub fn push(&mut self, chunk: &[&[f64]]) -> Result<(), HeadTalkError> {
-        let _ingest = ht_obs::span("stream.ingest");
-        let got = self.samples_per_channel() + chunk.first().map_or(0, |c| c.len());
-        check_capture_len(got, self.max_samples)?;
-        self.orientation.push(chunk)?;
-        self.liveness.push(chunk[0]);
-        Ok(())
-    }
-
-    /// `true` when a complete frame waits for analysis.
-    pub(crate) fn frame_ready(&self) -> bool {
-        self.orientation.ring.ready_frames() > 0
-    }
-
-    /// Analyzes the oldest ready frame and returns its evidence for the
-    /// early-exit gate, or `None` when no frame is ready.
-    ///
-    /// # Errors
-    ///
-    /// Propagates analyzer errors (none for frames the ring produced).
-    pub fn next_frame(&mut self) -> Result<Option<&FrameFeatures>, HeadTalkError> {
-        self.orientation.next_frame()
+        {
+            let _ingest = ht_obs::span("stream.ingest");
+            let got = self.samples_per_channel() + chunk.first().map_or(0, |c| c.len());
+            check_capture_len(got, self.max_samples)?;
+            self.orientation.push(chunk)?;
+            self.liveness.push(chunk[0]);
+        }
+        self.orientation.analyze_ready()
     }
 
     /// Pushes a finished capture hop by hop, analyzing every frame.
@@ -123,11 +111,7 @@ impl Evidence {
     /// does, with a bad sample reported at its index in the capture.
     pub(crate) fn push_capture(&mut self, channels: &[Vec<f64>]) -> Result<(), HeadTalkError> {
         let (hop, max_samples) = (self.orientation.ring.hop(), self.max_samples);
-        push_hops(channels, hop, max_samples, |chunk| {
-            self.push(chunk)?;
-            while self.next_frame()?.is_some() {}
-            Ok(())
-        })
+        push_hops(channels, hop, max_samples, |chunk| self.push(chunk))
     }
 
     /// Assembles the feature vector and the liveness input from the
@@ -193,8 +177,7 @@ impl HeadTalk {
         let (hop, max_samples) = (half.ring.hop(), config.max_capture_samples());
         push_hops(channels, hop, max_samples, |chunk| {
             half.push(chunk)?;
-            while half.next_frame()?.is_some() {}
-            Ok(())
+            half.analyze_ready()
         })?;
         Ok(half.assemble()?.to_vec())
     }
@@ -270,11 +253,15 @@ impl OrientationHalf {
         Ok(())
     }
 
-    fn next_frame(&mut self) -> Result<Option<&FrameFeatures>, HeadTalkError> {
-        if !self.ring.pop_frame_into(&mut self.frame) {
-            return Ok(None);
+    /// Pops and analyzes every frame the ring holds, each under its own
+    /// `stream.frame` span.
+    fn analyze_ready(&mut self) -> Result<(), HeadTalkError> {
+        while self.ring.ready_frames() > 0 {
+            let _frame = ht_obs::span("stream.frame");
+            self.ring.pop_frame_into(&mut self.frame);
+            self.analyzer.analyze(&self.frame)?;
         }
-        Ok(Some(self.analyzer.analyze(&self.frame)?))
+        Ok(())
     }
 
     fn assemble(&mut self) -> Result<&[f64], HeadTalkError> {

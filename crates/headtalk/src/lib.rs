@@ -26,10 +26,9 @@
 //! * [`orientation`] — the facing classifier (SVM by default; RF/DT/kNN for
 //!   the §IV-A comparison),
 //! * [`pipeline`] — the end-to-end wake-command decision,
-//! * [`stream`] — the frame-by-frame streaming engine with the early-exit
-//!   soft-mute gate, bit-identical to the batch
-//!   [`decide_batch`](HeadTalk::decide_batch) because both build their
-//!   evidence through [`evidence`],
+//! * [`stream`] — the frame-by-frame streaming engine, bit-identical to
+//!   the batch [`decide_batch`](HeadTalk::decide_batch) because both build
+//!   their evidence through [`evidence`],
 //! * [`control`] — the privacy-mode state machine of Fig. 1 (Normal, Mute,
 //!   HeadTalk; soft mute; session semantics),
 //! * [`userstudy`] — SUS scoring and the paper's Table V survey data.

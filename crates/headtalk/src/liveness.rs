@@ -176,17 +176,6 @@ impl Classifier for LivenessDetector {
     }
 }
 
-/// Per-frame liveness evidence for the streaming early-exit gate: the
-/// frame's high/low band ratio — the paper's HLBR signature (Fig. 3).
-/// Loudspeaker replays attenuate the 500–4000 Hz band relative to
-/// 100–400 Hz, so persistently low values are replay-like. This is the
-/// cheap incremental stand-in for the trained detector, which still issues
-/// the final liveness verdict over the whole capture at stream
-/// finalization.
-pub fn frame_live_evidence(frame: &ht_stream::FrameFeatures) -> f64 {
-    frame.band_ratio()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

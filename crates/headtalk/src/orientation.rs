@@ -200,17 +200,6 @@ impl Classifier for OrientationDetector {
     }
 }
 
-/// Per-frame orientation evidence for the streaming early-exit gate: the
-/// SRP-PHAT peak-to-mean sharpness. A frontal speaker's direct path
-/// dominates the steered response, producing one sharp peak; averted
-/// speech reaches the array mostly through reflections, flattening the
-/// curve. Like the liveness analogue, this only feeds the gate — the
-/// trained classifier still issues the final facing verdict over the whole
-/// capture at stream finalization.
-pub fn frame_facing_evidence(frame: &ht_stream::FrameFeatures) -> f64 {
-    frame.srp_sharpness()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -257,7 +257,7 @@ impl HeadTalk {
 mod tests {
     use super::*;
     use crate::orientation::ModelKind;
-    use crate::stream::{StreamConfig, StreamError};
+    use crate::stream::StreamError;
     use ht_dsp::rng::{SeedableRng, StdRng};
     use ht_ml::dataset::Dataset;
 
@@ -352,27 +352,6 @@ mod tests {
                 "{n} channel(s)"
             );
         }
-    }
-
-    #[test]
-    fn custom_stream_geometry_is_refused() {
-        let ht = tiny_pipeline();
-        let default = StreamConfig::for_pipeline(ht.config());
-        for (frame_len, hop) in [(1024, 512), (960, 240)] {
-            let config = StreamConfig {
-                frame_len,
-                hop,
-                ..default
-            };
-            assert!(
-                matches!(
-                    ht.streamer_with(2, config),
-                    Err(HeadTalkError::Stream(StreamError::BadGeometry(_)))
-                ),
-                "{frame_len}/{hop}"
-            );
-        }
-        assert!(ht.streamer_with(2, default).is_ok());
     }
 
     #[test]

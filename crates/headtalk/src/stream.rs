@@ -1,10 +1,8 @@
-//! The streaming wake engine: frame-by-frame ingest with an early-exit
-//! soft-mute gate in front of the final decision.
+//! The streaming wake engine: frame-by-frame ingest in front of the final
+//! decision.
 //!
-//! A [`WakeStream`] is an [`Evidence`] accumulator plus the
-//! [`EarlyExitGate`], which scores every analyzed frame from its cheap
-//! evidence ([`crate::liveness::frame_live_evidence`],
-//! [`crate::orientation::frame_facing_evidence`]).
+//! A [`WakeStream`] is a pipeline reference plus an [`Evidence`]
+//! accumulator: every push analyzes the frames it completes, and
 //! [`finalize`](WakeStream::finalize) assembles the evidence in
 //! O(features) and runs the models. [`HeadTalk::decide_batch`] pushes a
 //! finished capture through the same [`Evidence`], so a stream's outcome
@@ -16,54 +14,55 @@
 //! let mut stream = ht.streamer(4)?;
 //! // Feed 10 ms chunks as the microphone delivers them:
 //! # let chunk: Vec<&[f64]> = Vec::new();
-//! let verdict = stream.push(&chunk)?;
-//! if verdict == headtalk::stream::WakeVerdict::SoftMute {
-//!     // the gate concluded mid-utterance: not live, or not facing
-//! }
+//! stream.push(&chunk)?;
 //! let outcome = stream.finalize()?;
+//! if outcome.verdict == headtalk::stream::WakeVerdict::SoftMute {
+//!     // not live, or not facing: the assistant stays muted
+//! }
 //! # Ok(()) }
 //! ```
 
 use crate::config::PipelineConfig;
 use crate::evidence::Evidence;
-use crate::liveness::frame_live_evidence;
-use crate::orientation::frame_facing_evidence;
 use crate::pipeline::{HeadTalk, WakeDecision};
 use crate::HeadTalkError;
-use ht_stream::EarlyExitGate;
 
 pub use crate::evidence::AssembledEvidence;
-pub use ht_stream::{
-    AudioChunk, EarlyExit, ExitReason, GateConfig, GateMode, StreamError, WakeVerdict,
-};
+pub use ht_stream::{AudioChunk, StreamError};
 
-/// Geometry and gate tuning for a [`WakeStream`].
+/// A stream's verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WakeVerdict {
+    /// No decision yet. A finalized [`StreamOutcome`] never carries it;
+    /// code that folds verdicts into codes keeps a value for it.
+    Undecided,
+    /// The pipeline accepted the capture (live *and* facing).
+    Allow,
+    /// The pipeline rejected the capture; the assistant should stay muted.
+    SoftMute,
+}
+
+/// The analysis geometry of a [`WakeStream`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
-    /// Analysis frame length in samples. Must equal the pipeline's
+    /// Analysis frame length in samples: the pipeline's
     /// [`PipelineConfig::analysis_frame_geometry`] frame length.
     pub frame_len: usize,
     /// Hop between frames in samples (the real-time deadline: each frame's
-    /// processing must finish within `hop / sample_rate` seconds). Must
-    /// equal the pipeline's analysis hop.
+    /// processing must finish within `hop / sample_rate` seconds): the
+    /// pipeline's analysis hop.
     pub hop: usize,
-    /// Early-exit gate tuning.
-    pub gate: GateConfig,
 }
 
 impl StreamConfig {
     /// The geometry for a pipeline configuration:
     /// [`PipelineConfig::analysis_frame_geometry`] (20 ms frames advancing
-    /// by 10 ms — 960/480 samples at the paper's 48 kHz) with an advisory
-    /// gate. It is the only geometry a stream accepts, because it is the
-    /// one the batch decision frames at.
+    /// by 10 ms — 960/480 samples at the paper's 48 kHz). It is the only
+    /// geometry a stream runs at, because it is the one the batch decision
+    /// frames at.
     pub fn for_pipeline(config: &PipelineConfig) -> StreamConfig {
         let (frame_len, hop) = config.analysis_frame_geometry();
-        StreamConfig {
-            frame_len,
-            hop,
-            gate: GateConfig::default(),
-        }
+        StreamConfig { frame_len, hop }
     }
 
     /// The per-frame real-time budget in seconds: one hop of audio.
@@ -75,20 +74,15 @@ impl StreamConfig {
 /// Everything a finished stream knows.
 #[derive(Debug, Clone)]
 pub struct StreamOutcome {
-    /// The stream's verdict: [`WakeVerdict::Allow`] only when the finalized
-    /// decision accepted; [`WakeVerdict::SoftMute`] when the decision
-    /// rejected *or* an enforcing gate stopped the stream early.
+    /// [`WakeVerdict::Allow`] when the decision accepted,
+    /// [`WakeVerdict::SoftMute`] when it rejected.
     pub verdict: WakeVerdict,
-    /// The decision over the accumulated evidence. `None` only when an
-    /// enforcing gate stopped ingestion before a decidable capture
-    /// accumulated.
+    /// The decision over the accumulated evidence. Always `Some`: a capture
+    /// that cannot be decided is an error, not an outcome.
     pub decision: Option<WakeDecision>,
-    /// The orientation feature vector behind `decision` (empty when
-    /// `decision` is `None`). Byte-identical to the batch path's features.
+    /// The orientation feature vector behind `decision`. Byte-identical to
+    /// the batch path's features.
     pub features: Vec<f64>,
-    /// The gate's early exit, if it fired (recorded in advisory mode,
-    /// enforced in enforcing mode).
-    pub early_exit: Option<EarlyExit>,
     /// Frames analyzed.
     pub frames: u64,
     /// Samples ingested per channel.
@@ -99,16 +93,12 @@ pub struct StreamOutcome {
 #[derive(Debug, Clone)]
 pub struct WakeStream<'a> {
     ht: &'a HeadTalk,
-    config: StreamConfig,
     evidence: Evidence,
-    gate: EarlyExitGate,
-    /// `true` once an enforcing gate has stopped ingestion.
-    muted: bool,
 }
 
 impl HeadTalk {
-    /// Opens a streaming session for an `n_channels` microphone array with
-    /// the default [`StreamConfig`].
+    /// Opens a streaming session for an `n_channels` microphone array,
+    /// framed at [`StreamConfig::for_pipeline`].
     ///
     /// # Errors
     ///
@@ -117,50 +107,17 @@ impl HeadTalk {
     /// width the orientation model wasn't trained on (the same up-front
     /// checks as [`decide_batch`](HeadTalk::decide_batch)).
     pub fn streamer(&self, n_channels: usize) -> Result<WakeStream<'_>, HeadTalkError> {
-        self.streamer_with(n_channels, StreamConfig::for_pipeline(self.config()))
-    }
-
-    /// Opens a streaming session with explicit gate tuning.
-    ///
-    /// # Errors
-    ///
-    /// As for [`streamer`](HeadTalk::streamer), plus
-    /// [`StreamError::BadGeometry`] when `config`'s frame length or hop
-    /// differs from [`StreamConfig::for_pipeline`]'s: a stream framed
-    /// differently would not decide what the batch path decides.
-    pub fn streamer_with(
-        &self,
-        n_channels: usize,
-        config: StreamConfig,
-    ) -> Result<WakeStream<'_>, HeadTalkError> {
-        let (frame_len, hop) = self.config().analysis_frame_geometry();
-        if (config.frame_len, config.hop) != (frame_len, hop) {
-            return Err(StreamError::BadGeometry(format!(
-                "stream geometry {}/{} differs from the pipeline's {frame_len}/{hop}-sample \
-                 analysis frames",
-                config.frame_len, config.hop
-            ))
-            .into());
-        }
         Ok(WakeStream {
             ht: self,
             evidence: self.evidence(n_channels, self.quant_mode())?,
-            gate: EarlyExitGate::new(config.gate),
-            muted: false,
-            config,
         })
     }
 }
 
 impl WakeStream<'_> {
-    /// Ingests one chunk (any length; hop-aligned or ragged) and processes
-    /// every frame that becomes ready. Returns the rolling verdict. An
-    /// empty chunk is accepted and changes nothing: no frame, no liveness
-    /// sample, the same verdict.
-    ///
-    /// After an enforcing gate has fired, further pushes are dropped and
-    /// return [`WakeVerdict::SoftMute`] immediately — the soft mute is the
-    /// point: no more audio leaves the device.
+    /// Ingests one chunk (any length; hop-aligned or ragged) and analyzes
+    /// every frame it completes. An empty chunk is accepted and changes
+    /// nothing: no frame, no liveness sample.
     ///
     /// # Errors
     ///
@@ -172,33 +129,8 @@ impl WakeStream<'_> {
     /// ([`StreamError::CaptureTooLong`]). The chunk is refused whole before
     /// anything is written, so the stream state is untouched and
     /// subsequent valid pushes work.
-    pub fn push(&mut self, chunk: &[&[f64]]) -> Result<WakeVerdict, HeadTalkError> {
-        if self.muted {
-            return Ok(WakeVerdict::SoftMute);
-        }
-        self.evidence.push(chunk)?;
-        while !self.muted && self.evidence.frame_ready() {
-            let _frame_span = ht_obs::span("stream.frame");
-            let Some(features) = self.evidence.next_frame()? else {
-                break;
-            };
-            let (rms, live_evidence, facing_evidence) = {
-                let _score = ht_obs::span("stream.score");
-                (
-                    features.rms,
-                    frame_live_evidence(features),
-                    frame_facing_evidence(features),
-                )
-            };
-            let verdict = {
-                let _gate = ht_obs::span("stream.gate");
-                self.gate.observe(rms, live_evidence, facing_evidence)
-            };
-            if verdict == WakeVerdict::SoftMute && self.config.gate.mode == GateMode::Enforcing {
-                self.muted = true;
-            }
-        }
-        Ok(self.verdict())
+    pub fn push(&mut self, chunk: &[&[f64]]) -> Result<(), HeadTalkError> {
+        self.evidence.push(chunk)
     }
 
     /// Like [`push`](WakeStream::push), but verifies the chunk's claimed
@@ -210,7 +142,7 @@ impl WakeStream<'_> {
     /// [`StreamError::SampleRateChanged`] for a rate mismatch (compared at
     /// integer-Hz resolution), plus everything [`push`](WakeStream::push)
     /// returns.
-    pub fn push_audio(&mut self, chunk: AudioChunk<'_>) -> Result<WakeVerdict, HeadTalkError> {
+    pub fn push_audio(&mut self, chunk: AudioChunk<'_>) -> Result<(), HeadTalkError> {
         let expected_hz = self.ht.config().sample_rate.round() as u32;
         let got_hz = chunk.sample_rate.round() as u32;
         if got_hz != expected_hz {
@@ -221,23 +153,6 @@ impl WakeStream<'_> {
             .into());
         }
         self.push(chunk.channels)
-    }
-
-    /// The rolling verdict: [`WakeVerdict::SoftMute`] once the gate has
-    /// fired, [`WakeVerdict::Undecided`] otherwise. (An Allow only ever
-    /// comes from [`finalize`](WakeStream::finalize) — the models, not the
-    /// gate, grant it.)
-    pub fn verdict(&self) -> WakeVerdict {
-        if self.gate.fired().is_some() {
-            WakeVerdict::SoftMute
-        } else {
-            WakeVerdict::Undecided
-        }
-    }
-
-    /// The gate's early exit, if it has fired.
-    pub fn early_exit(&self) -> Option<EarlyExit> {
-        self.gate.fired()
     }
 
     /// Frames analyzed so far.
@@ -274,18 +189,13 @@ impl WakeStream<'_> {
 
     /// Finalizes the stream: assembles the feature vector and liveness
     /// input from the accumulated evidence — O(features), not O(capture) —
-    /// runs the trained models, and folds in the gate's early exit.
-    ///
-    /// The decision and features are bit-identical to
-    /// [`HeadTalk::decide_batch`] over the same capture. In enforcing mode
-    /// the evidence may have been truncated at the mute point; if too
-    /// little audio accumulated to decide, the outcome carries the gate's
-    /// soft-mute with `decision: None` instead of an error.
+    /// and runs the trained models. The decision and features are
+    /// bit-identical to [`HeadTalk::decide_batch`] over the same capture.
     ///
     /// # Errors
     ///
-    /// Propagates assembly errors (short or silent/DC-only captures) when
-    /// the gate did not stop the stream.
+    /// Propagates assembly errors: a capture shorter than one analysis
+    /// frame, or a silent or DC-only liveness window.
     pub fn finalize(mut self) -> Result<StreamOutcome, HeadTalkError> {
         self.outcome()
     }
@@ -299,41 +209,31 @@ impl WakeStream<'_> {
     ///
     /// As for [`finalize`](WakeStream::finalize).
     pub fn outcome(&mut self) -> Result<StreamOutcome, HeadTalkError> {
-        let (decision, features) = match self.evidence.assemble() {
-            Ok(evidence) => (
-                Some(
-                    self.ht
-                        .infer_assembled(evidence.features, evidence.liveness_input),
-                ),
-                evidence.features.to_vec(),
-            ),
-            Err(_) if self.muted => (None, Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let verdict = match decision {
-            Some(d) if !self.muted && d.accepted() => WakeVerdict::Allow,
-            _ => WakeVerdict::SoftMute,
-        };
+        let evidence = self.evidence.assemble()?;
+        let decision = self
+            .ht
+            .infer_assembled(evidence.features, evidence.liveness_input);
         Ok(StreamOutcome {
-            verdict,
-            decision,
-            features,
-            early_exit: self.gate.fired(),
+            verdict: if decision.accepted() {
+                WakeVerdict::Allow
+            } else {
+                WakeVerdict::SoftMute
+            },
+            decision: Some(decision),
+            features: evidence.features.to_vec(),
             frames: self.evidence.frames(),
             samples_per_channel: self.evidence.samples_per_channel(),
         })
     }
 
-    /// Returns the stream to its just-opened state — cleared evidence and
-    /// a fresh gate — while keeping every buffer at its grown capacity. A
-    /// reset stream produces byte-identical results to a freshly opened
-    /// one, but reusing it costs no heap allocations once its buffers have
-    /// grown to the working capture length; the serving layer's session
-    /// arenas depend on this.
+    /// Returns the stream to its just-opened state — cleared evidence —
+    /// while keeping every buffer at its grown capacity. A reset stream
+    /// produces byte-identical results to a freshly opened one, but reusing
+    /// it costs no heap allocations once its buffers have grown to the
+    /// working capture length; the serving layer's session arenas depend on
+    /// this.
     pub fn reset(&mut self) {
         self.evidence.reset();
-        self.gate.reset();
-        self.muted = false;
     }
 }
 
@@ -347,7 +247,6 @@ mod tests {
         assert_eq!(cfg.frame_len, 960);
         assert_eq!(cfg.hop, 480);
         assert!((cfg.hop_deadline_secs(48_000.0) - 0.010).abs() < 1e-12);
-        assert_eq!(cfg.gate.mode, GateMode::Advisory);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Per-shard session-slot arenas.
 //!
 //! A shard owns a small pool of reusable session slots. Each slot is a
-//! fully assembled [`WakeStream`] — ring, STFT plan + scratch, gate,
-//! capture accumulator — built at most once and **reset, never dropped**
-//! between sessions, so steady-state serving touches the heap only when a
-//! capture outgrows every capture a slot has seen before. (The FFT plans
+//! fully assembled [`WakeStream`] from [`HeadTalk::streamer`] — ring, STFT
+//! plan + scratch, spectral, directivity and liveness accumulators — built
+//! at most once and **reset, never dropped** between sessions, so
+//! steady-state serving touches the heap only when a capture outgrows
+//! every capture a slot has seen before. (The FFT plans
 //! behind every slot come from `ht_dsp`'s shared size-keyed plan cache, so
 //! even first-time slot construction reuses twiddle tables across the
 //! whole process.)
@@ -19,14 +20,13 @@
 //! rising `live_hwm`; a release path that dropped the slot instead of
 //! resetting it would show up as a rising `built`.
 
-use headtalk::{HeadTalk, HeadTalkError, StreamConfig, WakeStream};
+use headtalk::{HeadTalk, HeadTalkError, WakeStream};
 
 /// A pool of reusable [`WakeStream`] slots for one shard.
 #[derive(Debug)]
 pub struct ShardArena<'ht> {
     ht: &'ht HeadTalk,
     n_channels: usize,
-    stream_config: StreamConfig,
     capacity: usize,
     /// Constructed slots; `slots[i]` may be in flight or free.
     slots: Vec<WakeStream<'ht>>,
@@ -40,16 +40,10 @@ pub struct ShardArena<'ht> {
 
 impl<'ht> ShardArena<'ht> {
     /// An empty arena that will build at most `capacity` slots lazily.
-    pub fn new(
-        ht: &'ht HeadTalk,
-        n_channels: usize,
-        stream_config: StreamConfig,
-        capacity: usize,
-    ) -> ShardArena<'ht> {
+    pub fn new(ht: &'ht HeadTalk, n_channels: usize, capacity: usize) -> ShardArena<'ht> {
         ShardArena {
             ht,
             n_channels,
-            stream_config,
             capacity,
             slots: Vec::new(),
             free: Vec::new(),
@@ -66,8 +60,8 @@ impl<'ht> ShardArena<'ht> {
     ///
     /// # Errors
     ///
-    /// Propagates stream-construction errors (bad geometry, untrained
-    /// feature width) from the first build of a slot.
+    /// Propagates stream-construction errors (fewer than two channels,
+    /// untrained feature width) from the first build of a slot.
     pub fn acquire(&mut self) -> Result<Option<usize>, HeadTalkError> {
         let idx = match self.free.pop() {
             Some(idx) => idx,
@@ -75,7 +69,7 @@ impl<'ht> ShardArena<'ht> {
                 if self.slots.len() >= self.capacity {
                     return Ok(None);
                 }
-                let slot = self.ht.streamer_with(self.n_channels, self.stream_config)?;
+                let slot = self.ht.streamer(self.n_channels)?;
                 self.slots.push(slot);
                 self.built += 1;
                 self.slots.len() - 1
@@ -112,14 +106,14 @@ impl<'ht> ShardArena<'ht> {
     ///
     /// # Errors
     ///
-    /// Propagates stream-construction errors (bad geometry, untrained
-    /// feature width) from the first failing build; earlier slots stay
-    /// built and usable.
+    /// Propagates stream-construction errors (fewer than two channels,
+    /// untrained feature width) from the first failing build; earlier
+    /// slots stay built and usable.
     pub fn prewarm(&mut self, n: usize) -> Result<usize, HeadTalkError> {
         let target = n.min(self.capacity);
         let mut built_now = 0;
         while self.slots.len() < target {
-            let slot = self.ht.streamer_with(self.n_channels, self.stream_config)?;
+            let slot = self.ht.streamer(self.n_channels)?;
             self.slots.push(slot);
             self.free.push(self.slots.len() - 1);
             self.built += 1;
@@ -199,8 +193,7 @@ mod tests {
     #[test]
     fn acquire_release_recycles_one_slot() {
         let ht = toy_pipeline();
-        let cfg = StreamConfig::for_pipeline(ht.config());
-        let mut arena = ShardArena::new(&ht, 4, cfg, 4);
+        let mut arena = ShardArena::new(&ht, 4, 4);
         for _ in 0..10 {
             let idx = arena.acquire().unwrap().expect("slot");
             arena.release(idx);
@@ -213,8 +206,7 @@ mod tests {
     #[test]
     fn capacity_bounds_in_flight_slots() {
         let ht = toy_pipeline();
-        let cfg = StreamConfig::for_pipeline(ht.config());
-        let mut arena = ShardArena::new(&ht, 4, cfg, 2);
+        let mut arena = ShardArena::new(&ht, 4, 2);
         let a = arena.acquire().unwrap().expect("slot a");
         let b = arena.acquire().unwrap().expect("slot b");
         assert_eq!(arena.acquire().unwrap(), None, "third acquire must refuse");
@@ -231,8 +223,7 @@ mod tests {
     #[test]
     fn prewarm_builds_eagerly_and_acquire_reuses() {
         let ht = toy_pipeline();
-        let cfg = StreamConfig::for_pipeline(ht.config());
-        let mut arena = ShardArena::new(&ht, 4, cfg, 3);
+        let mut arena = ShardArena::new(&ht, 4, 3);
         assert_eq!(arena.prewarm(2).unwrap(), 2);
         assert_eq!(arena.built(), 2);
         // Prewarming past capacity clamps; re-prewarming builds nothing.
@@ -254,8 +245,7 @@ mod tests {
     #[should_panic(expected = "double release")]
     fn double_release_is_a_loud_bug() {
         let ht = toy_pipeline();
-        let cfg = StreamConfig::for_pipeline(ht.config());
-        let mut arena = ShardArena::new(&ht, 4, cfg, 2);
+        let mut arena = ShardArena::new(&ht, 4, 2);
         let a = arena.acquire().unwrap().expect("slot");
         arena.release(a);
         arena.release(a);

@@ -21,14 +21,22 @@
 //! counters.
 //!
 //! Unparsable or out-of-range values (zero shards, slots, captures or
-//! minimum chunk, or `--chunk-min` above `--chunk-max`) print the usage
-//! text and exit with status 2.
+//! minimum chunk, `--chunk-min` above `--chunk-max`, or so many noise
+//! captures that the longest passes the pipeline's capture cap) print the
+//! usage text and exit with status 2.
 
 use std::time::Instant;
 
+use headtalk::PipelineConfig;
 use ht_serve::{
     noise_captures, run_load, toy_pipeline, LoadConfig, ServeConfig, TokenBucketConfig, WakeServer,
 };
+
+/// Samples per channel of the first noise capture.
+const NOISE_LEN: usize = 4800;
+/// Samples each further noise capture adds: capture `i` is
+/// `NOISE_LEN + i * NOISE_JITTER` samples long.
+const NOISE_JITTER: usize = 480;
 
 struct Args {
     sessions: usize,
@@ -133,6 +141,19 @@ fn parse_args() -> Args {
         );
         usage();
     }
+    // `toy_pipeline` runs the default configuration.
+    let cap = PipelineConfig::default().max_capture_samples();
+    let longest = NOISE_JITTER
+        .saturating_mul(args.captures - 1)
+        .saturating_add(NOISE_LEN);
+    if !args.render && longest > cap {
+        eprintln!(
+            "--captures {}: the longest noise capture ({longest} samples) passes the \
+             {cap}-sample capture cap",
+            args.captures
+        );
+        usage();
+    }
     args
 }
 
@@ -160,7 +181,7 @@ fn main() {
         let specs = ht_datagen::datasets::serve_scenarios(args.captures, args.seed);
         ht_par::par_map(&specs, |spec| spec.render().expect("scenario render"))
     } else {
-        noise_captures(args.captures, 4, 4800, 480, args.seed)
+        noise_captures(args.captures, 4, NOISE_LEN, NOISE_JITTER, args.seed)
     };
 
     let server = WakeServer::new(

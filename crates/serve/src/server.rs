@@ -27,8 +27,8 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use headtalk::stream::{StreamOutcome, WakeVerdict};
-use headtalk::{HeadTalk, HeadTalkError, PipelineConfig, StreamConfig};
+use headtalk::stream::StreamOutcome;
+use headtalk::{HeadTalk, HeadTalkError, PipelineConfig};
 use ht_stream::StreamError;
 
 use crate::admission::{RejectReason, TokenBucket, TokenBucketConfig};
@@ -49,8 +49,6 @@ pub struct ServeConfig {
     pub session_idle_timeout_ns: u64,
     /// Microphone channels per session.
     pub n_channels: usize,
-    /// Stream geometry and gate tuning shared by every session.
-    pub stream: StreamConfig,
     /// Session slots to build eagerly per shard at construction (clamped
     /// to `sessions_per_shard`). Lazy slot construction puts a
     /// multi-millisecond burst on the first `open` to touch each slot;
@@ -60,17 +58,17 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults for a pipeline configuration: 4 shards of 64 slots, the
-    /// default admission bucket, a 30 s (logical) idle timeout, and the
-    /// pipeline's natural stream geometry.
-    pub fn for_pipeline(config: &PipelineConfig) -> ServeConfig {
+    /// Defaults for a pipeline: 4 shards of 64 slots of 4 channels, the
+    /// default admission bucket and a 30 s (logical) idle timeout. Every
+    /// slot is a [`HeadTalk::streamer`] stream, framed at the pipeline's
+    /// own analysis geometry, so no field depends on `_config`.
+    pub fn for_pipeline(_config: &PipelineConfig) -> ServeConfig {
         ServeConfig {
             n_shards: 4,
             sessions_per_shard: 64,
             bucket: TokenBucketConfig::default(),
             session_idle_timeout_ns: 30_000_000_000,
             n_channels: 4,
-            stream: StreamConfig::for_pipeline(config),
             prewarm_slots: 0,
         }
     }
@@ -249,12 +247,7 @@ impl<'ht> WakeServer<'ht> {
         let shards = (0..config.n_shards)
             .map(|_| {
                 Mutex::new(Shard {
-                    arena: ShardArena::new(
-                        ht,
-                        config.n_channels,
-                        config.stream,
-                        config.sessions_per_shard,
-                    ),
+                    arena: ShardArena::new(ht, config.n_channels, config.sessions_per_shard),
                     sessions: BTreeMap::new(),
                 })
             })
@@ -378,7 +371,7 @@ impl<'ht> WakeServer<'ht> {
     /// ([`PipelineConfig::max_capture_samples`](headtalk::PipelineConfig::max_capture_samples))
     /// eagerly evicts the session (slot reset and released before
     /// returning) and surfaces as [`ServeError::Evicted`].
-    pub fn push(&self, id: u64, chunk: &[&[f64]], now_ns: u64) -> Result<WakeVerdict, ServeError> {
+    pub fn push(&self, id: u64, chunk: &[&[f64]], now_ns: u64) -> Result<(), ServeError> {
         let _span = ht_obs::span("serve.push");
         let mut shard = self.lock_shard(self.shard_of(id))?;
         let slot = match shard.sessions.get_mut(&id) {
@@ -389,7 +382,7 @@ impl<'ht> WakeServer<'ht> {
             None => return Err(ServeError::UnknownSession(id)),
         };
         match shard.arena.slot_mut(slot).push(chunk) {
-            Ok(verdict) => Ok(verdict),
+            Ok(()) => Ok(()),
             Err(e) => {
                 // The stream can't be trusted past a geometry violation:
                 // evict eagerly so the slot (and its ring memory) goes
@@ -602,7 +595,7 @@ mod tests {
     }
 
     fn push_all(server: &WakeServer<'_>, id: u64, capture: &[Vec<f64>], now_ns: u64) {
-        let hop = server.config().stream.hop;
+        let (_, hop) = PipelineConfig::default().analysis_frame_geometry();
         let len = capture[0].len();
         let mut pos = 0;
         while pos < len {

@@ -11,15 +11,12 @@
 //! * [`FrameAnalyzer`] — one shared forward FFT per channel per frame
 //!   (the alloc-free `StftProcessor` scratch path), then PHAT-whitened
 //!   cross spectra for every microphone pair, accumulated in the
-//!   frequency domain: one inverse FFT per frame gives the frame's SRP
-//!   curve, and one per pair at assembly gives the frame-averaged GCC
-//!   curves. Plus the paper's low/high band evidence.
+//!   frequency domain with no inverse FFT per frame; one inverse per pair
+//!   at assembly gives the frame-averaged GCC curves and their sum, the
+//!   SRP curve.
 //! * [`DirectivityAccum`] — Welch-style running average of long
 //!   channel-mean magnitude spectra, the incremental carrier of the
 //!   paper's speech-directivity evidence (HLBR + low-band chunks).
-//! * [`EarlyExitGate`] — frame-granular soft-mute: EWMA-smoothed liveness
-//!   and orientation evidence with a patience counter, advisory or
-//!   enforcing ([`GateMode`]).
 //! * [`StreamError`] — typed rejection of mid-stream geometry changes
 //!   (sample rate, channel count, ragged chunks) that would otherwise
 //!   produce silently wrong GCC lags, of non-finite samples and of
@@ -27,20 +24,18 @@
 //!
 //! `headtalk::evidence::Evidence` composes the ring, the analyzer and the
 //! directivity accumulator into the decision evidence, and
-//! `headtalk::stream::WakeStream` adds the gate and the trained models;
-//! this crate stays zero-dependency on the model layer so the substrate
-//! can be reused (and tested) in isolation.
+//! `headtalk::stream::WakeStream` adds the trained models; this crate
+//! stays zero-dependency on the model layer so the substrate can be reused
+//! (and tested) in isolation.
 
 pub mod analyzer;
 pub mod directivity;
 pub mod error;
-pub mod gate;
 pub mod ring;
 
-pub use analyzer::{FrameAnalyzer, FrameFeatures};
+pub use analyzer::FrameAnalyzer;
 pub use directivity::DirectivityAccum;
 pub use error::StreamError;
-pub use gate::{EarlyExit, EarlyExitGate, ExitReason, GateConfig, GateMode, WakeVerdict};
 pub use ring::FrameRing;
 
 /// A borrowed multi-channel PCM chunk with its claimed sample rate.

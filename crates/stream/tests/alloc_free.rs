@@ -1,12 +1,12 @@
 //! Proof of the streaming pipeline's core claim: once warmed, the
-//! ingest → STFT → SRP → gate path makes zero heap allocations per frame,
-//! even with JSON observability recording on. Same counting-allocator
+//! ingest → STFT → GCC accumulation path makes zero heap allocations per
+//! frame, even with JSON observability recording on. Same counting-allocator
 //! harness as `ht-dsp`'s alloc_free suite.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ht_stream::{EarlyExitGate, FrameAnalyzer, FrameRing, GateConfig};
+use ht_stream::{FrameAnalyzer, FrameRing};
 
 struct CountingAlloc;
 
@@ -51,7 +51,6 @@ fn steady_state_frame_loop_is_allocation_free() {
     let (channels, frame_len, hop) = (4, 960, 480);
     let mut ring = FrameRing::new(channels, frame_len, hop).unwrap();
     let mut analyzer = FrameAnalyzer::new(channels, frame_len, 13, 48_000.0).unwrap();
-    let mut gate = EarlyExitGate::new(GateConfig::default());
     let mut frame = vec![vec![0.0; frame_len]; channels];
     let chunk: Vec<Vec<f64>> = (0..channels)
         .map(|c| {
@@ -66,8 +65,7 @@ fn steady_state_frame_loop_is_allocation_free() {
     for _ in 0..4 {
         ring.push(&refs).unwrap();
         while ring.pop_frame_into(&mut frame) {
-            let f = analyzer.analyze(&frame).unwrap();
-            gate.observe(f.rms, f.band_ratio(), f.srp_sharpness());
+            analyzer.analyze(&frame).unwrap();
         }
     }
 
@@ -75,8 +73,7 @@ fn steady_state_frame_loop_is_allocation_free() {
         for _ in 0..128 {
             ring.push(&refs).unwrap();
             while ring.pop_frame_into(&mut frame) {
-                let f = analyzer.analyze(&frame).unwrap();
-                gate.observe(f.rms, f.band_ratio(), f.srp_sharpness());
+                analyzer.analyze(&frame).unwrap();
             }
         }
     });

@@ -21,6 +21,7 @@ fn out_of_range_arguments_exit_2_with_usage() {
     for args in [
         &["--shards", "0"][..],
         &["--chunk-min", "900", "--chunk-max", "100"][..],
+        &["--captures", "392"][..],
     ] {
         let (code, stderr) = loadgen(args);
         assert_eq!(code, Some(2), "{args:?}: exit status\n{stderr}");

@@ -11,7 +11,7 @@
 //!
 //! Every property here replays from a printed seed via `HT_CHECK_SEED`.
 
-use headtalk::stream::WakeVerdict;
+use headtalk::stream::{StreamError, WakeVerdict};
 use headtalk::{HeadTalk, StreamOutcome};
 use ht_dsp::check::property;
 use ht_serve::{
@@ -219,7 +219,8 @@ fn load_drive_is_byte_identical_across_thread_counts() {
 /// Admission invariants under random operation sequences: live sessions
 /// never exceed `n_shards * sessions_per_shard`, per-shard live counts
 /// never exceed the shard's slot capacity, and a rejected open changes
-/// nothing observable.
+/// nothing observable. The logical clock sometimes steps backwards, and a
+/// NaN chunk evicts its session so that the id is free for a fresh open.
 #[test]
 fn prop_admission_never_overcommits_and_rejections_are_stateless() {
     let ht = pipeline();
@@ -246,8 +247,13 @@ fn prop_admission_never_overcommits_and_rejections_are_stateless() {
         let mut open_ids: Vec<u64> = Vec::new();
         let empty: Vec<&[f64]> = chunk_data.iter().map(|c| &c[0..0]).collect();
         for _ in 0..g.usize_in(1..60) {
-            now += g.u64_in(0..2_000_000_000);
-            match g.usize_in(0..11) {
+            // A caller's clock may step backwards; the server must cope.
+            now = if g.usize_in(0..4) == 0 {
+                now.saturating_sub(g.u64_in(0..2_000_000_000))
+            } else {
+                now + g.u64_in(0..2_000_000_000)
+            };
+            match g.usize_in(0..12) {
                 // Mostly opens: pressure on admission.
                 0..=5 => {
                     let id = g.u64_in(0..12);
@@ -326,6 +332,34 @@ fn prop_admission_never_overcommits_and_rejections_are_stateless() {
                             server.push(id, &empty, now).is_ok(),
                             open_ids.contains(&id),
                             "session {id} open state after the batch"
+                        );
+                    }
+                }
+                // A NaN chunk evicts the session: typed error, slot back
+                // in the arena, id gone from the server.
+                10 => {
+                    if !open_ids.is_empty() {
+                        let id = open_ids.remove(g.usize_in(0..open_ids.len()));
+                        let mut bad = chunk_data.clone();
+                        bad[1][7] = f64::NAN;
+                        let refs: Vec<&[f64]> = bad.iter().map(Vec::as_slice).collect();
+                        match server.push(id, &refs, now) {
+                            Err(ServeError::Evicted {
+                                id: evicted,
+                                cause:
+                                    StreamError::NonFinite {
+                                        channel: 1,
+                                        index: 7,
+                                    },
+                            }) => assert_eq!(evicted, id, "Evicted names its own id"),
+                            other => panic!("NaN push into session {id}: {other:?}"),
+                        }
+                        assert!(
+                            matches!(
+                                server.push(id, &empty, now),
+                                Err(ServeError::UnknownSession(u)) if u == id
+                            ),
+                            "evicted session {id} is still open"
                         );
                     }
                 }

@@ -3,7 +3,7 @@
 //! multi-tenant serving viable on device-class hardware:
 //!
 //! * after a short warmup, the **push path makes zero heap allocations**
-//!   per session — every ring, STFT scratch, GCC/band-energy accumulator,
+//!   per session — every ring, STFT scratch, GCC spectral accumulator,
 //!   directivity segment, and liveness framing buffer is recycled from
 //!   the shard arenas;
 //! * **evidence assembly is alloc-free too**: `WakeStream::assemble`
@@ -93,7 +93,7 @@ fn soak_sessions_make_zero_steady_state_push_allocations() {
     // Equal-length captures: buffers stabilize after the first use of each
     // slot, which is exactly the steady state a fleet frontend reaches.
     let captures = noise_captures(8, 4, 4800, 0, 0x50AC);
-    let hop = server.config().stream.hop;
+    let hop = headtalk::StreamConfig::for_pipeline(ht.config()).hop;
 
     let mut chunk: Vec<&[f64]> = Vec::with_capacity(4);
     let mut steady_alloc_sessions = 0u64;
