@@ -53,7 +53,10 @@ impl FromJson for Meta {
 /// moves their directivity-band feature values.
 /// v7: GCC-PHAT accumulates whitened cross spectra and inverts the sums,
 /// which moves the reverberation features in their last bits.
-const CACHE_VERSION: u32 = 7;
+/// v8: the frame analyzer whitens each channel once (`√(re² + im²)` per
+/// channel instead of `hypot` per pair), which moves the reverberation
+/// features in their last bits again.
+const CACHE_VERSION: u32 = 8;
 
 /// The cache directory (`target/ht_cache`, created on demand).
 pub fn cache_dir() -> PathBuf {

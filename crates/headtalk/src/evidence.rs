@@ -16,7 +16,11 @@
 //! [`HeadTalk::decide_batch`] and [`HeadTalk::enable_int8`] push a finished
 //! capture hop by hop, checking it once up front so a bad sample is
 //! reported at its index in the capture. With one implementation, stream
-//! and batch agree bit for bit for any chunking. Both routes refuse a
+//! and batch agree bit for bit for any chunking. Evidence takes no
+//! [`QuantMode`](ht_dsp::QuantMode): the analyzer whitens each channel
+//! with one kernel in every mode, so int8 calibration, training and
+//! decisions all see the same features, and the mode selects only the
+//! model backends in [`HeadTalk::infer_assembled`]. Both routes refuse a
 //! capture longer than [`PipelineConfig::max_capture_samples`] (4 s of
 //! audio), so no session's buffers grow past the size they are built for.
 //! The training helpers [`HeadTalk::orientation_features`] and
@@ -31,7 +35,7 @@ use crate::preprocess::Preprocessor;
 use crate::HeadTalkError;
 use ht_dsp::filter::StreamingSos;
 use ht_dsp::resample::StreamDecimator;
-use ht_dsp::{spectrum, QuantMode};
+use ht_dsp::spectrum;
 use ht_stream::ring::check_chunk;
 use ht_stream::{DirectivityAccum, FrameAnalyzer, FrameRing, StreamError};
 
@@ -59,21 +63,16 @@ pub struct Evidence {
 }
 
 impl Evidence {
-    /// Builds an accumulator whose frame analysis whitens with `quant`'s
-    /// GCC kernel.
+    /// Builds an accumulator for `n_channels`-channel audio.
     ///
     /// # Errors
     ///
     /// Returns [`HeadTalkError::Stream`] for fewer than two channels and
     /// [`HeadTalkError::Dsp`] for a band-pass the configuration cannot
     /// design.
-    pub fn new(
-        config: &PipelineConfig,
-        n_channels: usize,
-        quant: QuantMode,
-    ) -> Result<Evidence, HeadTalkError> {
+    pub fn new(config: &PipelineConfig, n_channels: usize) -> Result<Evidence, HeadTalkError> {
         Ok(Evidence {
-            orientation: OrientationHalf::new(config, n_channels, quant)?,
+            orientation: OrientationHalf::new(config, n_channels)?,
             liveness: LivenessHalf::new(config)?,
             max_samples: config.max_capture_samples(),
         })
@@ -159,8 +158,9 @@ impl Evidence {
 
 impl HeadTalk {
     /// The orientation feature vector of a raw capture: the orientation
-    /// half of [`Evidence`] under [`QuantMode::Reference`], bit for bit the
-    /// vector [`decide_batch`](HeadTalk::decide_batch) scores in that mode.
+    /// half of [`Evidence`], bit for bit the vector
+    /// [`decide_batch`](HeadTalk::decide_batch) scores in either
+    /// [`QuantMode`](ht_dsp::QuantMode).
     ///
     /// # Errors
     ///
@@ -173,7 +173,7 @@ impl HeadTalk {
         config: &PipelineConfig,
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
-        let mut half = OrientationHalf::new(config, channels.len(), QuantMode::Reference)?;
+        let mut half = OrientationHalf::new(config, channels.len())?;
         let (hop, max_samples) = (half.ring.hop(), config.max_capture_samples());
         push_hops(channels, hop, max_samples, |chunk| {
             half.push(chunk)?;
@@ -221,17 +221,12 @@ struct OrientationHalf {
 }
 
 impl OrientationHalf {
-    fn new(
-        config: &PipelineConfig,
-        n_channels: usize,
-        quant: QuantMode,
-    ) -> Result<OrientationHalf, HeadTalkError> {
+    fn new(config: &PipelineConfig, n_channels: usize) -> Result<OrientationHalf, HeadTalkError> {
         let (frame_len, hop) = config.analysis_frame_geometry();
         // Built first: it refuses fewer than two channels before the
         // width arithmetic below.
-        let mut analyzer =
+        let analyzer =
             FrameAnalyzer::new(n_channels, frame_len, config.max_lag, config.sample_rate)?;
-        analyzer.set_quant_mode(quant);
         Ok(OrientationHalf {
             srp_peaks: config.srp_peaks,
             low_band_chunks: config.low_band_chunks,

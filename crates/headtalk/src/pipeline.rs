@@ -116,11 +116,11 @@ impl HeadTalk {
 
     /// Calibrates the int8 backends offline from raw training captures and
     /// switches the pipeline to [`QuantMode::Int8`]: each capture is pushed
-    /// through an [`Evidence`] under [`QuantMode::Reference`] — the
-    /// features training saw — and the observed activation ranges of the
-    /// assembled evidence fix the static per-layer scales. The f64 models
-    /// are untouched and stay selectable via
-    /// [`set_quant_mode`](HeadTalk::set_quant_mode).
+    /// through an [`Evidence`] — frame analysis is the same in every mode,
+    /// so this is the evidence both training and decisions see — and the
+    /// observed activation ranges of the assembled evidence fix the static
+    /// per-layer scales. The f64 models are untouched and stay selectable
+    /// via [`set_quant_mode`](HeadTalk::set_quant_mode).
     ///
     /// # Errors
     ///
@@ -135,7 +135,7 @@ impl HeadTalk {
         let mut liveness_calib = Vec::with_capacity(captures.len());
         let mut feature_calib = Vec::with_capacity(captures.len());
         for channels in captures {
-            let mut evidence = self.evidence(channels.len(), QuantMode::Reference)?;
+            let mut evidence = self.evidence(channels.len())?;
             evidence.push_capture(channels)?;
             let assembled = evidence.assemble()?;
             feature_calib.push(assembled.features.to_vec());
@@ -167,12 +167,12 @@ impl HeadTalk {
     }
 
     /// Decides one multichannel wake-word capture (raw 48 kHz channels):
-    /// pushes it hop by hop through an [`Evidence`] in the pipeline's
-    /// [`QuantMode`], runs both trained models on the assembled evidence,
+    /// pushes it hop by hop through an [`Evidence`], runs both trained
+    /// models on the assembled evidence in the pipeline's [`QuantMode`],
     /// and returns the accept/soft-mute decision with the orientation
-    /// feature vector behind it. A [`WakeStream`](crate::WakeStream) of
-    /// this pipeline takes the same route, so its outcome is bit-identical
-    /// for any chunking.
+    /// feature vector behind it (the same vector in either mode). A
+    /// [`WakeStream`](crate::WakeStream) of this pipeline takes the same
+    /// route, so its outcome is bit-identical for any chunking.
     ///
     /// Liveness reads channel 0 only (the paper: "we needed one channel of
     /// audio data to detect liveliness and 4-channel audio data to detect
@@ -195,7 +195,7 @@ impl HeadTalk {
         &self,
         channels: &[Vec<f64>],
     ) -> Result<(WakeDecision, Vec<f64>), HeadTalkError> {
-        let mut evidence = self.evidence(channels.len(), self.quant)?;
+        let mut evidence = self.evidence(channels.len())?;
         evidence.push_capture(channels)?;
         let assembled = evidence.assemble()?;
         Ok((
@@ -234,13 +234,9 @@ impl HeadTalk {
     /// refusing up front a channel count whose feature width the
     /// orientation model was not trained on (its kernel code would index
     /// out of the trained width).
-    pub(crate) fn evidence(
-        &self,
-        n_channels: usize,
-        quant: QuantMode,
-    ) -> Result<Evidence, HeadTalkError> {
+    pub(crate) fn evidence(&self, n_channels: usize) -> Result<Evidence, HeadTalkError> {
         // Refuses fewer than two channels before the width arithmetic.
-        let evidence = Evidence::new(&self.config, n_channels, quant)?;
+        let evidence = Evidence::new(&self.config, n_channels)?;
         let expected = self.orientation.input_dim();
         let width = features::feature_width(n_channels, &self.config);
         if width != expected {

@@ -109,7 +109,7 @@ impl HeadTalk {
     pub fn streamer(&self, n_channels: usize) -> Result<WakeStream<'_>, HeadTalkError> {
         Ok(WakeStream {
             ht: self,
-            evidence: self.evidence(n_channels, self.quant_mode())?,
+            evidence: self.evidence(n_channels)?,
         })
     }
 }

@@ -17,9 +17,11 @@
 //! work remains. The pool spawns its threads once and parks them between
 //! jobs, so a `par_map` over four items costs a condvar wake, not four
 //! `thread::spawn`s, and the thread-local FFT and int8 inference scratch
-//! survives from call to call. Worker counts come from
-//! [`default_threads`]; tests and benches that need a specific width
-//! create a dedicated [`Pool`] and run under [`Pool::install`].
+//! survives from call to call. The global pool's width comes from
+//! [`default_threads`]: `HT_THREADS`, else every available core (the
+//! submitting thread counts as one); tests and benches that need a
+//! specific width create a dedicated [`Pool`] and run under
+//! [`Pool::install`].
 //!
 //! # Example
 //!

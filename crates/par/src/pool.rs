@@ -333,18 +333,26 @@ fn publish_obs(n: usize) {
 }
 
 /// The default pool width: `HT_THREADS` when set (parsed, clamped to
-/// ≥ 1), otherwise the machine's available parallelism minus one core for
-/// the system (at least 1).
+/// ≥ 1), otherwise the machine's available parallelism (4 when it cannot
+/// be read). The width counts the submitting thread, so the global pool
+/// keeps every core busy.
 pub fn default_threads() -> usize {
-    if let Ok(s) = std::env::var("HT_THREADS") {
+    threads_from(
+        std::env::var("HT_THREADS").ok().as_deref(),
+        std::thread::available_parallelism().ok().map(usize::from),
+    )
+}
+
+/// [`default_threads`] given the `HT_THREADS` value and the available
+/// parallelism.
+fn threads_from(env: Option<&str>, available: Option<usize>) -> usize {
+    if let Some(s) = env {
         if let Ok(v) = s.trim().parse::<usize>() {
             return v.max(1);
         }
         eprintln!("[ht-par] ignoring unparseable HT_THREADS={s:?}");
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1).max(1))
-        .unwrap_or(4)
+    available.unwrap_or(4)
 }
 
 /// The pool free `par_*` functions dispatch to: the innermost
@@ -360,5 +368,27 @@ pub fn current() -> &'static Pool {
         // lifetime position; the pointer is never retained past the
         // `install` scope by the free functions.
         unsafe { &*ptr }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{default_threads, threads_from};
+
+    #[test]
+    fn default_width_is_every_core_unless_ht_threads_says_otherwise() {
+        // Without HT_THREADS the pool takes every core: the submitting
+        // thread is one of its participants.
+        assert_eq!(threads_from(None, Some(2)), 2);
+        assert_eq!(threads_from(None, Some(1)), 1);
+        assert_eq!(threads_from(None, None), 4);
+        if std::env::var_os("HT_THREADS").is_none() {
+            let cores = std::thread::available_parallelism().map_or(4, usize::from);
+            assert_eq!(default_threads(), cores);
+        }
+        // The override wins, clamped to at least 1; garbage is ignored.
+        assert_eq!(threads_from(Some(" 3 "), Some(2)), 3);
+        assert_eq!(threads_from(Some("0"), Some(2)), 1);
+        assert_eq!(threads_from(Some("many"), Some(2)), 2);
     }
 }

@@ -1139,10 +1139,9 @@ mod tests {
     #[test]
     fn int8_pipeline_serves_with_batch_single_and_solo_agreement() {
         // The server inherits the pipeline's quantization mode through
-        // its slots' frame analyzers and `infer_assembled`: an
-        // int8-calibrated pipeline must serve with the same bits — features
-        // included — whether a session is finalized solo, singly, or
-        // batched.
+        // `infer_assembled`: an int8-calibrated pipeline must serve with
+        // the same bits — features included — whether a session is
+        // finalized solo, singly, or batched.
         let mut ht = toy_pipeline();
         let captures: Vec<Vec<Vec<f64>>> = (0..3)
             .map(|i| noise_capture(0x80 + i, 4, 4800 + 480 * i as usize))

@@ -1,18 +1,23 @@
-//! Per-frame spectral analysis: one shared forward FFT per channel, then
-//! PHAT-whitened cross spectra for every microphone pair from those shared
-//! spectra.
+//! Per-frame spectral analysis: one shared forward FFT per channel, each
+//! channel PHAT-whitened once, and every microphone pair's whitened cross
+//! spectrum formed from those unit spectra.
 //!
 //! The analyzer owns every buffer it needs — STFT plan and scratch,
-//! per-channel spectra, whitening and inverse-FFT workspaces, the spectral
-//! accumulators — all sized in [`FrameAnalyzer::new`], so
+//! per-channel spectra and magnitudes, the inverse-FFT workspace, the
+//! spectral accumulators — all sized in [`FrameAnalyzer::new`], so
 //! [`analyze`](FrameAnalyzer::analyze) is allocation-free from the first
 //! frame. Frames are zero-padded to `next_pow2(frame_len + max_lag + 1)` so
 //! circular GCC lags up to `±max_lag` never alias (the same pad rule as the
 //! batch `ht_dsp::srp::srp_phat`).
 //!
-//! GCC-PHAT stays in the frequency domain until it is read. Each frame adds
-//! every pair's whitened cross spectrum to that pair's running sum and runs
-//! no inverse FFT: a 4-mic frame costs 4 forward FFTs.
+//! PHAT whitening is separable (`XᵢXⱼ*/|XᵢXⱼ*| = uᵢ·conj(uⱼ)`, `u = X/|X|`),
+//! so [`ht_dsp::kernels::channel_phat_accumulate`] normalizes each channel's
+//! spectrum once and adds every pair's masked unit product to that pair's
+//! running sum. It is the only whitening step, whatever the [`QuantMode`]:
+//! frame analysis does not depend on the mode.
+//!
+//! GCC-PHAT stays in the frequency domain until it is read. A frame runs no
+//! inverse FFT: a 4-mic frame costs 4 forward FFTs and 4 magnitude passes.
 //! [`assemble_features_into`](FrameAnalyzer::assemble_features_into)
 //! inverts each pair's running sum once per decision — the inverse FFT is
 //! linear, so that gives the frame-averaged GCC lag curves (Eq. 5) and
@@ -39,12 +44,12 @@ pub struct FrameAnalyzer {
     max_lag: usize,
     stft: StftProcessor,
     plan: Arc<RealFftPlan>,
+    /// Per-channel spectra, whitened in place to unit magnitude by
+    /// `analyze`.
     spectra: Vec<Vec<Complex>>,
-    pairs: Vec<(usize, usize)>,
-    /// One pair's whitened cross spectrum and the kernel's magnitude
-    /// scratch.
-    cross: Vec<Complex>,
+    /// Their magnitudes, `channels × bins` laid out channel-major.
     mags: Vec<f64>,
+    pairs: Vec<(usize, usize)>,
     /// Running per-pair sums of whitened cross spectra, `pairs × bins`
     /// laid out pair-major. A pair's inverse divided by the frame count is
     /// its Welch-style frame-averaged GCC lag curve.
@@ -58,9 +63,6 @@ pub struct FrameAnalyzer {
     /// The frame-averaged SRP curve, filled by assembly.
     srp: Vec<f64>,
     frames: u64,
-    /// Which whitening kernel runs: the byte-stable reference (default) or
-    /// the vectorized Int8-path variant.
-    quant: QuantMode,
 }
 
 impl FrameAnalyzer {
@@ -119,9 +121,8 @@ impl FrameAnalyzer {
             max_lag,
             stft,
             spectra,
+            mags: vec![0.0; channels * bins],
             pairs,
-            cross: vec![Complex::ZERO; bins],
-            mags: vec![0.0; bins],
             spec_accum,
             r,
             fft: scratch,
@@ -129,26 +130,18 @@ impl FrameAnalyzer {
             srp: vec![0.0; w],
             frames: 0,
             plan,
-            quant: QuantMode::Reference,
         })
     }
 
-    /// Selects the whitening kernel for subsequent frames. Streams mixing
-    /// modes mid-capture would mix accumulator provenances, so callers set
-    /// this once, right after construction or a [`reset`](Self::reset).
-    pub fn set_quant_mode(&mut self, mode: QuantMode) {
-        self.quant = mode;
-    }
-
-    /// The active whitening-kernel selection.
-    pub fn quant_mode(&self) -> QuantMode {
-        self.quant
-    }
+    /// Selects nothing: every [`QuantMode`] runs the same per-channel
+    /// whitening kernel, so analysis is bit-identical in both. Kept so
+    /// callers that set a mode per analyzer keep compiling.
+    pub fn set_quant_mode(&mut self, _mode: QuantMode) {}
 
     /// Analyzes one frame (`channels` buffers of exactly `frame_len`
-    /// samples): one forward FFT per channel, then every pair's whitened
-    /// cross spectrum added to that pair's running sum. Allocation-free;
-    /// nothing is read back until
+    /// samples): one forward FFT per channel, each channel whitened once,
+    /// then every pair's whitened cross spectrum added to that pair's
+    /// running sum. Allocation-free; nothing is read back until
     /// [`assemble_features_into`](Self::assemble_features_into).
     ///
     /// # Errors
@@ -179,20 +172,12 @@ impl FrameAnalyzer {
         }
         {
             let _srp = ht_obs::span("stream.srp");
-            let bins = self.cross.len();
-            let accums = self.spec_accum.chunks_exact_mut(bins);
-            for (&(i, j), accum) in self.pairs.iter().zip(accums) {
-                kernels::cross_whiten_into(
-                    self.quant,
-                    &self.spectra[i],
-                    &self.spectra[j],
-                    &mut self.cross,
-                    &mut self.mags,
-                );
-                for (a, c) in accum.iter_mut().zip(&self.cross) {
-                    *a += *c;
-                }
-            }
+            kernels::channel_phat_accumulate(
+                &mut self.spectra,
+                &mut self.mags,
+                &self.pairs,
+                &mut self.spec_accum,
+            );
         }
         self.frames += 1;
         Ok(())
@@ -252,7 +237,7 @@ impl FrameAnalyzer {
         }
         let frames = self.frames as f64;
         let w = 2 * self.max_lag + 1;
-        let bins = self.cross.len();
+        let bins = self.plan.onesided_len();
 
         // Per-pair lag-window sums: one inverse FFT of each pair's running
         // spectral sum.
@@ -527,25 +512,24 @@ mod tests {
     fn int8_mode_agrees_with_reference_and_survives_reset() {
         let x = noise(960, 31);
         let y = fractional_delay(&x, 3.0, 16);
+        let z = noise(960, 32);
         let mut reference = FrameAnalyzer::new(2, 960, 13, 48_000.0).unwrap();
         let mut fast = FrameAnalyzer::new(2, 960, 13, 48_000.0).unwrap();
         fast.set_quant_mode(QuantMode::Int8);
-        assert_eq!(fast.quant_mode(), QuantMode::Int8);
 
-        reference.analyze(&[x.clone(), y.clone()]).unwrap();
-        fast.analyze(&[x.clone(), y.clone()]).unwrap();
-        let mut want = Vec::new();
-        reference.assemble_features_into(3, &mut want).unwrap();
-        let mut got = Vec::new();
-        fast.assemble_features_into(3, &mut got).unwrap();
-        assert_eq!(want.len(), got.len());
-        for (w, g) in want.iter().zip(&got) {
-            assert!((w - g).abs() < 1e-8, "{w} vs {g}");
+        // Frame analysis does not depend on the mode: bit-identical
+        // features, before and after a reset.
+        for round in 0..2 {
+            if round == 1 {
+                reference.reset();
+                fast.reset();
+            }
+            for frame in [[x.clone(), y.clone()], [z.clone(), x.clone()]] {
+                reference.analyze(&frame).unwrap();
+                fast.analyze(&frame).unwrap();
+            }
+            assert_bits_eq(&assembled(&mut fast), &assembled(&mut reference));
         }
-
-        // Reset keeps the configured mode (pooled slots set it once).
-        fast.reset();
-        assert_eq!(fast.quant_mode(), QuantMode::Int8);
     }
 
     #[test]
@@ -567,25 +551,31 @@ mod tests {
     }
 
     /// Analyzes `frames` with `a` and returns a lag-domain oracle: every
-    /// pair's per-frame GCC-PHAT window from the analyzer's own spectra,
-    /// summed over frames — what the analyzer computed before it
-    /// accumulated in the frequency domain.
+    /// pair's per-frame GCC-PHAT window from the raw spectra of the same
+    /// frames (the per-pair reference kernel, one inverse per pair and
+    /// frame), summed over frames — what the analyzer computed before it
+    /// whitened per channel and accumulated in the frequency domain.
     fn lag_domain_oracle(a: &mut FrameAnalyzer, frames: &[Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
         let w = 2 * a.max_lag() + 1;
+        let mut stft = StftProcessor::with_n_fft(a.frame_len(), a.n_fft(), Window::Hann);
+        let mut spectra = vec![vec![Complex::ZERO; a.plan.onesided_len()]; a.channels()];
         let mut scratch = SpectraGccScratch::new();
         let mut window = vec![0.0; w];
         let mut pair_sums = vec![vec![0.0; w]; a.pairs().len()];
         for frame in frames {
             a.analyze(frame).unwrap();
+            for (spec, c) in spectra.iter_mut().zip(frame) {
+                stft.process_into(c, spec);
+            }
             for (p, &(i, j)) in a.pairs.iter().enumerate() {
                 gcc_phat_from_spectra_into_mode(
-                    &a.spectra[i],
-                    &a.spectra[j],
+                    &spectra[i],
+                    &spectra[j],
                     &a.plan,
                     a.max_lag,
                     &mut scratch,
                     &mut window,
-                    a.quant,
+                    QuantMode::Reference,
                 );
                 for (acc, v) in pair_sums[p].iter_mut().zip(&window) {
                     *acc += v;

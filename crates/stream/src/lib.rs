@@ -9,11 +9,12 @@
 //!   frame/hop geometry; accepts pushes of any size and yields overlapping
 //!   analysis frames with no steady-state allocations.
 //! * [`FrameAnalyzer`] — one shared forward FFT per channel per frame
-//!   (the alloc-free `StftProcessor` scratch path), then PHAT-whitened
-//!   cross spectra for every microphone pair, accumulated in the
-//!   frequency domain with no inverse FFT per frame; one inverse per pair
-//!   at assembly gives the frame-averaged GCC curves and their sum, the
-//!   SRP curve.
+//!   (the alloc-free `StftProcessor` scratch path), each channel
+//!   PHAT-whitened once, then every microphone pair's whitened cross
+//!   spectrum accumulated in the frequency domain with no inverse FFT per
+//!   frame; one inverse per pair at assembly gives the frame-averaged GCC
+//!   curves and their sum, the SRP curve. The same kernel runs in every
+//!   `QuantMode`.
 //! * [`DirectivityAccum`] — Welch-style running average of long
 //!   channel-mean magnitude spectra, the incremental carrier of the
 //!   paper's speech-directivity evidence (HLBR + low-band chunks).

@@ -200,8 +200,9 @@ fn streaming_is_byte_identical_to_batch_on_every_scenario() {
 
 #[test]
 fn streaming_is_byte_identical_to_batch_under_int8() {
-    // Int8 frame analysis whitens with the vectorized kernel on both
-    // routes, so the identity holds in that mode too.
+    // Int8 selects the model backends only: both routes run the same
+    // frame analysis as under Reference, so the identity holds in that
+    // mode too, and the features equal the Reference pipeline's.
     let mut ht = pipeline().clone();
     let calibration: Vec<Vec<Vec<f64>>> = scenarios()
         .iter()
@@ -218,6 +219,13 @@ fn streaming_is_byte_identical_to_batch_under_int8() {
             let ctx = format!("int8 {name} (chunk {chunk_len})");
             assert_outcome_matches_batch(&ht, &channels, &outcome, &ctx);
         }
+        let (_, reference) = pipeline().decide_batch(&channels).expect("reference");
+        let (_, int8) = ht.decide_batch(&channels).expect("int8");
+        assert_bits_eq(
+            &int8,
+            &reference,
+            &format!("{name}: int8 vs reference features"),
+        );
     }
 }
 
@@ -591,20 +599,54 @@ fn reset_reuse_is_bit_identical_to_a_fresh_stream() {
 fn zero_variance_tail_matches_batch() {
     // A capture whose tail goes dead silent exercises the zero-variance
     // guard in the liveness framing and the silent-frame paths in the
-    // band-energy and GCC accumulators. Identity to batch must survive it.
+    // band-energy and GCC accumulators. A capture whose channel 3 is all
+    // zeros (a dead microphone; channel 0, which feeds liveness, stays
+    // live) whitens an all-zero spectrum in every frame. Identity to batch
+    // must survive both.
     let ht = pipeline();
-    let mut channels = CaptureSpec::baseline(9770).render().expect("render");
-    let len = channels[0].len();
-    for c in &mut channels {
+    let rendered = CaptureSpec::baseline(9770).render().expect("render");
+    let len = rendered[0].len();
+    let mut silent_tail = rendered.clone();
+    for c in &mut silent_tail {
         for x in &mut c[len / 2..] {
             *x = 0.0;
         }
     }
+    let mut dead_mic = rendered;
+    assert_eq!(dead_mic.len(), 4, "a 4-mic capture");
+    dead_mic[3].fill(0.0);
     let hop = StreamConfig::for_pipeline(ht.config()).hop;
-    for chunk_len in [hop, 997, len] {
-        let outcome = stream_outcome(ht, &channels, chunk_len);
-        let ctx = format!("silent tail (chunk {chunk_len})");
-        assert_outcome_matches_batch(ht, &channels, &outcome, &ctx);
+    for (name, channels) in [("silent tail", &silent_tail), ("dead mic 3", &dead_mic)] {
+        for chunk_len in [hop, 997, len] {
+            let outcome = stream_outcome(ht, channels, chunk_len);
+            let ctx = format!("{name} (chunk {chunk_len})");
+            assert_outcome_matches_batch(ht, channels, &outcome, &ctx);
+        }
+    }
+
+    // The dead microphone's three pairs assemble to all-zero lag windows;
+    // the live pairs keep their evidence, and nothing is NaN or infinite.
+    let (_, features) = ht.decide_batch(&dead_mic).expect("batch");
+    assert!(features.iter().all(|v| v.is_finite()), "{features:?}");
+    let config = ht.config();
+    let w = 2 * config.max_lag + 1;
+    let pairs = (0..4).flat_map(|i| ((i + 1)..4).map(move |j| (i, j)));
+    for (p, (i, j)) in pairs.enumerate() {
+        // Each pair block (lag window, TDoA, 5 stats) follows the SRP
+        // block (peaks and 5 stats).
+        let at = config.srp_peaks + 5 + p * (w + 6);
+        let window = &features[at..at + w];
+        if j == 3 {
+            assert!(
+                window.iter().all(|&v| v == 0.0),
+                "pair ({i}, {j}): {window:?}"
+            );
+        } else {
+            assert!(
+                window.iter().any(|&v| v != 0.0),
+                "pair ({i}, {j}) is silent"
+            );
+        }
     }
 }
 
