@@ -95,7 +95,10 @@ step "cargo test (HT_OBS=json)" \
 # an atomic load + branch when HT_OBS is off. The obs bench binary asserts
 # a 50 ns median bound on the disabled span/counter paths (the measured
 # cost is ~2 ns; the bound's headroom absorbs CI-runner noise) and fails
-# the run on violation. BENCH_obs.json lands in target/bench_out.
+# the run on violation. It also times the decision route's evidence
+# accumulation (headtalk::evidence::Evidence: push hop by hop, assemble)
+# with HT_OBS off and on, as a recorded number rather than a gate.
+# BENCH_obs.json lands in target/bench_out.
 step "obs overhead gate (bench obs)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \
     cargo bench -q --offline -p ht-bench --bench obs
@@ -133,15 +136,16 @@ step "server throughput gate (bench server_throughput)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \
     cargo bench -q --offline -p ht-bench --bench server_throughput
 
-# Quantized decision-path gate: the kernel_quant bench times the reference
-# vs vectorized GCC-PHAT whitening kernels and the f64 vs int8 liveness /
-# orientation inference backends, asserting the per-size cross-spectrum
-# speedup floors, a 2x floor on int8 liveness inference, an accuracy delta
-# within 0.5 pp of the f64 reference, byte-stability of the reference
-# path (building the int8 backends must not move a bit), and — on AVX2
-# machines — exact i32 agreement between the std::arch i8 kernels and the
-# scalar reference on every tested shape (non-AVX2 runners log a notice
-# and skip). BENCH_quant.json lands in target/bench_out.
+# Quantized decision-path gate: the kernel_quant bench times the decision
+# path's per-channel PHAT whitening against six per-pair reference calls
+# on one 4-mic frame, and the f64 vs int8 liveness / orientation inference
+# backends. It asserts a 1.6x floor on the per-channel kernel, a 2x floor
+# on int8 liveness inference, an accuracy delta within 0.5 pp of the f64
+# reference, byte-stability of the reference models (building the int8
+# backends must not move a bit), and — on AVX2 machines — exact i32
+# agreement between the std::arch i8 kernels and the scalar reference on
+# every tested shape (non-AVX2 runners log a notice and skip).
+# BENCH_quant.json lands in target/bench_out.
 step "quantized kernel gate (bench kernel_quant)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \
     cargo bench -q --offline -p ht-bench --bench kernel_quant

@@ -24,8 +24,8 @@ fn bench_real_fft(s: &mut Suite) {
     for &n in &[32_768usize, 48_000] {
         let x = signal(n);
         // The planned hot path: plan and scratch held across calls, output
-        // written into a reused buffer (this is what StftProcessor and
-        // Correlator do per frame).
+        // written into a reused buffer (this is what StftProcessor does per
+        // frame).
         let plan = fft::rfft_plan(n);
         let mut scratch = fft::RealFftScratch::new();
         let mut out = vec![Complex::ZERO; plan.onesided_len()];

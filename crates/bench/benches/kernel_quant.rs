@@ -7,11 +7,6 @@
 //! * the per-channel whitening kernel, the only one the decision path
 //!   runs (in both modes), must beat six per-pair reference calls on one
 //!   4-channel frame by [`CHANNEL_SPEEDUP_FLOOR`],
-//! * the vectorized squared-magnitude whitening kernel must beat the
-//!   byte-stable reference kernel by the per-size floors of
-//!   [`SPECTRUM_SIZES`] (2x at the batch-window size) at the batch SRP-PHAT
-//!   cross-spectrum sizes; these per-pair kernels serve the batch
-//!   correlators and no longer run on the decision path,
 //! * int8 liveness inference ([`QuantizedNet`]) must run at least
 //!   [`NET_SPEEDUP_FLOOR`]x the f64 wav2vec2-mini forward,
 //! * on AVX2 machines, the `std::arch` i8 dot/dist2 backends must agree
@@ -21,8 +16,7 @@
 //! * int8 accuracy must stay within [`ACCURACY_DELTA_MAX`] (0.5 pp) of the
 //!   f64 reference on a held-out corpus, and
 //! * the reference path must stay **byte-stable**: building the quantized
-//!   backends must not perturb a single bit of the f64 models' outputs,
-//!   and `srp_phat_mode(Int8)` must track the reference within tolerance.
+//!   backends must not perturb a single bit of the f64 models' outputs.
 //!
 //! Writes `BENCH_quant.json` (timings, speedups, accuracy deltas) into
 //! `HT_BENCH_DIR`.
@@ -30,12 +24,8 @@
 use ht_bench::{black_box, Suite};
 use ht_dsp::complex::Complex;
 use ht_dsp::json::Json;
-use ht_dsp::kernels::{
-    avx2_available, channel_phat_accumulate, cross_whiten_fast_into, cross_whiten_reference_into,
-};
+use ht_dsp::kernels::{avx2_available, channel_phat_accumulate, cross_whiten_reference_into};
 use ht_dsp::rng::{gaussian, Rng, SeedableRng, StdRng};
-use ht_dsp::srp::srp_phat_mode;
-use ht_dsp::QuantMode;
 use ht_ml::nn::{NeuralNet, NeuralNetConfig};
 use ht_ml::quant::{
     dist2_i8_avx2, dist2_i8_scalar, dot_i8_avx2, dot_i8_scalar, QuantScratch, QuantizedNet,
@@ -48,22 +38,13 @@ use ht_ml::{Classifier, Dataset};
 const NET_SPEEDUP_FLOOR: f64 = 2.0;
 /// Maximum tolerated accuracy difference between backends (0.5 pp).
 const ACCURACY_DELTA_MAX: f64 = 0.005;
-/// Cross-spectrum sizes to time with their speedup floors: the rFFT bin
-/// counts the SRP path produces for one analysis frame (1024 + lag padding
-/// → 2048-point FFT) and for a half-second batch window. At the frame size
-/// the whole reference kernel runs in ~10 µs, so its median wobbles enough
-/// on shared runners that the floor keeps noise headroom; the batch window
-/// measures the asymptotic kernel speedup and carries the 2x contract.
-const SPECTRUM_SIZES: [(usize, f64); 2] = [(1025, 1.3), (16385, 2.0)];
-
 /// One analysis frame's bin count: the pipeline's 960-sample frames with
 /// lag padding run a 1024-point FFT.
 const FRAME_BINS: usize = 513;
 /// Minimum speedup of the per-channel whitening kernel over six per-pair
 /// reference calls on one 4-channel frame. Six `HT_BENCH_FAST=1` runs on a
-/// shared 2-vCPU Xeon read 2.6–3.4x (the 1025-bin ratio read 1.5–2.2x
-/// against its 1.3x floor in the same runs), so the floor leaves the
-/// lowest reading 1.6x headroom.
+/// shared 2-vCPU Xeon read 2.6–3.4x, so the floor leaves the lowest reading
+/// 1.6x headroom.
 const CHANNEL_SPEEDUP_FLOOR: f64 = 1.6;
 
 /// Liveness-style corpus at the pipeline's prepared-input width: "live" has
@@ -130,31 +111,6 @@ fn accuracy(mut net_predict: impl FnMut(&[f64]) -> usize, ds: &Dataset) -> f64 {
 fn main() {
     let mut suite = Suite::new("quant");
     let mut violations: Vec<String> = Vec::new();
-
-    // --- Cross-spectrum whitening kernels -------------------------------
-    let mut cross_speedups = Vec::new();
-    for (k, &(n, floor)) in SPECTRUM_SIZES.iter().enumerate() {
-        let (xf, yf) = random_spectra(n, 0xC0_55 + k as u64);
-        let mut cross = vec![Complex::ZERO; n];
-        let mut mags = vec![0.0; n];
-        suite.bench(&format!("cross_whiten/reference_{n}"), || {
-            cross_whiten_reference_into(black_box(&xf), black_box(&yf), &mut cross, &mut mags);
-            cross[0]
-        });
-        suite.bench(&format!("cross_whiten/fast_{n}"), || {
-            cross_whiten_fast_into(black_box(&xf), black_box(&yf), &mut cross, &mut mags);
-            cross[0]
-        });
-        let speedup = min_of(&suite, &format!("cross_whiten/reference_{n}"))
-            / min_of(&suite, &format!("cross_whiten/fast_{n}"));
-        eprintln!("  cross_whiten n={n}: {speedup:.2}x (floor {floor}x)");
-        if speedup < floor {
-            violations.push(format!(
-                "cross_whiten n={n}: {speedup:.2}x is below the {floor}x floor"
-            ));
-        }
-        cross_speedups.push((n, speedup, floor));
-    }
 
     // --- Per-channel whitening: the frame analyzer's kernel -------------
     // One 4-channel frame at the analyzer's 513 bins. Each timed call first
@@ -277,8 +233,8 @@ fn main() {
     };
     let net = NeuralNet::fit(&train, &config).expect("liveness training");
 
-    // Byte-stability guard, part 1: snapshot reference outputs, build the
-    // quantized backend, and re-run — calibration must not move a bit.
+    // Byte-stability guard: snapshot reference outputs, build the quantized
+    // backend, and re-run — calibration must not move a bit.
     let probe: Vec<&[f64]> = test.features().iter().map(Vec::as_slice).collect();
     let before: Vec<u64> = probe
         .iter()
@@ -377,56 +333,12 @@ fn main() {
         min_of(&suite, "orientation_svm/reference_f64") / min_of(&suite, "orientation_svm/int8");
     eprintln!("  orientation svm int8: {svm_speedup:.2}x");
 
-    // --- Byte-stability guard, part 2: SRP modes ------------------------
-    let mut rng = StdRng::seed_from_u64(0x5B9);
-    let channels: Vec<Vec<f64>> = (0..4)
-        .map(|_| (0..1024).map(|_| gaussian(&mut rng)).collect())
-        .collect();
-    let views: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
-    let reference = srp_phat_mode(&views, 16, QuantMode::Reference).expect("srp");
-    let again = srp_phat_mode(&views, 16, QuantMode::Reference).expect("srp");
-    for (a, b) in reference.srp.values.iter().zip(&again.srp.values) {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "reference SRP must be byte-stable"
-        );
-    }
-    let fast = srp_phat_mode(&views, 16, QuantMode::Int8).expect("srp int8");
-    let srp_max_delta = reference
-        .srp
-        .values
-        .iter()
-        .zip(&fast.srp.values)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    eprintln!("  srp int8 vs reference: max delta {srp_max_delta:.2e}");
-    if srp_max_delta > 1e-9 {
-        violations.push(format!(
-            "srp int8 whitening drifted {srp_max_delta:.2e} from the reference (> 1e-9)"
-        ));
-    }
-
     // --- Report + gate ---------------------------------------------------
     let json = suite
         .to_json()
         .set(
             "speedups",
             Json::obj()
-                .set(
-                    "cross_whiten",
-                    Json::Arr(
-                        cross_speedups
-                            .iter()
-                            .map(|&(n, s, floor)| {
-                                Json::obj()
-                                    .set("bins", n)
-                                    .set("speedup", s)
-                                    .set("floor", floor)
-                            })
-                            .collect(),
-                    ),
-                )
                 .set(
                     "channel_phat",
                     Json::obj()
@@ -454,8 +366,7 @@ fn main() {
                 .set("reference", acc_ref)
                 .set("int8", acc_int8)
                 .set("delta", acc_delta)
-                .set("max_prob_delta", max_prob_delta)
-                .set("srp_max_delta", srp_max_delta),
+                .set("max_prob_delta", max_prob_delta),
         )
         .set(
             "floors",
@@ -476,7 +387,7 @@ fn main() {
         violations.join("\n")
     );
     eprintln!(
-        "suite quant: gate ok (cross kernels above their floors, int8 net {net_speedup:.2}x, \
-         accuracy delta {acc_delta:.4} <= {ACCURACY_DELTA_MAX})"
+        "suite quant: gate ok (per-channel whitening {channel_speedup:.2}x, int8 net \
+         {net_speedup:.2}x, accuracy delta {acc_delta:.4} <= {ACCURACY_DELTA_MAX})"
     );
 }

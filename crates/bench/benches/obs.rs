@@ -3,9 +3,9 @@
 //! The disabled-path contract (see `crates/obs`): with `HT_OBS=off` a span
 //! is one relaxed atomic load plus a branch — no clock read, no lock. This
 //! suite measures that path directly, the enabled path for comparison, and
-//! an instrumented DSP workload under both modes so the end-to-end cost of
-//! leaving spans compiled into the hot layers is a recorded number, not a
-//! belief.
+//! the decision route's evidence accumulation under both modes so the
+//! end-to-end cost of leaving spans compiled into the hot layers is a
+//! recorded number, not a belief.
 //!
 //! The suite doubles as CI's overhead gate: a disabled span/counter whose
 //! median exceeds [`DISABLED_NS_BOUND`] fails the run. The bound is 50 ns —
@@ -13,9 +13,10 @@
 //! supported machine, low enough to catch an accidental clock read
 //! (~20–60 ns) or lock acquisition sneaking onto the disabled path.
 
+use headtalk::evidence::Evidence;
+use headtalk::PipelineConfig;
 use ht_bench::{black_box, Suite};
 use ht_dsp::rng::SeedableRng;
-use ht_dsp::srp::srp_phat;
 
 /// Upper bound (ns, median) for the disabled span and counter paths.
 const DISABLED_NS_BOUND: f64 = 50.0;
@@ -38,24 +39,35 @@ fn bench_primitives(s: &mut Suite) {
     ht_obs::registry().reset();
 }
 
-/// An instrumented hot-path workload (SRP-PHAT carries a span, and its
-/// callees run under the pool counters) timed with observability off and
-/// on: the delta is the real-world cost of recording.
+/// The decision route's evidence accumulator on a 0.25 s 4-mic capture:
+/// reset, push hop by hop, assemble — every span a decision records before
+/// inference. It is allocation-free once warm, so the off/on delta is the
+/// cost of recording alone; a workload that allocates per call lets heap
+/// state move that delta by a third.
 fn bench_instrumented_workload(s: &mut Suite) {
+    let cfg = PipelineConfig::default();
     let mut rng = ht_dsp::rng::StdRng::seed_from_u64(0x0B5);
-    let base = ht_dsp::rng::white_noise(&mut rng, 2048);
-    let delayed = ht_dsp::signal::fractional_delay(&base, 1.5, 16);
-    let channels: Vec<&[f64]> = vec![&base, &delayed];
+    let base = ht_dsp::rng::white_noise(&mut rng, 12_000);
+    let channels: Vec<Vec<f64>> = (0..4)
+        .map(|k| ht_dsp::signal::fractional_delay(&base, 1.5 * k as f64, 16))
+        .collect();
+    let (_, hop) = cfg.analysis_frame_geometry();
+    let mut evidence = Evidence::new(&cfg, channels.len()).expect("4-mic evidence");
+    let mut decide = || {
+        evidence.reset();
+        for at in (0..base.len()).step_by(hop) {
+            let end = (at + hop).min(base.len());
+            let chunk: [&[f64]; 4] = std::array::from_fn(|k| &channels[k][at..end]);
+            evidence.push(black_box(&chunk)).expect("finite chunk");
+        }
+        evidence.assemble().expect("voiced capture").features[0]
+    };
 
     ht_obs::set_mode(ht_obs::Mode::Off);
-    s.bench("obs/srp_phat_2ch_2048_obs_off", || {
-        srp_phat(black_box(&channels), 13)
-    });
+    s.bench("obs/evidence_4ch_12000_obs_off", &mut decide);
     ht_obs::set_mode(ht_obs::Mode::Json);
     ht_obs::registry().reset();
-    s.bench("obs/srp_phat_2ch_2048_obs_json", || {
-        srp_phat(black_box(&channels), 13)
-    });
+    s.bench("obs/evidence_4ch_12000_obs_json", &mut decide);
     ht_obs::set_mode(ht_obs::Mode::Off);
     ht_obs::registry().reset();
 }

@@ -5,12 +5,18 @@
 //! reflects pure time delay rather than spectral coloration — this is what
 //! makes it usable for time-difference-of-arrival (TDoA) estimation in
 //! reverberant rooms.
+//!
+//! [`gcc_phat`], [`xcorr`] and [`tdoa_samples`] are one-shot functions over
+//! whole equal-length channels; summing the pairwise [`gcc_phat`] curves of
+//! a capture gives its SRP-PHAT curve (Eq. 6). The decision path does not
+//! call them: the streaming frame analyzer (`ht_stream::FrameAnalyzer`)
+//! whitens each channel once with [`crate::kernels::channel_phat_accumulate`]
+//! and reads its per-pair sums back through [`lag_window_into`].
 
 use crate::complex::Complex;
 use crate::error::DspError;
 use crate::fft::{self, RealFftPlan, RealFftScratch};
 use crate::kernels::{self, QuantMode};
-use std::sync::Arc;
 
 /// A lag-domain correlation curve restricted to `±max_lag` samples.
 ///
@@ -63,19 +69,6 @@ impl LagCurve {
     }
 }
 
-fn validate_pair(x: &[f64], y: &[f64]) -> Result<(), DspError> {
-    if x.is_empty() || y.is_empty() {
-        return Err(DspError::length("signal", "must be non-empty"));
-    }
-    if x.len() != y.len() {
-        return Err(DspError::length(
-            "signal",
-            format!("channel lengths differ: {} vs {}", x.len(), y.len()),
-        ));
-    }
-    Ok(())
-}
-
 /// Inverse-transforms a one-sided cross spectrum into `r` (the
 /// `plan.len()`-point circular correlation) and copies its `±max_lag`
 /// window into `values`. Allocation-free once `scratch` has warmed up to
@@ -124,155 +117,10 @@ fn extract_lags(r: &[f64], max_lag: usize, values: &mut [f64]) {
     }
 }
 
-/// A reusable correlation engine for one channel length and lag window:
-/// the FFT plan and every intermediate buffer are allocated once, so each
-/// [`gcc_phat_into`](Correlator::gcc_phat_into) /
-/// [`xcorr_into`](Correlator::xcorr_into) call is allocation-free — the
-/// right shape for per-frame streaming use.
-///
-/// The one-shot free functions ([`gcc_phat`], [`xcorr`]) build a throwaway
-/// `Correlator` per call (sharing the cached plan) and produce identical
-/// values.
-#[derive(Debug, Clone)]
-pub struct Correlator {
-    plan: Arc<RealFftPlan>,
-    n: usize,
-    max_lag: usize,
-    scratch: RealFftScratch,
-    xf: Vec<Complex>,
-    yf: Vec<Complex>,
-    cross: Vec<Complex>,
-    mags: Vec<f64>,
-    r: Vec<f64>,
-}
-
-impl Correlator {
-    /// Builds a correlator for equal-length channels of `n` samples over
-    /// lags `±max_lag` (clamped to `n − 1`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] if `n == 0`.
-    pub fn new(n: usize, max_lag: usize) -> Result<Correlator, DspError> {
-        if n == 0 {
-            return Err(DspError::length("signal", "must be non-empty"));
-        }
-        let max_lag = max_lag.min(n - 1);
-        // Pad to avoid circular aliasing of lags we care about.
-        let size = fft::next_pow2(n + max_lag + 1);
-        let plan = fft::rfft_plan(size);
-        let bins = plan.onesided_len();
-        Ok(Correlator {
-            n,
-            max_lag,
-            scratch: RealFftScratch::new(),
-            xf: vec![Complex::ZERO; bins],
-            yf: vec![Complex::ZERO; bins],
-            cross: vec![Complex::ZERO; bins],
-            mags: vec![0.0; bins],
-            r: vec![0.0; plan.len()],
-            plan,
-        })
-    }
-
-    /// The channel length this correlator was built for.
-    pub fn channel_len(&self) -> usize {
-        self.n
-    }
-
-    /// The effective half-width of the lag window (after clamping).
-    pub fn max_lag(&self) -> usize {
-        self.max_lag
-    }
-
-    /// Length of the lag window, `2 · max_lag + 1` — the required size of
-    /// the `values` buffer passed to the `_into` methods.
-    pub fn window_len(&self) -> usize {
-        2 * self.max_lag + 1
-    }
-
-    /// GCC-PHAT into a caller-provided lag window (allocation-free).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] for empty, mismatched, or
-    /// wrong-length inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.window_len()`.
-    pub fn gcc_phat_into(
-        &mut self,
-        x: &[f64],
-        y: &[f64],
-        values: &mut [f64],
-    ) -> Result<(), DspError> {
-        self.correlate_into(x, y, true, values)
-    }
-
-    /// Plain cross-correlation into a caller-provided lag window
-    /// (allocation-free).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidLength`] for empty, mismatched, or
-    /// wrong-length inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.window_len()`.
-    pub fn xcorr_into(&mut self, x: &[f64], y: &[f64], values: &mut [f64]) -> Result<(), DspError> {
-        self.correlate_into(x, y, false, values)
-    }
-
-    fn correlate_into(
-        &mut self,
-        x: &[f64],
-        y: &[f64],
-        phat: bool,
-        values: &mut [f64],
-    ) -> Result<(), DspError> {
-        validate_pair(x, y)?;
-        if x.len() != self.n {
-            return Err(DspError::length(
-                "signal",
-                format!("correlator built for length {}, got {}", self.n, x.len()),
-            ));
-        }
-        assert_eq!(values.len(), self.window_len(), "lag window length");
-        self.plan.forward_into(x, &mut self.xf, &mut self.scratch);
-        self.plan.forward_into(y, &mut self.yf, &mut self.scratch);
-        if phat {
-            // Fused product + whiten kernel: bit-identical to the separate
-            // loops, one magnitude evaluation per bin instead of two.
-            kernels::cross_whiten_reference_into(
-                &self.xf,
-                &self.yf,
-                &mut self.cross,
-                &mut self.mags,
-            );
-        } else {
-            for ((c, a), b) in self.cross.iter_mut().zip(&self.xf).zip(&self.yf) {
-                *c = *a * b.conj();
-            }
-        }
-        lag_window_into(
-            &self.plan,
-            &self.cross,
-            self.max_lag,
-            &mut self.r,
-            &mut self.scratch,
-            values,
-        );
-        Ok(())
-    }
-}
-
-/// Reusable working storage for [`gcc_phat_from_spectra_into`]: the cross
-/// spectrum, the lag-domain inverse and the FFT scratch. Buffers grow to the
-/// plan's size on first use and are reused verbatim afterwards, so a warmed
-/// scratch makes every subsequent call allocation-free — the shape per-frame
-/// streaming needs.
+/// Reusable working storage for [`gcc_phat_from_spectra_into_mode`]: the
+/// cross spectrum, the lag-domain inverse and the FFT scratch. Buffers grow
+/// to the plan's size on first use and are reused verbatim afterwards, so
+/// every call after the first is allocation-free.
 #[derive(Debug, Clone)]
 pub struct SpectraGccScratch {
     cross: Vec<Complex>,
@@ -299,39 +147,22 @@ impl Default for SpectraGccScratch {
     }
 }
 
-/// GCC-PHAT from two already-transformed one-sided spectra (as produced by
-/// `plan.forward_into` on the padded channels) into a caller-provided
-/// `±max_lag` window. Lets SRP-PHAT and the streaming frame analyzer forward
-/// each channel once instead of once per pair; values are identical to
-/// [`gcc_phat`] on the time-domain channels. Allocation-free once `scratch`
-/// has warmed up to the plan's size.
+/// GCC-PHAT of one pair from two already-transformed one-sided spectra (as
+/// produced by `plan.forward_into` on the padded channels) into a
+/// caller-provided `±max_lag` window, whitened per pair by
+/// [`kernels::cross_whiten_reference_into`]: the values are bit-identical
+/// to [`gcc_phat`] on the time-domain channels. Allocation-free once
+/// `scratch` has warmed up to the plan's size.
+///
+/// `_mode` selects nothing: both [`QuantMode`]s run the reference kernel.
+/// No decision calls this function; the end-to-end benchmark's per-layer
+/// replay still times it per frame, so its signature stays.
 ///
 /// # Panics
 ///
 /// Panics if a spectrum's length differs from `plan.onesided_len()`, if
 /// `values.len() != 2 * max_lag + 1`, or if `max_lag >= plan.len()` (the
 /// circular correlation has no such lag).
-pub fn gcc_phat_from_spectra_into(
-    xf: &[Complex],
-    yf: &[Complex],
-    plan: &RealFftPlan,
-    max_lag: usize,
-    scratch: &mut SpectraGccScratch,
-    values: &mut [f64],
-) {
-    gcc_phat_from_spectra_into_mode(xf, yf, plan, max_lag, scratch, values, QuantMode::Reference);
-}
-
-/// [`gcc_phat_from_spectra_into`] with an explicit kernel selection: under
-/// [`QuantMode::Reference`] the fused byte-stable whitening kernel runs
-/// (identical to [`gcc_phat`] on the time-domain channels); under
-/// [`QuantMode::Int8`] the vectorized squared-magnitude kernel runs,
-/// agreeing within tolerance but not bitwise. Batch SRP-PHAT
-/// ([`crate::srp::srp_phat`]) calls it once per pair.
-///
-/// # Panics
-///
-/// As for [`gcc_phat_from_spectra_into`].
 #[allow(clippy::too_many_arguments)]
 pub fn gcc_phat_from_spectra_into_mode(
     xf: &[Complex],
@@ -340,7 +171,7 @@ pub fn gcc_phat_from_spectra_into_mode(
     max_lag: usize,
     scratch: &mut SpectraGccScratch,
     values: &mut [f64],
-    mode: QuantMode,
+    _mode: QuantMode,
 ) {
     let bins = plan.onesided_len();
     assert_eq!(xf.len(), bins, "x spectrum length");
@@ -348,7 +179,7 @@ pub fn gcc_phat_from_spectra_into_mode(
     scratch.cross.resize(bins, Complex::ZERO);
     scratch.mags.resize(bins, 0.0);
     scratch.r.resize(plan.len(), 0.0);
-    kernels::cross_whiten_into(mode, xf, yf, &mut scratch.cross, &mut scratch.mags);
+    kernels::cross_whiten_reference_into(xf, yf, &mut scratch.cross, &mut scratch.mags);
     lag_window_into(
         plan,
         &scratch.cross,
@@ -360,20 +191,37 @@ pub fn gcc_phat_from_spectra_into_mode(
 }
 
 /// Computes the whitened (`phat = true`) or plain cross-correlation of two
-/// equal-length channels over lags `±max_lag`.
+/// equal-length channels over lags `±max_lag` (clamped to `n − 1`).
 ///
 /// # Errors
 ///
 /// Returns [`DspError::InvalidLength`] for empty or length-mismatched inputs.
 fn cross_correlate(x: &[f64], y: &[f64], max_lag: usize, phat: bool) -> Result<LagCurve, DspError> {
-    validate_pair(x, y)?;
-    let mut correlator = Correlator::new(x.len(), max_lag)?;
-    let mut values = vec![0.0; correlator.window_len()];
-    correlator.correlate_into(x, y, phat, &mut values)?;
-    Ok(LagCurve {
-        values,
-        max_lag: correlator.max_lag(),
-    })
+    if x.is_empty() || y.is_empty() {
+        return Err(DspError::length("signal", "must be non-empty"));
+    }
+    if x.len() != y.len() {
+        return Err(DspError::length(
+            "signal",
+            format!("channel lengths differ: {} vs {}", x.len(), y.len()),
+        ));
+    }
+    let max_lag = max_lag.min(x.len() - 1);
+    // Pad to avoid circular aliasing of lags we care about.
+    let plan = fft::rfft_plan(fft::next_pow2(x.len() + max_lag + 1));
+    let (xf, yf) = (plan.forward(x), plan.forward(y));
+    let mut cross = vec![Complex::ZERO; xf.len()];
+    if phat {
+        let mut mags = vec![0.0; xf.len()];
+        kernels::cross_whiten_reference_into(&xf, &yf, &mut cross, &mut mags);
+    } else {
+        for ((c, a), b) in cross.iter_mut().zip(&xf).zip(&yf) {
+            *c = *a * b.conj();
+        }
+    }
+    let mut values = vec![0.0; 2 * max_lag + 1];
+    extract_lags(&plan.inverse(&cross), max_lag, &mut values);
+    Ok(LagCurve { values, max_lag })
 }
 
 /// Plain cross-correlation over lags `±max_lag`.
@@ -529,38 +377,15 @@ mod tests {
         let z = vec![0.0; 256];
         let g = gcc_phat(&z, &z, 8).unwrap();
         assert!(g.values.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn reused_correlator_matches_one_shot_bit_for_bit() {
-        let x = chirp(1024);
-        let y = fractional_delay(&x, 4.0, 16);
-        let mut c = Correlator::new(1024, 12).unwrap();
-        let mut values = vec![0.0; c.window_len()];
-        for _ in 0..3 {
-            c.gcc_phat_into(&x, &y, &mut values).unwrap();
-            let one_shot = gcc_phat(&x, &y, 12).unwrap();
-            assert_eq!(values, one_shot.values, "reused buffers changed the result");
-            c.xcorr_into(&x, &y, &mut values).unwrap();
-            let one_shot = xcorr(&x, &y, 12).unwrap();
-            assert_eq!(values, one_shot.values);
-        }
-    }
-
-    #[test]
-    fn correlator_rejects_wrong_channel_length() {
-        let mut c = Correlator::new(256, 8).unwrap();
-        assert_eq!(c.channel_len(), 256);
-        let short = vec![1.0; 128];
-        let mut values = vec![0.0; c.window_len()];
-        assert!(c.gcc_phat_into(&short, &short, &mut values).is_err());
-        assert!(Correlator::new(0, 8).is_err());
+        // A flat curve's maximum ties everywhere; `peak::argmax` keeps the
+        // last, so the TDoA is +max_lag.
+        assert_eq!(g.peak_lag_interpolated(), 8.0);
     }
 
     #[test]
     fn spectra_gcc_matches_time_domain_gcc_bitwise() {
-        // The streaming path (shared forward FFTs + scratch reuse) must be
-        // indistinguishable from the one-shot time-domain GCC-PHAT.
+        // Shared forward FFTs + scratch reuse must be indistinguishable
+        // from the one-shot time-domain GCC-PHAT.
         let x = chirp(960);
         let y = fractional_delay(&x, 6.0, 16);
         let max_lag = 13;
@@ -572,13 +397,23 @@ mod tests {
         let mut scratch = SpectraGccScratch::new();
         let mut values = vec![0.0; 2 * max_lag + 1];
         for _ in 0..3 {
-            gcc_phat_from_spectra_into(&xf, &yf, &plan, max_lag, &mut scratch, &mut values);
+            gcc_phat_from_spectra_into_mode(
+                &xf,
+                &yf,
+                &plan,
+                max_lag,
+                &mut scratch,
+                &mut values,
+                QuantMode::Reference,
+            );
             assert_eq!(values, reference.values);
         }
     }
 
     #[test]
-    fn int8_mode_gcc_agrees_with_reference_within_tolerance() {
+    fn both_quant_modes_give_the_reference_gcc_bit_for_bit() {
+        // The mode selects no kernel: a whitening that divided by
+        // `√(re² + im²)` instead of `hypot` would differ here in low bits.
         let x = broadband(960);
         let y = fractional_delay(&x, 6.0, 16);
         let max_lag = 13;
@@ -587,25 +422,21 @@ mod tests {
         let yf = plan.forward(&y);
         let reference = gcc_phat(&x, &y, max_lag).unwrap();
         let mut scratch = SpectraGccScratch::new();
-        let mut values = vec![0.0; 2 * max_lag + 1];
-        gcc_phat_from_spectra_into_mode(
-            &xf,
-            &yf,
-            &plan,
-            max_lag,
-            &mut scratch,
-            &mut values,
-            QuantMode::Int8,
-        );
-        for (got, want) in values.iter().zip(&reference.values) {
-            assert!((got - want).abs() < 1e-9, "{got} vs {want}");
+        for mode in [QuantMode::Reference, QuantMode::Int8] {
+            let mut values = vec![0.0; 2 * max_lag + 1];
+            gcc_phat_from_spectra_into_mode(
+                &xf,
+                &yf,
+                &plan,
+                max_lag,
+                &mut scratch,
+                &mut values,
+                mode,
+            );
+            for (k, (got, want)) in values.iter().zip(&reference.values).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "{mode:?} lag index {k}");
+            }
         }
-        // The peak — the TDoA evidence — lands on the same lag.
-        let fast = LagCurve {
-            values: values.clone(),
-            max_lag,
-        };
-        assert_eq!(fast.peak_lag(), reference.peak_lag());
     }
 
     #[test]
@@ -616,13 +447,14 @@ mod tests {
         let xf = plan.forward(&x);
         let mut scratch = SpectraGccScratch::new();
         let mut values = vec![0.0; 3];
-        gcc_phat_from_spectra_into(&xf, &xf, &plan, 8, &mut scratch, &mut values);
-    }
-
-    #[test]
-    fn correlator_clamps_lag_window() {
-        let c = Correlator::new(3, 100).unwrap();
-        assert_eq!(c.max_lag(), 2);
-        assert_eq!(c.window_len(), 5);
+        gcc_phat_from_spectra_into_mode(
+            &xf,
+            &xf,
+            &plan,
+            8,
+            &mut scratch,
+            &mut values,
+            QuantMode::Reference,
+        );
     }
 }

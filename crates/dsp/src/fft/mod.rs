@@ -10,7 +10,7 @@
 //! and allocate only their output. Hot loops that cannot afford even the
 //! output allocation should hold a plan and scratch directly — see
 //! [`plan::RealFftPlan::forward_into`], [`crate::stft::StftProcessor`] and
-//! [`crate::correlate::Correlator`].
+//! [`crate::correlate::lag_window_into`].
 
 pub mod plan;
 

@@ -340,17 +340,6 @@ impl Butterworth {
         sections.extend(lp.sections);
         Ok(Sos::new(sections))
     }
-
-    /// The exact preprocessing filter from §III of the paper: 5th-order
-    /// band-pass keeping 100–16 000 Hz at the given sample rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `fs` is too low for the 16 kHz corner
-    /// (`fs <= 32 kHz`).
-    pub fn headtalk_preprocess(fs: f64) -> Result<Sos, DspError> {
-        Self::bandpass(5, 100.0, 16_000.0, fs)
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +386,7 @@ mod tests {
 
     #[test]
     fn bandpass_passes_speech_band_and_rejects_outside() {
-        let f = Butterworth::headtalk_preprocess(FS).unwrap();
+        let f = Butterworth::bandpass(5, 100.0, 16_000.0, FS).unwrap();
         // Mid band: close to unity.
         assert!((f.magnitude_at(1000.0, FS) - 1.0).abs() < 0.01);
         // Well below the low corner and near DC: strongly attenuated.
@@ -417,7 +406,7 @@ mod tests {
         assert!(Butterworth::lowpass(5, 0.0, FS).is_err());
         assert!(Butterworth::lowpass(5, 24_000.0, FS).is_err());
         assert!(Butterworth::lowpass(5, 100.0, 0.0).is_err());
-        assert!(Butterworth::headtalk_preprocess(30_000.0).is_err());
+        assert!(Butterworth::bandpass(5, 100.0, 16_000.0, 30_000.0).is_err());
     }
 
     #[test]
@@ -477,7 +466,7 @@ mod tests {
 
     #[test]
     fn streaming_sos_matches_batch_for_any_chunking() {
-        let sos = Butterworth::headtalk_preprocess(FS).unwrap();
+        let sos = Butterworth::bandpass(5, 100.0, 16_000.0, FS).unwrap();
         for (len, seed) in [(1usize, 1u64), (7, 2), (960, 3), (4801, 4)] {
             let x = noise(len, seed);
             let want = sos.filter(&x);

@@ -1,34 +1,22 @@
-//! Flat, chunked, autovectorizable kernels for the decision hot path, and
-//! the [`QuantMode`] switch that selects between the byte-stable f64
-//! reference kernels and the faster approximate variants backing the int8
-//! quantized inference path.
+//! Flat, chunked, autovectorizable PHAT whitening kernels, and the
+//! [`QuantMode`] switch that selects the decision path's model backends.
 //!
-//! The decision path whitens with one kernel in every mode:
-//!
-//! * [`channel_phat_accumulate`] uses the separability of PHAT,
+//! * [`channel_phat_accumulate`] is the decision path's only whitening
+//!   step. It uses the separability of PHAT,
 //!   `XᵢXⱼ*/|XᵢXⱼ*| = (Xᵢ/|Xᵢ|)·conj(Xⱼ/|Xⱼ|)`: it normalizes each
 //!   channel's spectrum once and adds every pair's masked unit product to
 //!   that pair's running sum. Built only from correctly rounded IEEE
 //!   operations, its bits do not depend on the platform's libm. The
 //!   streaming frame analyzer (`ht_stream::FrameAnalyzer`), and so every
 //!   decision route, runs it.
-//!
-//! Two per-pair kernels implement the GCC-PHAT cross-spectrum product for
-//! the batch correlators (`srp_phat`, `Correlator`); no decision runs them:
-//!
-//! * [`cross_whiten_reference_into`] fuses the product, magnitude and
-//!   running-max passes of the historical `product loop + whiten` sequence
-//!   into one streaming pass over contiguous scratch. It is **bit-identical**
-//!   to the original (same `hypot` magnitudes, same sequential max fold,
-//!   same per-component division) while computing each magnitude once
-//!   instead of twice — the reference path's golden reports stay
-//!   byte-stable. It is also the per-channel kernel's test oracle.
-//! * [`cross_whiten_fast_into`] works in squared magnitudes (`re² + im²`,
-//!   no `hypot` libm call), takes the bin maximum with a chunked
-//!   multi-accumulator fold, and normalizes via `1/√m²` — every loop is a
-//!   flat FMA-able sweep the compiler autovectorizes. Values agree with the
-//!   reference to ~1e-12 relative but are *not* bit-identical, so this
-//!   kernel is only reachable under [`QuantMode::Int8`].
+//! * [`cross_whiten_reference_into`] whitens one pair's cross spectrum for
+//!   the one-shot correlators in [`crate::correlate`], which no decision
+//!   runs, and is the per-channel kernel's test oracle. It fuses the
+//!   product, magnitude and running-max passes of the historical
+//!   `product loop + whiten` sequence into one pass over contiguous
+//!   scratch, **bit-identical** to the original (same `hypot` magnitudes,
+//!   same sequential max fold, same per-component division) while
+//!   computing each magnitude once instead of twice.
 //!
 //! It also hosts the one cached AVX2 probe, [`avx2_available`], that every
 //! `std::arch` kernel in the workspace dispatches on (the FFT butterflies
@@ -65,32 +53,22 @@ pub fn avx2_available() -> bool {
     false
 }
 
-/// Which numeric backend the decision hot path runs on.
+/// Which numeric backend the decision path's models run on.
 ///
 /// `Reference` is the byte-stable f64 path every golden report is pinned
 /// against; `Int8` selects the int8 quantized model forwards in `ht-ml`
 /// (calibrated offline, accuracy gated within 0.5 pp of the reference in
-/// CI) and, in the batch correlators only, [`cross_whiten_fast_into`].
-/// Decision features do not depend on the mode: the frame analyzer runs
-/// [`channel_phat_accumulate`] in both. Training, calibration and
-/// report-producing experiment paths always use `Reference`.
+/// CI). The mode selects no DSP kernel: features have the same bits in
+/// both. Training, calibration and report-producing experiment paths
+/// always use `Reference`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum QuantMode {
-    /// The f64 reference path: byte-stable, golden-report pinned.
+    /// The f64 reference models: byte-stable, golden-report pinned.
     #[default]
     Reference,
-    /// The quantized/vectorized fast path: int8 model forwards, plus the
-    /// squared-magnitude whitening kernel in the batch correlators. Logits
-    /// and batch GCC curves agree with the reference within tested
-    /// tolerance bounds but are not bit-identical.
+    /// The int8 quantized model forwards. Logits agree with the reference
+    /// within tested tolerance bounds but are not bit-identical.
     Int8,
-}
-
-impl QuantMode {
-    /// `true` for the byte-stable reference backend.
-    pub fn is_reference(self) -> bool {
-        matches!(self, QuantMode::Reference)
-    }
 }
 
 /// Relative silence floor of the PHAT whitening: bins more than 80 dB below
@@ -100,28 +78,7 @@ const PHAT_REL_FLOOR: f64 = 1e-4;
 /// Absolute magnitude floor guarding all-silent spectra.
 const PHAT_ABS_FLOOR: f64 = 1e-15;
 
-/// Fused cross-power product + PHAT whitening with the kernel `mode`
-/// selects: [`cross_whiten_reference_into`] under [`QuantMode::Reference`],
-/// [`cross_whiten_fast_into`] under [`QuantMode::Int8`]. The one place the
-/// whitening kernel is chosen.
-///
-/// # Panics
-///
-/// Panics if the four slices disagree in length.
-pub fn cross_whiten_into(
-    mode: QuantMode,
-    xf: &[Complex],
-    yf: &[Complex],
-    cross: &mut [Complex],
-    mags: &mut [f64],
-) {
-    match mode {
-        QuantMode::Reference => cross_whiten_reference_into(xf, yf, cross, mags),
-        QuantMode::Int8 => cross_whiten_fast_into(xf, yf, cross, mags),
-    }
-}
-
-/// Fused cross-power product + PHAT whitening, reference flavour.
+/// Fused cross-power product + PHAT whitening of one pair.
 ///
 /// Computes `cross[i] = xf[i] · conj(yf[i])` whitened to unit magnitude
 /// (silencing bins below the relative/absolute floors), using `mags` as
@@ -163,67 +120,12 @@ pub fn cross_whiten_reference_into(
     }
 }
 
-/// Accumulator lanes of the fast kernel's chunked max fold — wide enough to
-/// fill a 256-bit vector of f64, small enough to stay in registers.
+/// Accumulator lanes of `max_product`'s chunked max fold — wide enough
+/// to fill a 256-bit vector of f64, small enough to stay in registers.
 const MAX_LANES: usize = 4;
 
-/// Fused cross-power product + PHAT whitening, vectorized flavour
-/// ([`QuantMode::Int8`] only).
-///
-/// Identical contract to [`cross_whiten_reference_into`] but works in
-/// squared magnitudes throughout: the product pass stores `re² + im²` into
-/// `m2s` (no `hypot`), the maximum is folded over `MAX_LANES` (4) independent
-/// accumulators so the compiler can keep it in one vector register, and the
-/// normalize pass multiplies by `1/√m²`. The floors are squared
-/// (`(max·1e-4)² = max²·1e-8`, `(1e-15)² = 1e-30`), preserving the
-/// reference predicate in exact arithmetic; float rounding can flip bins
-/// sitting exactly on the floor, which is covered by the Int8 tolerance
-/// gate rather than byte-stability.
-///
-/// # Panics
-///
-/// Panics if the four slices disagree in length.
-pub fn cross_whiten_fast_into(
-    xf: &[Complex],
-    yf: &[Complex],
-    cross: &mut [Complex],
-    m2s: &mut [f64],
-) {
-    let n = cross.len();
-    assert_eq!(xf.len(), n, "x spectrum length");
-    assert_eq!(yf.len(), n, "y spectrum length");
-    assert_eq!(m2s.len(), n, "magnitude scratch length");
-    for i in 0..n {
-        let c = xf[i] * yf[i].conj();
-        cross[i] = c;
-        m2s[i] = c.norm_sqr();
-    }
-    let mut lanes = [0.0f64; MAX_LANES];
-    let chunks = m2s.chunks_exact(MAX_LANES);
-    let tail = chunks.remainder();
-    for chunk in chunks {
-        for (acc, &m2) in lanes.iter_mut().zip(chunk) {
-            *acc = acc.max(m2);
-        }
-    }
-    let mut max_m2 = tail.iter().fold(0.0f64, |acc, &m2| acc.max(m2));
-    for acc in lanes {
-        max_m2 = max_m2.max(acc);
-    }
-    let floor2 = max_m2 * (PHAT_REL_FLOOR * PHAT_REL_FLOOR);
-    let abs_floor2 = PHAT_ABS_FLOOR * PHAT_ABS_FLOOR;
-    for i in 0..n {
-        let m2 = m2s[i];
-        cross[i] = if m2 > floor2 && m2 > abs_floor2 {
-            cross[i].scale(1.0 / m2.sqrt())
-        } else {
-            Complex::ZERO
-        };
-    }
-}
-
 /// Per-channel PHAT whitening of one frame, accumulated per pair: the
-/// frame analyzer's whitening step in every [`QuantMode`].
+/// frame analyzer's only whitening step.
 ///
 /// PHAT whitening is separable, `XᵢXⱼ*/|XᵢXⱼ*| = uᵢ·conj(uⱼ)` with
 /// `u = X/|X|`, so each channel is whitened once instead of once per pair.
@@ -356,32 +258,20 @@ mod tests {
     }
 
     #[test]
-    fn fast_kernel_matches_reference_within_tolerance() {
-        for n in [1usize, 5, 64, 257, 1024] {
-            let (xf, yf) = spectra(n, 0xD1B54A32D192ED03 ^ n as u64);
-            let expected = naive_product_then_whiten(&xf, &yf);
-            let mut cross = vec![Complex::ZERO; n];
-            let mut m2s = vec![0.0; n];
-            cross_whiten_fast_into(&xf, &yf, &mut cross, &mut m2s);
-            for (got, want) in cross.iter().zip(&expected) {
-                assert!(
-                    (got.re - want.re).abs() < 1e-10 && (got.im - want.im).abs() < 1e-10,
-                    "n = {n}: {got} vs {want}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn both_kernels_silence_an_all_zero_spectrum() {
         let zeros = vec![Complex::ZERO; 33];
         let mut cross = vec![Complex::ONE; 33];
         let mut mags = vec![1.0; 33];
         cross_whiten_reference_into(&zeros, &zeros, &mut cross, &mut mags);
         assert!(cross.iter().all(|c| *c == Complex::ZERO));
-        let mut cross = vec![Complex::ONE; 33];
-        cross_whiten_fast_into(&zeros, &zeros, &mut cross, &mut mags);
-        assert!(cross.iter().all(|c| *c == Complex::ZERO));
+        // The per-channel kernel whitens silence to zero (no 0/0) and adds
+        // nothing to a running sum.
+        let mut spectra = vec![zeros.clone(), zeros];
+        let mut mags = vec![1.0; 2 * 33];
+        let mut accum = vec![Complex::ONE; 33];
+        channel_phat_accumulate(&mut spectra, &mut mags, &[(0, 1)], &mut accum);
+        assert!(spectra.iter().flatten().all(|u| *u == Complex::ZERO));
+        assert!(accum.iter().all(|c| *c == Complex::ONE));
     }
 
     #[test]
@@ -547,7 +437,5 @@ mod tests {
     #[test]
     fn quant_mode_defaults_to_reference() {
         assert_eq!(QuantMode::default(), QuantMode::Reference);
-        assert!(QuantMode::Reference.is_reference());
-        assert!(!QuantMode::Int8.is_reference());
     }
 }

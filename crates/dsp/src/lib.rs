@@ -10,8 +10,9 @@
 //!   band-pass pre-filter) with zero-phase `filtfilt`,
 //! * [resampling](resample) (the 48 kHz → 16 kHz decimation feeding liveness
 //!   detection),
-//! * [cross-correlation and GCC-PHAT](correlate) and the
-//!   [SRP-PHAT](srp) steered-response power used as orientation features,
+//! * [cross-correlation and GCC-PHAT](correlate), whose pairwise curves sum
+//!   to the SRP-PHAT steered-response power used as orientation features,
+//! * the PHAT whitening [kernels] of the decision path,
 //! * [spectral analysis](spectrum) (band energies, Welch PSD, the high/low
 //!   band ratio of §III-B3),
 //! * [descriptive statistics](stats) (kurtosis, skewness, MAD, …) used as
@@ -63,7 +64,6 @@ pub mod resample;
 pub mod rng;
 pub mod signal;
 pub mod spectrum;
-pub mod srp;
 pub mod stats;
 pub mod stft;
 pub mod window;

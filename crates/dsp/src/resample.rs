@@ -264,15 +264,6 @@ impl StreamDecimator {
     }
 }
 
-/// Downsamples 48 kHz audio to 16 kHz (the liveness-detector input rate).
-///
-/// # Errors
-///
-/// Propagates [`decimate`] errors (none in practice: the factor is fixed).
-pub fn to_16k_from_48k(x: &[f64]) -> Result<Vec<f64>, DspError> {
-    decimate(x, 3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,7 +319,7 @@ mod tests {
     fn passband_tone_survives_decimation() {
         // 1 kHz tone at 48 kHz -> 16 kHz: well inside the new Nyquist.
         let x = tone(1000.0, 48_000.0, 48_000, 1.0);
-        let y = to_16k_from_48k(&x).unwrap();
+        let y = decimate(&x, 3).unwrap();
         let mid = &y[2000..14_000];
         assert!((rms(mid) - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.02);
     }
@@ -337,7 +328,7 @@ mod tests {
     fn aliasing_tone_is_suppressed() {
         // 10 kHz is above the 16 kHz-Nyquist of 8 kHz; it must not alias in.
         let x = tone(10_000.0, 48_000.0, 48_000, 1.0);
-        let y = to_16k_from_48k(&x).unwrap();
+        let y = decimate(&x, 3).unwrap();
         assert!(rms(&y[2000..14_000]) < 0.01);
     }
 
@@ -345,7 +336,7 @@ mod tests {
     fn decimated_tone_keeps_frequency() {
         let f = 440.0;
         let x = tone(f, 48_000.0, 48_000, 1.0);
-        let y = to_16k_from_48k(&x).unwrap();
+        let y = decimate(&x, 3).unwrap();
         let mag = crate::fft::rfft_magnitude(&y[..16_000]);
         let peak = crate::peak::argmax(&mag).unwrap();
         let bin_hz = 16_000.0 / crate::fft::next_pow2(16_000) as f64;

@@ -1,15 +1,16 @@
 //! Proof that the steady-state STFT and GCC-PHAT paths make zero heap
 //! allocations per frame: a counting global allocator wraps `System`, and
 //! after one warm-up call (which sizes the plan scratch) repeated
-//! `process_into` / `gcc_phat_into` calls must not allocate at all.
+//! `process_into` / `gcc_phat_from_spectra_into_mode` calls must not
+//! allocate at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ht_dsp::correlate::Correlator;
+use ht_dsp::correlate::{gcc_phat_from_spectra_into_mode, SpectraGccScratch};
 use ht_dsp::stft::StftProcessor;
 use ht_dsp::window::Window;
-use ht_dsp::Complex;
+use ht_dsp::{Complex, QuantMode};
 
 struct CountingAlloc;
 
@@ -75,14 +76,19 @@ fn gcc_phat_is_allocation_free_after_warmup() {
     ht_obs::set_mode(ht_obs::Mode::Json);
     let x: Vec<f64> = (0..2048).map(|k| ((k * k) as f64 * 0.001).sin()).collect();
     let y: Vec<f64> = (0..2048).map(|k| ((k * k) as f64 * 0.001).cos()).collect();
-    let mut correlator = Correlator::new(2048, 13).unwrap();
-    let mut values = vec![0.0; correlator.window_len()];
-    correlator.gcc_phat_into(&x, &y, &mut values).unwrap();
+    let plan = ht_dsp::fft::rfft_plan(ht_dsp::fft::next_pow2(2048 + 13 + 1));
+    let (xf, yf) = (plan.forward(&x), plan.forward(&y));
+    let mut scratch = SpectraGccScratch::new();
+    let mut values = vec![0.0; 2 * 13 + 1];
+    let mut gcc = |mode| {
+        gcc_phat_from_spectra_into_mode(&xf, &yf, &plan, 13, &mut scratch, &mut values, mode)
+    };
+    gcc(QuantMode::Reference);
 
     let n = allocs_during(|| {
         for _ in 0..64 {
-            correlator.gcc_phat_into(&x, &y, &mut values).unwrap();
-            correlator.xcorr_into(&x, &y, &mut values).unwrap();
+            gcc(QuantMode::Reference);
+            gcc(QuantMode::Int8);
         }
     });
     ht_obs::set_mode(ht_obs::Mode::Off);

@@ -128,17 +128,3 @@ fn zscore_is_idempotent_in_distribution() {
         }
     });
 }
-
-#[test]
-fn srp_width_is_invariant_to_channel_count() {
-    property("srp_width_is_invariant_to_channel_count").run(|g| {
-        let n_ch = g.usize_in(2..6);
-        let max_lag = g.usize_in(1..16);
-        let x: Vec<f64> = (0..256).map(|k| ((k * k) as f64 * 1e-3).sin()).collect();
-        let chans: Vec<Vec<f64>> = (0..n_ch).map(|_| x.clone()).collect();
-        let refs: Vec<&[f64]> = chans.iter().map(|c| c.as_slice()).collect();
-        let a = ht_dsp::srp::srp_phat(&refs, max_lag).unwrap();
-        assert_eq!(a.srp.values.len(), 2 * max_lag + 1);
-        assert_eq!(a.pairs.len(), n_ch * (n_ch - 1) / 2);
-    });
-}

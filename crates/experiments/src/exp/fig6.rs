@@ -7,7 +7,7 @@ use crate::report::ExperimentResult;
 use headtalk::PipelineConfig;
 use ht_acoustics::array::Device;
 use ht_datagen::CaptureSpec;
-use ht_dsp::srp::srp_phat;
+use ht_dsp::correlate::gcc_phat;
 
 /// Runs the experiment.
 ///
@@ -21,8 +21,9 @@ pub fn run(_ctx: &Context) -> Result<ExperimentResult, String> {
         "Fig. 6: pairwise GCC and weighted SRP at 0°/90°/180° (device D3)",
         "SRP peak power decreases as the facing angle grows; 0° peaks at small lag",
     );
+    let angles = [0.0, 90.0, 180.0];
     let mut peaks = Vec::new();
-    for (i, angle) in [0.0, 90.0, 180.0].into_iter().enumerate() {
+    for (i, angle) in angles.into_iter().enumerate() {
         let spec = CaptureSpec {
             device: Device::D3,
             angle_deg: angle,
@@ -30,11 +31,23 @@ pub fn run(_ctx: &Context) -> Result<ExperimentResult, String> {
             ..CaptureSpec::baseline(0)
         };
         let channels = spec.render().map_err(|e| e.to_string())?;
-        let refs: Vec<&[f64]> = channels.iter().map(|c| c.as_slice()).collect();
-        let analysis = srp_phat(&refs, cfg.max_lag).map_err(|e| e.to_string())?;
-        let peak = ht_dsp::stats::max(&analysis.srp.values);
-        let gcc01_peak = ht_dsp::stats::max(&analysis.gccs[0].values);
-        let gcc01_lag = analysis.gccs[0].peak_lag();
+        let n = channels.len();
+        let gccs = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .map(|(i, j)| gcc_phat(&channels[i], &channels[j], cfg.max_lag))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| e.to_string())?;
+        // The whole-capture SRP curve (Eq. 6): every pair's GCC summed in
+        // pair order.
+        let mut srp = vec![0.0; gccs[0].values.len()];
+        for g in &gccs {
+            for (s, v) in srp.iter_mut().zip(&g.values) {
+                *s += v;
+            }
+        }
+        let peak = ht_dsp::stats::max(&srp);
+        let gcc01_peak = ht_dsp::stats::max(&gccs[0].values);
+        let gcc01_lag = gccs[0].peak_lag();
         res.push_row(
             format!("{angle}°"),
             "higher SRP at smaller angles; 3–4 reverberation peaks",
@@ -43,7 +56,7 @@ pub fn run(_ctx: &Context) -> Result<ExperimentResult, String> {
                 peak,
                 gcc01_peak,
                 gcc01_lag,
-                ht_dsp::peak::local_maxima(&analysis.srp.values).len()
+                ht_dsp::peak::local_maxima(&srp).len()
             ),
             Some(peak),
         );
@@ -56,5 +69,20 @@ pub fn run(_ctx: &Context) -> Result<ExperimentResult, String> {
         ));
     }
     res.note("Single captures at M3; the lag window is D3's ±10 samples (±0.2 ms).");
+    // Margin to failure: the smallest relative gap between the peaks of
+    // adjacent angles, measured against the lower peak.
+    let (margin, k) = (0..2)
+        .map(|k| (peaks[k] / peaks[k + 1] - 1.0, k))
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("three angles give two gaps");
+    res.note(format!(
+        "Margin to failure: {:.1}% between the {}° and {}° SRP peaks ({:.3} vs {:.3}), \
+         the smallest relative gap between adjacent angles.",
+        100.0 * margin,
+        angles[k],
+        angles[k + 1],
+        peaks[k],
+        peaks[k + 1]
+    ));
     Ok(res)
 }

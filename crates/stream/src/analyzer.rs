@@ -8,7 +8,7 @@
 //! [`analyze`](FrameAnalyzer::analyze) is allocation-free from the first
 //! frame. Frames are zero-padded to `next_pow2(frame_len + max_lag + 1)` so
 //! circular GCC lags up to `±max_lag` never alias (the same pad rule as the
-//! batch `ht_dsp::srp::srp_phat`).
+//! one-shot `ht_dsp::correlate::gcc_phat`).
 //!
 //! PHAT whitening is separable (`XᵢXⱼ*/|XᵢXⱼ*| = uᵢ·conj(uⱼ)`, `u = X/|X|`),
 //! so [`ht_dsp::kernels::channel_phat_accumulate`] normalizes each channel's
@@ -96,7 +96,7 @@ impl FrameAnalyzer {
             )));
         }
         let max_lag = max_lag.min(frame_len - 1);
-        // Same pad rule as the batch SRP-PHAT: room for every lag we read.
+        // Same pad rule as `gcc_phat`: room for every lag we read.
         let n_fft = fft::next_pow2(frame_len + max_lag + 1);
         let mut stft = StftProcessor::with_n_fft(frame_len, n_fft, Window::Hann);
         let plan = fft::rfft_plan(n_fft);
@@ -294,8 +294,11 @@ impl FrameAnalyzer {
     }
 }
 
-/// Sub-sample peak of a `±max_lag` window via parabolic interpolation
-/// (mirrors `LagCurve::peak_lag_interpolated`).
+/// Sub-sample peak of a `±max_lag` window via parabolic interpolation, as
+/// `LagCurve::peak_lag_interpolated` computes it except for ties: this
+/// takes the *first* maximum, `LagCurve` (through `peak::argmax`) the last.
+/// On a flat window (a silent pair or a dead microphone) the TDoA is
+/// therefore `−max_lag` here and `+max_lag` from `gcc_phat`.
 fn peak_lag_interpolated(values: &[f64], max_lag: usize) -> f64 {
     let mut idx = 0;
     let mut best = f64::MIN;
@@ -383,6 +386,9 @@ mod tests {
         // and the pair's 27-lag window are all zero.
         let w = 2 * a.max_lag() + 1;
         assert!(out[..3 + 5 + w].iter().all(|&v| v == 0.0), "{out:?}");
+        // On the flat window the first maximum wins: the TDoA is exactly
+        // −max_lag.
+        assert_eq!(out[3 + 5 + w], -(a.max_lag() as f64));
     }
 
     #[test]
@@ -420,7 +426,7 @@ mod tests {
         assert!(FrameAnalyzer::new(2, 0, 8, 48_000.0).is_err());
         assert!(FrameAnalyzer::new(2, 64, 8, 0.0).is_err());
         assert!(FrameAnalyzer::new(2, 64, 8, f64::NAN).is_err());
-        // Lag clamps like the batch Correlator.
+        // Lag clamps like `gcc_phat`.
         let a = FrameAnalyzer::new(2, 8, 100, 48_000.0).unwrap();
         assert_eq!(a.max_lag(), 7);
     }
