@@ -103,11 +103,12 @@ step "obs overhead gate (bench obs)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \
     cargo bench -q --offline -p ht-bench --bench obs
 
-# FFT plan-cache gate: the fft_plans bench ends with a steady-state workload
-# run under HT_OBS recording and asserts, via the fft.plan_hits /
-# fft.plan_misses counters, that misses stay bounded by the number of
-# distinct transform sizes and that the warmed steady state adds zero
-# misses. A regression that rebuilds plans per call fails here.
+# FFT plan-cache gate: the fft_plans bench times the real-FFT plans, then
+# ends with a steady-state workload (one-shot spectra and gcc_phat over four
+# real-plan sizes) run under HT_OBS recording and asserts, via the
+# fft.plan_hits / fft.plan_misses counters, that misses stay bounded by the
+# number of distinct transform sizes and that the warmed steady state adds
+# zero misses. A regression that rebuilds plans per call fails here.
 # BENCH_fft.json lands in target/bench_out.
 step "fft plan-cache gate (bench fft_plans)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \

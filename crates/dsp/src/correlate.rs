@@ -71,10 +71,11 @@ impl LagCurve {
 
 /// Inverse-transforms a one-sided cross spectrum into `r` (the
 /// `plan.len()`-point circular correlation) and copies its `±max_lag`
-/// window into `values`. Allocation-free once `scratch` has warmed up to
-/// the plan's size. The inverse is linear, so the window of a sum of cross
-/// spectra is the sum of their windows (up to rounding): the streaming
-/// frame analyzer accumulates whitened spectra and inverts each sum once.
+/// window into `values`. Allocation-free once `scratch` holds the plan's
+/// size (see [`RealFftPlan::scratch`]). The inverse is linear, so the
+/// window of a sum of cross spectra is the sum of their windows (up to
+/// rounding): the streaming frame analyzer accumulates whitened spectra and
+/// inverts each sum once.
 ///
 /// # Panics
 ///
@@ -209,18 +210,23 @@ fn cross_correlate(x: &[f64], y: &[f64], max_lag: usize, phat: bool) -> Result<L
     let max_lag = max_lag.min(x.len() - 1);
     // Pad to avoid circular aliasing of lags we care about.
     let plan = fft::rfft_plan(fft::next_pow2(x.len() + max_lag + 1));
-    let (xf, yf) = (plan.forward(x), plan.forward(y));
-    let mut cross = vec![Complex::ZERO; xf.len()];
+    let mut scratch = plan.scratch();
+    let bins = plan.onesided_len();
+    let (mut xf, mut yf) = (vec![Complex::ZERO; bins], vec![Complex::ZERO; bins]);
+    plan.forward_into(x, &mut xf, &mut scratch);
+    plan.forward_into(y, &mut yf, &mut scratch);
+    let mut cross = vec![Complex::ZERO; bins];
     if phat {
-        let mut mags = vec![0.0; xf.len()];
+        let mut mags = vec![0.0; bins];
         kernels::cross_whiten_reference_into(&xf, &yf, &mut cross, &mut mags);
     } else {
         for ((c, a), b) in cross.iter_mut().zip(&xf).zip(&yf) {
             *c = *a * b.conj();
         }
     }
+    let mut r = vec![0.0; plan.len()];
     let mut values = vec![0.0; 2 * max_lag + 1];
-    extract_lags(&plan.inverse(&cross), max_lag, &mut values);
+    lag_window_into(&plan, &cross, max_lag, &mut r, &mut scratch, &mut values);
     Ok(LagCurve { values, max_lag })
 }
 
@@ -297,6 +303,13 @@ mod tests {
                 ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
             })
             .collect()
+    }
+
+    /// The one-sided spectrum of `x` zero-padded to the plan's length.
+    fn spectrum(plan: &RealFftPlan, x: &[f64]) -> Vec<Complex> {
+        let mut out = vec![Complex::ZERO; plan.onesided_len()];
+        plan.forward_into(x, &mut out, &mut plan.scratch());
+        out
     }
 
     #[test]
@@ -390,8 +403,8 @@ mod tests {
         let y = fractional_delay(&x, 6.0, 16);
         let max_lag = 13;
         let plan = fft::rfft_plan(fft::next_pow2(x.len() + max_lag + 1));
-        let xf = plan.forward(&x);
-        let yf = plan.forward(&y);
+        let xf = spectrum(&plan, &x);
+        let yf = spectrum(&plan, &y);
         let reference = gcc_phat(&x, &y, max_lag).unwrap();
         // Scratch reuse across calls changes nothing.
         let mut scratch = SpectraGccScratch::new();
@@ -418,8 +431,8 @@ mod tests {
         let y = fractional_delay(&x, 6.0, 16);
         let max_lag = 13;
         let plan = fft::rfft_plan(fft::next_pow2(x.len() + max_lag + 1));
-        let xf = plan.forward(&x);
-        let yf = plan.forward(&y);
+        let xf = spectrum(&plan, &x);
+        let yf = spectrum(&plan, &y);
         let reference = gcc_phat(&x, &y, max_lag).unwrap();
         let mut scratch = SpectraGccScratch::new();
         for mode in [QuantMode::Reference, QuantMode::Int8] {
@@ -444,7 +457,7 @@ mod tests {
     fn spectra_gcc_rejects_wrong_window_length() {
         let x = chirp(256);
         let plan = fft::rfft_plan(512);
-        let xf = plan.forward(&x);
+        let xf = spectrum(&plan, &x);
         let mut scratch = SpectraGccScratch::new();
         let mut values = vec![0.0; 3];
         gcc_phat_from_spectra_into_mode(

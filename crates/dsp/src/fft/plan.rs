@@ -1,13 +1,15 @@
-//! Planned FFTs: precomputed bit-reversal permutations and per-stage
+//! Planned real FFTs: a precomputed bit-reversal permutation and per-stage
 //! twiddle tables, executed into caller-provided scratch so the hot path is
-//! allocation-free after warm-up.
+//! allocation-free.
 //!
-//! The free functions in [`crate::fft`] recompute nothing per call except
-//! the transform itself because they run on plans from the process-wide
-//! [size-keyed cache](fft_plan). A plan is immutable once built (tables
-//! only), so one `Arc<FftPlan>` can be shared freely across `ht-par`
-//! workers; all mutable state lives in the per-caller [`FftScratch`] /
-//! [`RealFftScratch`].
+//! [`RealFftPlan`] is the program's one FFT engine. Every transform the
+//! pipeline runs (per-frame STFT, GCC lag curves, directivity segments,
+//! whole-capture spectra) is a power-of-two real FFT through a plan from
+//! the process-wide [size-keyed cache](rfft_plan). A plan is immutable once
+//! built (tables only), so one `Arc<RealFftPlan>` can be shared freely
+//! across `ht-par` workers; all mutable state lives in the per-caller
+//! [`RealFftScratch`], which [`RealFftPlan::scratch`] builds already sized,
+//! so no transform ever grows it.
 //!
 //! Three properties make the planned engine fast and accurate:
 //!
@@ -38,54 +40,25 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use super::next_pow2;
 
-/// Reusable scratch for [`FftPlan`] execution. Only non-power-of-two
-/// (Bluestein) plans need it; power-of-two transforms run fully in place.
-/// Buffers grow on first use and are reused afterwards.
-#[derive(Debug, Clone, Default)]
-pub struct FftScratch {
-    conv: Vec<Complex>,
-}
-
-impl FftScratch {
-    /// An empty scratch; buffers are sized lazily by the first transform.
-    pub fn new() -> FftScratch {
-        FftScratch::default()
-    }
-}
-
 /// Reusable scratch for [`RealFftPlan`] execution: the packed half-size
-/// complex buffer. Grows on first use and is reused afterwards.
+/// complex buffer. [`RealFftPlan::scratch`] builds one already sized for
+/// its plan (and so for every smaller plan); [`RealFftScratch::new`] starts
+/// empty and grows on its first transform.
 #[derive(Debug, Clone, Default)]
 pub struct RealFftScratch {
     packed: Vec<Complex>,
 }
 
 impl RealFftScratch {
-    /// An empty scratch; buffers are sized lazily by the first transform.
+    /// An empty scratch; the first transform sizes its buffer.
     pub fn new() -> RealFftScratch {
         RealFftScratch::default()
     }
 }
 
-/// A planned complex DFT of one fixed length.
-///
-/// Power-of-two lengths execute the iterative radix-2 butterflies over
-/// precomputed tables; other lengths use Bluestein's chirp-z algorithm with
-/// the chirp and its convolution-filter spectrum precomputed at plan time.
-#[derive(Debug, Clone)]
-pub struct FftPlan {
-    n: usize,
-    kind: Kind,
-}
-
-#[derive(Debug, Clone)]
-enum Kind {
-    /// `n <= 1`: the transform is the identity.
-    Trivial,
-    Pow2(Pow2Tables),
-    Bluestein(Box<BluesteinTables>),
-}
-
+/// The tables of an in-place complex radix-2 FFT of one power-of-two
+/// length (lengths 0 and 1 have empty tables: their transform is the
+/// identity).
 #[derive(Debug, Clone)]
 struct Pow2Tables {
     /// Index pairs `(i, j)` with `i < j` of the bit-reversal permutation.
@@ -96,21 +69,9 @@ struct Pow2Tables {
     twiddles: Vec<Complex>,
 }
 
-#[derive(Debug, Clone)]
-struct BluesteinTables {
-    /// The inner power-of-two plan of length `m = next_pow2(2n − 1)`.
-    inner: FftPlan,
-    /// Forward chirp `w_k = e^{-iπk²/n}` (the inverse uses its conjugate).
-    chirp: Vec<Complex>,
-    /// `FFT_m` of the forward chirp filter `b` (unit-scaled).
-    filter_fwd: Vec<Complex>,
-    /// `FFT_m` of the inverse-direction chirp filter.
-    filter_inv: Vec<Complex>,
-}
-
 impl Pow2Tables {
     fn build(n: usize) -> Pow2Tables {
-        debug_assert!(n.is_power_of_two() && n >= 2);
+        debug_assert!(n <= 1 || n.is_power_of_two());
         let mut swaps = Vec::new();
         let mut j = 0usize;
         for i in 1..n {
@@ -124,7 +85,7 @@ impl Pow2Tables {
                 swaps.push((i as u32, j as u32));
             }
         }
-        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
         let mut len = 2usize;
         while len <= n {
             let step = -2.0 * std::f64::consts::PI / len as f64;
@@ -136,7 +97,8 @@ impl Pow2Tables {
         Pow2Tables { swaps, twiddles }
     }
 
-    /// Unnormalized in-place radix-2 pass over the precomputed tables.
+    /// Unnormalized in-place radix-2 pass over the precomputed tables;
+    /// `buf.len()` must be the length the tables were built for.
     ///
     /// With `simd` set and AVX2 present, every stage after the first runs
     /// the AVX2 butterflies, which give the scalar loop's bits exactly
@@ -144,6 +106,9 @@ impl Pow2Tables {
     /// Only the bit-identity tests pass `simd = false`.
     fn process(&self, buf: &mut [Complex], inverse: bool, simd: bool) {
         let n = buf.len();
+        if n < 2 {
+            return;
+        }
         for &(i, j) in &self.swaps {
             buf.swap(i as usize, j as usize);
         }
@@ -258,144 +223,6 @@ mod x86 {
     }
 }
 
-impl BluesteinTables {
-    fn build(n: usize) -> BluesteinTables {
-        debug_assert!(n >= 2 && !n.is_power_of_two());
-        let m = next_pow2(2 * n - 1);
-        // Inner plans are built directly (not through the cache) so cache
-        // lookups never re-enter the cache lock.
-        let inner = FftPlan::new(m);
-        let chirp: Vec<Complex> = (0..n)
-            .map(|k| {
-                // Reduce k² mod 2n before the float multiply to keep
-                // precision for long transforms.
-                let k2 = (k as u128 * k as u128) % (2 * n as u128);
-                Complex::from_angle(-std::f64::consts::PI * k2 as f64 / n as f64)
-            })
-            .collect();
-        let filter_of = |chirp_dir: &dyn Fn(usize) -> Complex| {
-            let mut b = vec![Complex::ZERO; m];
-            b[0] = chirp_dir(0).conj();
-            for k in 1..n {
-                let c = chirp_dir(k).conj();
-                b[k] = c;
-                b[m - k] = c;
-            }
-            match &inner.kind {
-                Kind::Pow2(t) => t.process(&mut b, false, true),
-                _ => unreachable!("inner Bluestein plan is always pow2"),
-            }
-            b
-        };
-        let filter_fwd = filter_of(&|k| chirp[k]);
-        let filter_inv = filter_of(&|k| chirp[k].conj());
-        BluesteinTables {
-            inner,
-            chirp,
-            filter_fwd,
-            filter_inv,
-        }
-    }
-
-    /// Unnormalized chirp-z transform of `buf` through the inner plan.
-    fn process(&self, buf: &mut [Complex], scratch: &mut FftScratch, inverse: bool, simd: bool) {
-        let n = buf.len();
-        let m = self.inner.len();
-        let tables = match &self.inner.kind {
-            Kind::Pow2(t) => t,
-            _ => unreachable!("inner Bluestein plan is always pow2"),
-        };
-        let chirp_at = |k: usize| {
-            if inverse {
-                self.chirp[k].conj()
-            } else {
-                self.chirp[k]
-            }
-        };
-        let a = &mut scratch.conv;
-        a.clear();
-        a.resize(m, Complex::ZERO);
-        for k in 0..n {
-            a[k] = buf[k] * chirp_at(k);
-        }
-        tables.process(a, false, simd);
-        let filter = if inverse {
-            &self.filter_inv
-        } else {
-            &self.filter_fwd
-        };
-        for (av, bv) in a.iter_mut().zip(filter.iter()) {
-            *av *= *bv;
-        }
-        tables.process(a, true, simd);
-        let scale = 1.0 / m as f64;
-        for k in 0..n {
-            buf[k] = a[k] * chirp_at(k) * scale;
-        }
-    }
-}
-
-impl FftPlan {
-    /// Builds a plan for exact-length-`n` complex DFTs (any `n`; `n <= 1`
-    /// plans are identity transforms).
-    pub fn new(n: usize) -> FftPlan {
-        let kind = if n <= 1 {
-            Kind::Trivial
-        } else if n.is_power_of_two() {
-            Kind::Pow2(Pow2Tables::build(n))
-        } else {
-            Kind::Bluestein(Box::new(BluesteinTables::build(n)))
-        };
-        FftPlan { n, kind }
-    }
-
-    /// The transform length this plan was built for.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// `true` for the degenerate zero-length plan.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Forward DFT of `buf` in place (unnormalized, like [`crate::fft::fft`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != self.len()`.
-    pub fn forward(&self, buf: &mut [Complex], scratch: &mut FftScratch) {
-        self.process(buf, scratch, false, true);
-    }
-
-    /// Inverse DFT of `buf` in place, normalized by `1/n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buf.len() != self.len()`.
-    pub fn inverse(&self, buf: &mut [Complex], scratch: &mut FftScratch) {
-        self.process(buf, scratch, true, true);
-        let inv_n = 1.0 / self.n as f64;
-        for z in buf.iter_mut() {
-            *z = *z * inv_n;
-        }
-    }
-
-    /// The unnormalized transform; `simd` as in [`Pow2Tables::process`].
-    fn process(&self, buf: &mut [Complex], scratch: &mut FftScratch, inverse: bool, simd: bool) {
-        assert_eq!(
-            buf.len(),
-            self.n,
-            "buffer length must match the planned size"
-        );
-        match &self.kind {
-            Kind::Trivial => {}
-            Kind::Pow2(t) => t.process(buf, inverse, simd),
-            Kind::Bluestein(t) => t.process(buf, scratch, inverse, simd),
-        }
-    }
-}
-
 /// A planned one-sided real FFT of one fixed power-of-two length `n`,
 /// implemented as a complex FFT of length `n/2` over the even/odd-packed
 /// input plus an `O(n)` split step — about half the work of a full complex
@@ -405,8 +232,8 @@ impl FftPlan {
 #[derive(Debug, Clone)]
 pub struct RealFftPlan {
     n: usize,
-    /// Complex plan of length `n/2` (`None` for the trivial `n == 1`).
-    half: Option<FftPlan>,
+    /// Tables of the complex FFT of length `n/2` (empty for `n <= 2`).
+    half: Pow2Tables,
     /// Split twiddles `e^{-2πik/n}` for `k < n/2`.
     split: Vec<Complex>,
 }
@@ -423,18 +250,11 @@ impl RealFftPlan {
             n.is_power_of_two(),
             "real FFT plans require a power-of-two length, got {n}"
         );
-        if n == 1 {
-            return RealFftPlan {
-                n,
-                half: None,
-                split: Vec::new(),
-            };
-        }
         let h = n / 2;
         let step = -2.0 * std::f64::consts::PI / n as f64;
         RealFftPlan {
             n,
-            half: Some(FftPlan::new(h)),
+            half: Pow2Tables::build(h),
             split: (0..h)
                 .map(|k| Complex::from_angle(step * k as f64))
                 .collect(),
@@ -456,10 +276,20 @@ impl RealFftPlan {
         self.n / 2 + 1
     }
 
+    /// A scratch already sized for this plan, and so for every plan of
+    /// this length or shorter: its buffer is allocated and written here,
+    /// so no later transform grows it or touches a fresh page.
+    pub fn scratch(&self) -> RealFftScratch {
+        let mut packed = Vec::with_capacity(self.n / 2);
+        packed.resize(self.n / 2, Complex::ZERO);
+        RealFftScratch { packed }
+    }
+
     /// Forward one-sided real FFT: `out[k] = X[k]` for `k <= n/2`, where
     /// `X` is the unnormalized `n`-point DFT of `x` zero-padded to `n`.
     ///
-    /// Allocation-free once `scratch` has warmed up to this size.
+    /// Allocation-free once `scratch` holds this plan's size (see
+    /// [`scratch`](RealFftPlan::scratch)).
     ///
     /// # Panics
     ///
@@ -473,10 +303,10 @@ impl RealFftPlan {
             self.n
         );
         assert_eq!(out.len(), self.onesided_len(), "one-sided output length");
-        let Some(half) = &self.half else {
+        if self.n == 1 {
             out[0] = Complex::from_real(x.first().copied().unwrap_or(0.0));
             return;
-        };
+        }
         let h = self.n / 2;
         let z = &mut scratch.packed;
         z.clear();
@@ -488,11 +318,7 @@ impl RealFftPlan {
         if x.len() % 2 == 1 {
             z[pairs] = Complex::from_real(x[x.len() - 1]);
         }
-        match &half.kind {
-            Kind::Pow2(t) => t.process(z, false, true),
-            Kind::Trivial => {}
-            Kind::Bluestein(_) => unreachable!("half plan of a pow2 real plan is pow2"),
-        }
+        self.half.process(z, false, true);
         // Split the packed spectrum: with Fe/Fo the DFTs of the even/odd
         // samples, X[k] = Fe[k] + e^{-2πik/n}·Fo[k].
         out[0] = Complex::from_real(z[0].re + z[0].im);
@@ -513,7 +339,8 @@ impl RealFftPlan {
     /// The imaginary parts of `spec[0]` and `spec[n/2]` (which are zero for
     /// any spectrum of a real signal) are ignored.
     ///
-    /// Allocation-free once `scratch` has warmed up to this size.
+    /// Allocation-free once `scratch` holds this plan's size (see
+    /// [`scratch`](RealFftPlan::scratch)).
     ///
     /// # Panics
     ///
@@ -522,10 +349,10 @@ impl RealFftPlan {
     pub fn inverse_into(&self, spec: &[Complex], out: &mut [f64], scratch: &mut RealFftScratch) {
         assert_eq!(spec.len(), self.onesided_len(), "one-sided input length");
         assert_eq!(out.len(), self.n, "output length");
-        let Some(half) = &self.half else {
+        if self.n == 1 {
             out[0] = spec[0].re;
             return;
-        };
+        }
         let h = self.n / 2;
         let z = &mut scratch.packed;
         z.clear();
@@ -546,44 +373,25 @@ impl RealFftPlan {
             let fo = (a - b).scale(0.5) * self.split[k].conj();
             *zk = fe + Complex::I * fo;
         }
-        match &half.kind {
-            Kind::Pow2(t) => t.process(z, true, true),
-            Kind::Trivial => {}
-            Kind::Bluestein(_) => unreachable!("half plan of a pow2 real plan is pow2"),
-        }
+        self.half.process(z, true, true);
         let inv_h = 1.0 / h as f64;
         for k in 0..h {
             out[2 * k] = z[k].re * inv_h;
             out[2 * k + 1] = z[k].im * inv_h;
         }
     }
-
-    /// Allocating convenience wrapper around
-    /// [`forward_into`](RealFftPlan::forward_into).
-    pub fn forward(&self, x: &[f64]) -> Vec<Complex> {
-        let mut out = vec![Complex::ZERO; self.onesided_len()];
-        let mut scratch = RealFftScratch::new();
-        self.forward_into(x, &mut out, &mut scratch);
-        out
-    }
-
-    /// Allocating convenience wrapper around
-    /// [`inverse_into`](RealFftPlan::inverse_into).
-    pub fn inverse(&self, spec: &[Complex]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n];
-        let mut scratch = RealFftScratch::new();
-        self.inverse_into(spec, &mut out, &mut scratch);
-        out
-    }
 }
 
-type PlanCache<P> = OnceLock<Mutex<BTreeMap<usize, Arc<P>>>>;
+type PlanCache = OnceLock<Mutex<BTreeMap<usize, Arc<RealFftPlan>>>>;
 
-static COMPLEX_PLANS: PlanCache<FftPlan> = OnceLock::new();
-static REAL_PLANS: PlanCache<RealFftPlan> = OnceLock::new();
+static REAL_PLANS: PlanCache = OnceLock::new();
 
-fn cached<P>(cache: &PlanCache<P>, n: usize, build: impl FnOnce(usize) -> P) -> Arc<P> {
-    let map = cache.get_or_init(|| Mutex::new(BTreeMap::new()));
+/// The process-wide plan for real FFTs of length `next_pow2(n)` (real
+/// plans are power-of-two only; the requested length rounds up). Cache
+/// traffic is counted in `fft.plan_hits` / `fft.plan_misses`.
+pub fn rfft_plan(n: usize) -> Arc<RealFftPlan> {
+    let n = next_pow2(n);
+    let map = REAL_PLANS.get_or_init(|| Mutex::new(BTreeMap::new()));
     // A plan of a given size is the same value no matter who builds it, so
     // a poisoned lock (a panicking caller elsewhere) leaves nothing to
     // repair — recover the map and keep serving.
@@ -596,38 +404,9 @@ fn cached<P>(cache: &PlanCache<P>, n: usize, build: impl FnOnce(usize) -> P) -> 
     // distinct size" (the CI cache gate asserts this bound); plans build in
     // O(n log n), so the briefly-held lock is not a contention concern.
     ht_obs::counter_add("fft.plan_misses", 1);
-    let p = Arc::new(build(n));
+    let p = Arc::new(RealFftPlan::new(n));
     map.insert(n, Arc::clone(&p));
     p
-}
-
-/// The process-wide plan for exact-length-`n` complex DFTs (built on first
-/// request, shared afterwards). Cache traffic is counted in
-/// `fft.plan_hits` / `fft.plan_misses`.
-pub fn fft_plan(n: usize) -> Arc<FftPlan> {
-    cached(&COMPLEX_PLANS, n, FftPlan::new)
-}
-
-/// The process-wide plan for real FFTs of length `next_pow2(n)` (real
-/// plans are power-of-two only; the requested length rounds up). Cache
-/// traffic is counted in `fft.plan_hits` / `fft.plan_misses`.
-pub fn rfft_plan(n: usize) -> Arc<RealFftPlan> {
-    cached(&REAL_PLANS, next_pow2(n), RealFftPlan::new)
-}
-
-thread_local! {
-    static TLS_SCRATCH: std::cell::RefCell<(FftScratch, RealFftScratch)> =
-        std::cell::RefCell::new((FftScratch::new(), RealFftScratch::new()));
-}
-
-/// Runs `f` with this thread's reusable scratch pair, so the free-function
-/// wrappers in [`crate::fft`] stop allocating scratch once warm.
-pub(crate) fn with_tls_scratch<R>(f: impl FnOnce(&mut FftScratch, &mut RealFftScratch) -> R) -> R {
-    TLS_SCRATCH.with(|s| {
-        let mut s = s.borrow_mut();
-        let (cpx, real) = &mut *s;
-        f(cpx, real)
-    })
 }
 
 #[cfg(test)]
@@ -672,22 +451,21 @@ mod tests {
     }
 
     /// The AVX2 butterflies must give the scalar loop's bits exactly, for
-    /// every power of two from 2 to 65536 and one Bluestein size, in both
-    /// directions. Without AVX2 both runs take the scalar path.
+    /// every power of two from 2 to 65536, in both directions. Without
+    /// AVX2 both runs take the scalar path.
     #[test]
     fn simd_butterflies_match_scalar_bit_for_bit() {
         if !crate::kernels::avx2_available() {
             eprintln!("notice: AVX2 not available on this machine; checking the scalar path only");
         }
-        let mut scratch = FftScratch::new();
-        for n in (1..=16).map(|e| 1usize << e).chain([300]) {
-            let plan = FftPlan::new(n);
+        for n in (1..=16).map(|e| 1usize << e) {
+            let tables = Pow2Tables::build(n);
             for (family, x) in edge_inputs(n).into_iter().enumerate() {
                 for inverse in [false, true] {
                     let mut scalar = x.clone();
-                    plan.process(&mut scalar, &mut scratch, inverse, false);
+                    tables.process(&mut scalar, inverse, false);
                     let mut simd = x.clone();
-                    plan.process(&mut simd, &mut scratch, inverse, true);
+                    tables.process(&mut simd, inverse, true);
                     assert!(
                         scalar.iter().all(|z| z.re.is_finite() && z.im.is_finite()),
                         "n {n} family {family}: inputs must keep the transform finite"

@@ -4,7 +4,7 @@
 //! (DSN 2023) reproduction. It is a dependency-free (apart from `std`)
 //! implementation of everything the paper's pipeline needs:
 //!
-//! * complex arithmetic and a radix-2 / Bluestein [FFT](fft),
+//! * complex arithmetic and a planned power-of-two real [FFT](fft),
 //! * [window functions](window) and the [short-time Fourier transform](stft),
 //! * [Butterworth IIR filters](filter) (the paper's 5th-order 100–16 000 Hz
 //!   band-pass pre-filter) with zero-phase `filtfilt`,
@@ -51,7 +51,6 @@
 
 pub mod check;
 pub mod complex;
-pub mod convolve;
 pub mod correlate;
 pub mod error;
 pub mod fft;

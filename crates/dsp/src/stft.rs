@@ -1,4 +1,6 @@
-//! Framing and the short-time Fourier transform.
+//! Framing and the short-time Fourier transform: [`frames`] splits a
+//! signal, and a [`StftProcessor`] transforms one windowed frame at a time
+//! with no allocation.
 
 use crate::complex::Complex;
 use crate::fft;
@@ -43,21 +45,12 @@ pub struct StftProcessor {
 }
 
 impl StftProcessor {
-    /// Builds a processor for frames of `frame_size` samples, zero-padded
-    /// to `next_pow2(frame_size)` and weighted by `window`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame_size == 0`.
-    pub fn new(frame_size: usize, window: Window) -> StftProcessor {
-        StftProcessor::with_n_fft(frame_size, frame_size, window)
-    }
-
-    /// Builds a processor whose frames are zero-padded to at least `n_fft`
-    /// samples (rounded up to a power of two by the plan cache) instead of
-    /// the default `next_pow2(frame_size)`. Streaming correlation wants the
-    /// extra pad margin: circular GCC lags up to `±max_lag` only stay
-    /// alias-free when `n_fft ≥ frame_size + max_lag + 1`.
+    /// Builds a processor for frames of `frame_size` samples, weighted by
+    /// `window` and zero-padded to at least `n_fft` samples (rounded up to
+    /// a power of two by the plan cache). Streaming correlation wants a pad
+    /// margin: circular GCC lags up to `±max_lag` only stay alias-free when
+    /// `n_fft ≥ frame_size + max_lag + 1`. The FFT scratch is presized
+    /// here, so the first frame costs what every later one does.
     ///
     /// # Panics
     ///
@@ -68,11 +61,12 @@ impl StftProcessor {
             n_fft >= frame_size,
             "n_fft {n_fft} must cover the frame size {frame_size}"
         );
+        let plan = fft::rfft_plan(n_fft);
         StftProcessor {
-            plan: fft::rfft_plan(n_fft),
             window: window.coefficients(frame_size),
             buf: vec![0.0; frame_size],
-            scratch: fft::RealFftScratch::new(),
+            scratch: plan.scratch(),
+            plan,
         }
     }
 
@@ -116,90 +110,6 @@ impl StftProcessor {
     }
 }
 
-/// A complex STFT matrix: `bins[t][k]` is frequency bin `k` of frame `t`
-/// (one-sided, `n_fft/2 + 1` bins).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stft {
-    /// One-sided complex bins per frame.
-    pub bins: Vec<Vec<Complex>>,
-    /// FFT length (frames are zero-padded to this power of two).
-    pub n_fft: usize,
-    /// Hop size in samples.
-    pub hop: usize,
-    /// Sample rate in Hz.
-    pub sample_rate: f64,
-}
-
-impl Stft {
-    /// Computes the STFT of `x` with the given window, frame size and hop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame_size == 0` or `hop == 0`.
-    pub fn compute(
-        x: &[f64],
-        sample_rate: f64,
-        frame_size: usize,
-        hop: usize,
-        window: Window,
-    ) -> Stft {
-        // One processor (plan + window + scratch) shared by every frame.
-        let mut processor = StftProcessor::new(frame_size, window);
-        let bins = frames(x, frame_size, hop)
-            .into_iter()
-            .map(|frame| {
-                let mut row = vec![Complex::ZERO; processor.onesided_len()];
-                processor.process_into(&frame, &mut row);
-                row
-            })
-            .collect();
-        Stft {
-            bins,
-            n_fft: processor.n_fft(),
-            hop,
-            sample_rate,
-        }
-    }
-
-    /// Magnitude spectrogram: `|bins[t][k]|`.
-    pub fn magnitudes(&self) -> Vec<Vec<f64>> {
-        self.bins
-            .iter()
-            .map(|row| row.iter().map(|z| z.abs()).collect())
-            .collect()
-    }
-
-    /// Mean magnitude over time per frequency bin (a long-term average
-    /// spectrum).
-    pub fn mean_magnitude(&self) -> Vec<f64> {
-        if self.bins.is_empty() {
-            return Vec::new();
-        }
-        let k = self.bins[0].len();
-        let mut acc = vec![0.0; k];
-        for row in &self.bins {
-            for (a, z) in acc.iter_mut().zip(row.iter()) {
-                *a += z.abs();
-            }
-        }
-        let n = self.bins.len() as f64;
-        for a in &mut acc {
-            *a /= n;
-        }
-        acc
-    }
-
-    /// Frequency (Hz) of bin `k`.
-    pub fn bin_to_hz(&self, k: usize) -> f64 {
-        k as f64 * self.sample_rate / self.n_fft as f64
-    }
-
-    /// Number of frames.
-    pub fn n_frames(&self) -> usize {
-        self.bins.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,42 +134,31 @@ mod tests {
     fn stft_tone_concentrates_in_one_bin() {
         let sr = 16_000.0;
         let x = tone(2000.0, sr, 16_000, 1.0);
-        let s = Stft::compute(&x, sr, 512, 256, Window::Hann);
-        let avg = s.mean_magnitude();
+        let mut p = StftProcessor::with_n_fft(512, 512, Window::Hann);
+        let mut out = vec![Complex::ZERO; p.onesided_len()];
+        let mut avg = vec![0.0; p.onesided_len()];
+        for frame in frames(&x, 512, 256) {
+            p.process_into(&frame, &mut out);
+            for (a, z) in avg.iter_mut().zip(&out) {
+                *a += z.abs();
+            }
+        }
         let peak = crate::peak::argmax(&avg).unwrap();
-        assert!((s.bin_to_hz(peak) - 2000.0).abs() < sr / 512.0);
+        assert!((peak as f64 * sr / 512.0 - 2000.0).abs() < sr / 512.0);
     }
 
     #[test]
     fn stft_dimensions() {
-        let x = vec![0.5; 1000];
-        let s = Stft::compute(&x, 8000.0, 256, 128, Window::Hamming);
-        assert_eq!(s.n_fft, 256);
-        assert_eq!(s.bins[0].len(), 129);
-        assert_eq!(s.n_frames(), frames(&x, 256, 128).len());
-        assert_eq!(s.magnitudes().len(), s.n_frames());
+        let p = StftProcessor::with_n_fft(256, 256, Window::Blackman);
+        assert_eq!(p.frame_size(), 256);
+        assert_eq!(p.n_fft(), 256);
+        assert_eq!(p.onesided_len(), 129);
+        assert_eq!(frames(&[0.5; 1000], 256, 128).len(), 8);
     }
 
     #[test]
     fn empty_signal_yields_no_frames() {
-        let s = Stft::compute(&[], 8000.0, 256, 128, Window::Hann);
-        assert_eq!(s.n_frames(), 0);
-        assert!(s.mean_magnitude().is_empty());
-    }
-
-    #[test]
-    fn reused_processor_matches_batch_compute_bitwise() {
-        let sr = 16_000.0;
-        let x = tone(1200.0, sr, 2000, 0.8);
-        let s = Stft::compute(&x, sr, 512, 256, Window::Hann);
-        let mut p = StftProcessor::new(512, Window::Hann);
-        assert_eq!(p.n_fft(), 512);
-        assert_eq!(p.onesided_len(), 257);
-        let mut out = vec![Complex::ZERO; p.onesided_len()];
-        for (t, frame) in frames(&x, 512, 256).iter().enumerate() {
-            p.process_into(frame, &mut out);
-            assert_eq!(out, s.bins[t], "frame {t} diverged on buffer reuse");
-        }
+        assert!(frames(&[], 256, 128).is_empty());
     }
 
     #[test]
@@ -274,9 +173,9 @@ mod tests {
         let mut out = vec![Complex::ZERO; p.onesided_len()];
         p.process_into(&x, &mut out);
         let coeffs = Window::Hann.coefficients(960);
-        let windowed: Vec<f64> = x.iter().zip(&coeffs).map(|(s, w)| s * w).collect();
-        let expect = crate::fft::rfft_plan(1024).forward(&windowed);
-        assert_eq!(out, expect);
+        let mut windowed: Vec<f64> = x.iter().zip(&coeffs).map(|(s, w)| s * w).collect();
+        windowed.resize(1024, 0.0);
+        assert_eq!(out, crate::fft::rfft_onesided(&windowed));
     }
 
     #[test]
@@ -287,7 +186,7 @@ mod tests {
 
     #[test]
     fn processor_zero_pads_short_frames() {
-        let mut p = StftProcessor::new(64, Window::Rect);
+        let mut p = StftProcessor::with_n_fft(64, 64, Window::Hann);
         let mut out = vec![Complex::ZERO; p.onesided_len()];
         // A half-filled frame equals a fully zero-padded one.
         p.process_into(&[1.0; 32], &mut out);

@@ -14,13 +14,9 @@
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Window {
-    /// Rectangular (no tapering).
-    Rect,
     /// Hann (raised cosine); the default for STFT work.
     #[default]
     Hann,
-    /// Hamming.
-    Hamming,
     /// Blackman.
     Blackman,
 }
@@ -42,59 +38,11 @@ impl Window {
             .map(|i| {
                 let x = 2.0 * std::f64::consts::PI * i as f64 / nf;
                 match self {
-                    Window::Rect => 1.0,
                     Window::Hann => 0.5 - 0.5 * x.cos(),
-                    Window::Hamming => 0.54 - 0.46 * x.cos(),
                     Window::Blackman => 0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos(),
                 }
             })
             .collect()
-    }
-
-    /// Applies the window to `signal` in place.
-    ///
-    /// Allocates the coefficient table per call; repeated framing should
-    /// precompute [`coefficients`](Window::coefficients) once and use
-    /// [`apply_coefficients`] (as [`crate::stft::StftProcessor`] does).
-    pub fn apply(self, signal: &mut [f64]) {
-        let coeffs = self.coefficients(signal.len());
-        apply_coefficients(&coeffs, signal);
-    }
-
-    /// Sum of the window coefficients (used for amplitude normalization of
-    /// spectra). Evaluated directly — no coefficient table is materialized.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        match n {
-            // `iter::Sum` for f64 folds from -0.0; keep the historical bits.
-            0 => -0.0,
-            1 => 1.0,
-            _ => {
-                let nf = n as f64;
-                (0..n)
-                    .map(|i| {
-                        let x = 2.0 * std::f64::consts::PI * i as f64 / nf;
-                        match self {
-                            Window::Rect => 1.0,
-                            Window::Hann => 0.5 - 0.5 * x.cos(),
-                            Window::Hamming => 0.54 - 0.46 * x.cos(),
-                            Window::Blackman => 0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos(),
-                        }
-                    })
-                    .sum()
-            }
-        }
-    }
-}
-
-/// Multiplies `signal` by a precomputed coefficient table in place — the
-/// flat element-wise loop every framing hot path should sit on (the
-/// compiler autovectorizes it; no per-call allocation).
-///
-/// Trailing samples beyond `coeffs.len()` are left untouched, matching the
-/// historical zip semantics of [`Window::apply`].
-pub fn apply_coefficients(coeffs: &[f64], signal: &mut [f64]) {
-    for (s, w) in signal.iter_mut().zip(coeffs) {
-        *s *= w;
     }
 }
 
@@ -136,9 +84,7 @@ fn symmetric_coefficients(window: Window, n: usize) -> Vec<f64> {
         .map(|i| {
             let x = 2.0 * std::f64::consts::PI * i as f64 / nf;
             match window {
-                Window::Rect => 1.0,
                 Window::Hann => 0.5 - 0.5 * x.cos(),
-                Window::Hamming => 0.54 - 0.46 * x.cos(),
                 Window::Blackman => 0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos(),
             }
         })
@@ -151,12 +97,7 @@ mod tests {
 
     #[test]
     fn lengths_and_edges() {
-        for w in [
-            Window::Rect,
-            Window::Hann,
-            Window::Hamming,
-            Window::Blackman,
-        ] {
+        for w in [Window::Hann, Window::Blackman] {
             assert!(w.coefficients(0).is_empty());
             assert_eq!(w.coefficients(1), vec![1.0]);
             assert_eq!(w.coefficients(64).len(), 64);
@@ -165,7 +106,7 @@ mod tests {
 
     #[test]
     fn windows_are_bounded_by_unity() {
-        for w in [Window::Hann, Window::Hamming, Window::Blackman] {
+        for w in [Window::Hann, Window::Blackman] {
             for c in w.coefficients(128) {
                 assert!((-1e-12..=1.0 + 1e-12).contains(&c), "{w:?} produced {c}");
             }
@@ -184,55 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn rect_is_all_ones() {
-        assert!(Window::Rect.coefficients(10).iter().all(|&c| c == 1.0));
-    }
-
-    #[test]
-    fn apply_windows_in_place() {
-        let mut x = vec![1.0; 8];
-        Window::Hann.apply(&mut x);
-        assert!(x[0].abs() < 1e-12);
-        assert!((x[4] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coherent_gain_of_rect_is_n() {
-        assert_eq!(Window::Rect.coherent_gain(37), 37.0);
-    }
-
-    #[test]
-    fn coherent_gain_matches_coefficient_sum_bitwise() {
-        for w in [
-            Window::Rect,
-            Window::Hann,
-            Window::Hamming,
-            Window::Blackman,
-        ] {
-            for n in [0usize, 1, 2, 17, 128] {
-                let direct = w.coherent_gain(n);
-                let summed: f64 = w.coefficients(n).iter().sum();
-                assert_eq!(direct.to_bits(), summed.to_bits(), "{w:?} n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn apply_coefficients_matches_apply() {
-        let mut a = vec![0.5; 33];
-        let mut b = a.clone();
-        Window::Blackman.apply(&mut a);
-        apply_coefficients(&Window::Blackman.coefficients(33), &mut b);
-        assert_eq!(a, b);
-        // A short table leaves the tail untouched.
-        let mut c = vec![2.0; 4];
-        apply_coefficients(&[0.5, 0.5], &mut c);
-        assert_eq!(c, vec![1.0, 1.0, 2.0, 2.0]);
-    }
-
-    #[test]
     fn sinc_lowpass_has_unit_dc_gain() {
-        let h = sinc_lowpass(63, 0.15, Window::Hamming);
+        let h = sinc_lowpass(63, 0.15, Window::Hann);
         let dc: f64 = h.iter().sum();
         assert!((dc - 1.0).abs() < 1e-12);
     }

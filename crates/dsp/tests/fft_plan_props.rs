@@ -1,30 +1,36 @@
-//! Property tests for the planned FFT engine: real-FFT round-trips over
-//! random lengths and race-free deterministic plan-cache sharing across
-//! `ht-par` workers. Agreement with the exact DFT is checked in the
-//! `fft` unit tests, next to their compensated reference.
+//! Property tests for the planned FFT engine: zero-padding and
+//! round-trips of the real plan over random lengths, and race-free
+//! deterministic plan-cache sharing across `ht-par` workers. Agreement with
+//! the exact DFT is checked in the `fft` unit tests, next to their
+//! compensated reference.
 
 use ht_dsp::check::property;
 use ht_dsp::fft;
 use ht_dsp::Complex;
 use ht_par::Pool;
 
+/// `forward_into` of a short input equals, bit for bit, `forward_into` of
+/// the same input zero-padded to the plan length — the equality the
+/// directivity accumulator's partial-segment flush relies on.
 #[test]
-fn irfft_real_round_trips_rfft_over_random_lengths() {
-    property("irfft_real_round_trips_rfft_over_random_lengths").run(|g| {
-        let x = g.vec_f64(-2.0..2.0, 1..1500);
-        let spec = fft::rfft(&x);
-        assert_eq!(spec.len(), fft::rfft_len(x.len()));
-        let back = fft::irfft_real(&spec);
-        for (k, (b, orig)) in back.iter().zip(&x).enumerate() {
+fn forward_into_zero_pads_short_input_bit_for_bit() {
+    property("forward_into_zero_pads_short_input_bit_for_bit").run(|g| {
+        let n = 1usize << g.usize_in(0..13);
+        let len = g.usize_in(0..n + 1);
+        let x: Vec<f64> = (0..len).map(|_| g.f64_in(-2.0..2.0)).collect();
+        let plan = fft::rfft_plan(n);
+        let mut scratch = plan.scratch();
+        let mut short = vec![Complex::ZERO; plan.onesided_len()];
+        plan.forward_into(&x, &mut short, &mut scratch);
+        let mut padded = x.clone();
+        padded.resize(n, 0.0);
+        let mut full = vec![Complex::ZERO; plan.onesided_len()];
+        plan.forward_into(&padded, &mut full, &mut scratch);
+        for (k, (s, f)) in short.iter().zip(&full).enumerate() {
             assert!(
-                (b - orig).abs() < 1e-9,
-                "sample {k} of {}: {b} vs {orig}",
-                x.len()
+                s.re.to_bits() == f.re.to_bits() && s.im.to_bits() == f.im.to_bits(),
+                "n = {n}, len = {len}, bin {k}: {s:?} vs {f:?}"
             );
-        }
-        // The zero-padded tail comes back as (numerical) zeros.
-        for (k, b) in back.iter().enumerate().skip(x.len()) {
-            assert!(b.abs() < 1e-9, "tail sample {k} is {b}");
         }
     });
 }
@@ -49,19 +55,6 @@ fn real_plan_inverse_inverts_forward_over_random_lengths() {
     });
 }
 
-#[test]
-fn one_sided_rfft_matches_full_spectrum_prefix() {
-    property("one_sided_rfft_matches_full_spectrum_prefix").run(|g| {
-        let x = g.vec_f64(-1.0..1.0, 1..2000);
-        let full = fft::rfft(&x);
-        let onesided = fft::rfft_onesided(&x);
-        assert_eq!(onesided.len(), fft::rfft_onesided_len(x.len()));
-        for (k, (o, f)) in onesided.iter().zip(&full).enumerate() {
-            assert_eq!(*o, *f, "bin {k}: one-sided and full prefix diverge");
-        }
-    });
-}
-
 /// Plan-cache sharing across a 4-worker pool must be race-free and produce
 /// bit-identical results to the serial path, including when the workers all
 /// miss (and build) the same sizes simultaneously.
@@ -82,9 +75,10 @@ fn plan_cache_is_race_free_and_deterministic_across_workers() {
         })
         .collect();
 
-    let serial = Pool::new(1).install(|| ht_par::par_map(&signals, |x| fft::rfft(x)));
+    let serial = Pool::new(1).install(|| ht_par::par_map(&signals, |x| fft::rfft_onesided(x)));
     for _ in 0..3 {
-        let parallel = Pool::new(4).install(|| ht_par::par_map(&signals, |x| fft::rfft(x)));
+        let parallel =
+            Pool::new(4).install(|| ht_par::par_map(&signals, |x| fft::rfft_onesided(x)));
         assert_eq!(serial, parallel, "thread count changed rfft results");
     }
 

@@ -8,39 +8,6 @@ use ht_dsp::filter::Butterworth;
 use ht_dsp::window::Window;
 
 #[test]
-fn convolution_is_linear() {
-    property("convolution_is_linear").run(|g| {
-        let a = g.vec_f64(-1.0..1.0, 4..64);
-        let b = g.vec_f64(-1.0..1.0, 4..64);
-        let k = g.vec_f64(-1.0..1.0, 2..16);
-        // conv(a + b, k) == conv(a, k) + conv(b, k) for equal-length a, b.
-        let n = a.len().min(b.len());
-        let (a, b) = (&a[..n], &b[..n]);
-        let sum: Vec<f64> = a.iter().zip(b).map(|(x, y)| x + y).collect();
-        let lhs = ht_dsp::convolve::convolve_direct(&sum, &k);
-        let ca = ht_dsp::convolve::convolve_direct(a, &k);
-        let cb = ht_dsp::convolve::convolve_direct(b, &k);
-        for ((l, x), y) in lhs.iter().zip(ca.iter()).zip(cb.iter()) {
-            assert!((l - (x + y)).abs() < 1e-9);
-        }
-    });
-}
-
-#[test]
-fn fft_and_direct_convolution_agree() {
-    property("fft_and_direct_convolution_agree").run(|g| {
-        let x = g.vec_f64(-1.0..1.0, 8..128);
-        let h = g.vec_f64(-1.0..1.0, 2..32);
-        let direct = ht_dsp::convolve::convolve_direct(&x, &h);
-        let fft = ht_dsp::convolve::convolve_fft(&x, &h);
-        assert_eq!(direct.len(), fft.len());
-        for (d, f) in direct.iter().zip(fft.iter()) {
-            assert!((d - f).abs() < 1e-8);
-        }
-    });
-}
-
-#[test]
 fn decimation_preserves_dc() {
     property("decimation_preserves_dc").run(|g| {
         let level = g.f64_in(-2.0..2.0);
@@ -73,12 +40,7 @@ fn filters_are_stable() {
 fn windows_never_amplify() {
     property("windows_never_amplify").run(|g| {
         let n = g.usize_in(1..512);
-        for w in [
-            Window::Hann,
-            Window::Hamming,
-            Window::Blackman,
-            Window::Rect,
-        ] {
+        for w in [Window::Hann, Window::Blackman] {
             let c = w.coefficients(n);
             assert_eq!(c.len(), n);
             assert!(c.iter().all(|&v| v <= 1.0 + 1e-12 && v >= -1e-12));

@@ -19,7 +19,7 @@ use ht_ml::{Classifier, Dataset};
 fn directivity_start(cfg: &PipelineConfig) -> usize {
     let pairs = 6; // C(4,2)
     let window = 2 * cfg.max_lag + 1;
-    (cfg.srp_peaks + 5) + pairs * (window + 1 + 5)
+    (headtalk::config::SRP_PEAKS + 5) + pairs * (window + 1 + 5)
 }
 
 fn slice_features(records: &[Record], range: std::ops::Range<usize>) -> Vec<Record> {

@@ -2,22 +2,28 @@
 
 use ht_acoustics::array::Device;
 
-/// End-to-end pipeline configuration.
+/// Pre-filter low corner in Hz (paper: 100 Hz).
+pub const PREPROCESS_LO_HZ: f64 = 100.0;
+
+/// Pre-filter high corner in Hz (paper: 16 000 Hz).
+pub const PREPROCESS_HI_HZ: f64 = 16_000.0;
+
+/// Number of top SRP peaks kept as features (paper: 3).
+pub const SRP_PEAKS: usize = 3;
+
+/// Number of low-band chunks for the directivity features (paper: 20).
+pub const LOW_BAND_CHUNKS: usize = 20;
+
+/// End-to-end pipeline configuration. The paper's fixed choices (the
+/// pre-filter corners, [`SRP_PEAKS`], [`LOW_BAND_CHUNKS`]) are constants
+/// beside it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Input sample rate in Hz (the prototype devices record at 48 kHz).
     pub sample_rate: f64,
-    /// Pre-filter low corner in Hz (paper: 100 Hz).
-    pub preprocess_lo_hz: f64,
-    /// Pre-filter high corner in Hz (paper: 16 000 Hz).
-    pub preprocess_hi_hz: f64,
     /// One-sided SRP/GCC lag window in samples (device dependent: ±12 for
     /// D1, ±13 for D2, ±10 for D3; §III-B3).
     pub max_lag: usize,
-    /// Number of top SRP peaks kept as features (paper: 3).
-    pub srp_peaks: usize,
-    /// Number of low-band chunks for the directivity features (paper: 20).
-    pub low_band_chunks: usize,
     /// Liveness input length in samples at 16 kHz (utterances are padded or
     /// center-cropped to this length).
     pub liveness_input_len: usize,
@@ -68,11 +74,7 @@ impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             sample_rate: 48_000.0,
-            preprocess_lo_hz: 100.0,
-            preprocess_hi_hz: 16_000.0,
             max_lag: Device::D2.srp_max_lag(),
-            srp_peaks: 3,
-            low_band_chunks: 20,
             liveness_input_len: 8_000, // 0.5 s at 16 kHz
         }
     }
@@ -86,11 +88,11 @@ mod tests {
     fn default_matches_paper_constants() {
         let c = PipelineConfig::default();
         assert_eq!(c.sample_rate, 48_000.0);
-        assert_eq!(c.preprocess_lo_hz, 100.0);
-        assert_eq!(c.preprocess_hi_hz, 16_000.0);
+        assert_eq!(PREPROCESS_LO_HZ, 100.0);
+        assert_eq!(PREPROCESS_HI_HZ, 16_000.0);
         assert_eq!(c.max_lag, 13); // D2
-        assert_eq!(c.srp_peaks, 3);
-        assert_eq!(c.low_band_chunks, 20);
+        assert_eq!(SRP_PEAKS, 3);
+        assert_eq!(LOW_BAND_CHUNKS, 20);
     }
 
     #[test]

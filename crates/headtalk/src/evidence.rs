@@ -27,7 +27,7 @@
 //! [`HeadTalk::liveness_input`] each run only the half whose output they
 //! return.
 
-use crate::config::PipelineConfig;
+use crate::config::{PipelineConfig, LOW_BAND_CHUNKS, SRP_PEAKS};
 use crate::features;
 use crate::liveness::prepare_decimated_into;
 use crate::pipeline::HeadTalk;
@@ -211,8 +211,6 @@ impl HeadTalk {
 /// Ring framing, per-frame analysis and the directivity spectrum.
 #[derive(Debug, Clone)]
 struct OrientationHalf {
-    srp_peaks: usize,
-    low_band_chunks: usize,
     ring: FrameRing,
     frame: Vec<Vec<f64>>,
     analyzer: FrameAnalyzer,
@@ -228,8 +226,6 @@ impl OrientationHalf {
         let analyzer =
             FrameAnalyzer::new(n_channels, frame_len, config.max_lag, config.sample_rate)?;
         Ok(OrientationHalf {
-            srp_peaks: config.srp_peaks,
-            low_band_chunks: config.low_band_chunks,
             ring: FrameRing::with_capacity(n_channels, frame_len, hop, frame_len + 2 * hop)?,
             frame: vec![vec![0.0; frame_len]; n_channels],
             analyzer,
@@ -263,11 +259,11 @@ impl OrientationHalf {
         let _span = ht_obs::span("wake.feature_extract");
         self.features.clear();
         self.analyzer
-            .assemble_features_into(self.srp_peaks, &mut self.features)?;
+            .assemble_features_into(SRP_PEAKS, &mut self.features)?;
         // A frame implies pushed samples, so a spectrum exists.
         let spec = self.dir.flush_spectrum().ok_or(StreamError::NoFrames)?;
         self.features.push(spectrum::hlbr(spec));
-        spectrum::push_low_band_chunk_stats(spec, self.low_band_chunks, &mut self.features);
+        spectrum::push_low_band_chunk_stats(spec, LOW_BAND_CHUNKS, &mut self.features);
         Ok(&self.features)
     }
 

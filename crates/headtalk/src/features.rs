@@ -20,7 +20,7 @@
 //!
 //! [`HeadTalk::orientation_features`]: crate::HeadTalk::orientation_features
 
-use crate::config::PipelineConfig;
+use crate::config::{PipelineConfig, LOW_BAND_CHUNKS, SRP_PEAKS};
 
 /// Computes the width of the feature vector for `n_channels` microphones
 /// under a configuration (feature vectors are fixed-width per device).
@@ -29,11 +29,11 @@ pub fn feature_width(n_channels: usize, config: &PipelineConfig) -> usize {
     let pairs = n_channels * n_channels.saturating_sub(1) / 2;
     let window = 2 * config.max_lag + 1;
     // SRP: top peaks + 5 summary stats.
-    let srp = config.srp_peaks + 5;
+    let srp = SRP_PEAKS + 5;
     // Per pair: GCC window + TDoA + 5 summary stats.
     let gcc = pairs * (window + 1 + 5);
     // Directivity: HLBR + chunks × (mean, rms, std).
-    let directivity = 1 + 3 * config.low_band_chunks;
+    let directivity = 1 + 3 * LOW_BAND_CHUNKS;
     srp + gcc + directivity
 }
 
@@ -96,7 +96,7 @@ mod tests {
         let cfg = PipelineConfig::default();
         let ch = test_channels(2, 4096);
         let f = HeadTalk::orientation_features(&cfg, &ch).unwrap();
-        // Layout: srp_peaks (3) + srp stats (5) + gcc window (27) + tdoa.
+        // Layout: SRP_PEAKS (3) + srp stats (5) + gcc window (27) + tdoa.
         let tdoa_idx = 3 + 5 + 27;
         assert!(
             (f[tdoa_idx] + 1.5).abs() < 0.3,

@@ -6,7 +6,7 @@
 //! of 100∼16000 Hz."* Filtering is zero-phase so inter-channel delays (the
 //! TDoA information) survive.
 
-use crate::config::PipelineConfig;
+use crate::config::{PipelineConfig, PREPROCESS_HI_HZ, PREPROCESS_LO_HZ};
 use crate::HeadTalkError;
 use ht_dsp::filter::{Butterworth, Sos};
 
@@ -25,12 +25,8 @@ impl Preprocessor {
     /// Returns [`HeadTalkError::Dsp`] when the corners are invalid for the
     /// sample rate.
     pub fn new(config: &PipelineConfig) -> Result<Preprocessor, HeadTalkError> {
-        let filter = Butterworth::bandpass(
-            5,
-            config.preprocess_lo_hz,
-            config.preprocess_hi_hz,
-            config.sample_rate,
-        )?;
+        let filter =
+            Butterworth::bandpass(5, PREPROCESS_LO_HZ, PREPROCESS_HI_HZ, config.sample_rate)?;
         Ok(Preprocessor { filter })
     }
 

@@ -4,11 +4,13 @@
 //!
 //! The analyzer owns every buffer it needs — STFT plan and scratch,
 //! per-channel spectra and magnitudes, the inverse-FFT workspace, the
-//! spectral accumulators — all sized in [`FrameAnalyzer::new`], so
-//! [`analyze`](FrameAnalyzer::analyze) is allocation-free from the first
-//! frame. Frames are zero-padded to `next_pow2(frame_len + max_lag + 1)` so
-//! circular GCC lags up to `±max_lag` never alias (the same pad rule as the
-//! one-shot `ht_dsp::correlate::gcc_phat`).
+//! spectral accumulators — all sized in [`FrameAnalyzer::new`], which runs
+//! no transform (both FFT scratches come presized from
+//! [`RealFftPlan::scratch`]), so [`analyze`](FrameAnalyzer::analyze) is
+//! allocation-free from the first frame. Frames are zero-padded to
+//! `next_pow2(frame_len + max_lag + 1)` so circular GCC lags up to
+//! `±max_lag` never alias (the same pad rule as the one-shot
+//! `ht_dsp::correlate::gcc_phat`).
 //!
 //! PHAT whitening is separable (`XᵢXⱼ*/|XᵢXⱼ*| = uᵢ·conj(uⱼ)`, `u = X/|X|`),
 //! so [`ht_dsp::kernels::channel_phat_accumulate`] normalizes each channel's
@@ -98,7 +100,7 @@ impl FrameAnalyzer {
         let max_lag = max_lag.min(frame_len - 1);
         // Same pad rule as `gcc_phat`: room for every lag we read.
         let n_fft = fft::next_pow2(frame_len + max_lag + 1);
-        let mut stft = StftProcessor::with_n_fft(frame_len, n_fft, Window::Hann);
+        let stft = StftProcessor::with_n_fft(frame_len, n_fft, Window::Hann);
         let plan = fft::rfft_plan(n_fft);
         let bins = plan.onesided_len();
         let pairs: Vec<(usize, usize)> = (0..channels)
@@ -106,26 +108,17 @@ impl FrameAnalyzer {
             .collect();
         let n_pairs = pairs.len();
         let w = 2 * max_lag + 1;
-        let mut spectra = vec![vec![Complex::ZERO; bins]; channels];
-        let spec_accum = vec![Complex::ZERO; n_pairs * bins];
-        let mut r = vec![0.0; n_fft];
-        // Throwaway transforms warm both lazily sized FFT scratches, so a
-        // pooled analyzer allocates nothing from its first frame or its
-        // first assembly on.
-        stft.process_into(&[], &mut spectra[0]);
-        let mut scratch = RealFftScratch::new();
-        plan.inverse_into(&spec_accum[..bins], &mut r, &mut scratch);
         Ok(FrameAnalyzer {
             channels,
             frame_len,
             max_lag,
             stft,
-            spectra,
+            spectra: vec![vec![Complex::ZERO; bins]; channels],
             mags: vec![0.0; channels * bins],
             pairs,
-            spec_accum,
-            r,
-            fft: scratch,
+            spec_accum: vec![Complex::ZERO; n_pairs * bins],
+            r: vec![0.0; n_fft],
+            fft: plan.scratch(),
             lag_sums: vec![0.0; n_pairs * w],
             srp: vec![0.0; w],
             frames: 0,

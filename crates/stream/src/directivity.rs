@@ -8,8 +8,11 @@
 //! harmonic structure. A 20 ms analysis frame (≈100 Hz rectangular-window
 //! resolution) cannot do that, so the directivity evidence accumulates
 //! here over much longer segments than the per-frame SRP/GCC analysis:
-//! non-overlapping windows of the channel-mean signal, each transformed
-//! once and summed per bin.
+//! non-overlapping, unweighted (rectangular) segments of the channel-mean
+//! signal, each transformed once by the segment plan's
+//! [`forward_into`](RealFftPlan::forward_into) and summed per bin.
+//! Construction sizes every buffer, the FFT scratch included, and runs no
+//! transform, so pushing and flushing never allocate.
 //!
 //! The accumulator is chunking-independent by construction: samples fill
 //! the segment buffer by absolute index, so any split of the capture into
@@ -32,8 +35,6 @@ use crate::error::StreamError;
 use ht_dsp::complex::Complex;
 use ht_dsp::fft::{rfft_plan, RealFftPlan, RealFftScratch};
 use ht_dsp::spectrum::Spectrum;
-use ht_dsp::stft::StftProcessor;
-use ht_dsp::window::Window;
 use std::sync::Arc;
 
 /// Resolution floor for the adaptive short-capture flush: at 48 kHz a
@@ -52,15 +53,13 @@ const EPOCH_DIRTY: u64 = u64::MAX;
 pub struct DirectivityAccum {
     channels: usize,
     seg_len: usize,
-    stft: StftProcessor,
+    /// Plan for the segment FFT length (the full-resolution grid).
+    plan: Arc<RealFftPlan>,
     /// Channel-mean samples of the segment currently being filled
     /// (`len() < seg_len` between pushes).
     buf: Vec<f64>,
-    /// FFT scratch for completed and flushed segments.
+    /// FFT output for completed and flushed segments.
     bins: Vec<Complex>,
-    /// Zero-pad scratch for the flush path (the partial segment must not
-    /// be mutated by a non-destructive flush).
-    flush_buf: Vec<f64>,
     /// Running per-bin magnitude sums over completed segments.
     mag_accum: Vec<f64>,
     /// Completed (full-length) segments accumulated.
@@ -68,8 +67,6 @@ pub struct DirectivityAccum {
     /// Reused facade over the averaged magnitudes so callers can use the
     /// batch `hlbr`/chunk-stats helpers without allocating.
     spectrum: Spectrum,
-    /// Segment FFT length (the full-resolution grid).
-    n_fft: usize,
     /// Sample-count epoch `spectrum` was computed at (`EPOCH_DIRTY` when
     /// no flush is cached). A repeat flush at the same epoch returns the
     /// cached spectrum without touching the FFT.
@@ -77,8 +74,8 @@ pub struct DirectivityAccum {
     /// Plan for the most recent adaptive (shorter-than-segment) flush
     /// grid, kept so steady-state flushes skip the shared plan-cache lock.
     partial_plan: Option<Arc<RealFftPlan>>,
-    /// Scratch for the adaptive flush transform (warmed at construction
-    /// to the full segment size, so no flush grid can grow it).
+    /// FFT scratch for every transform, presized to the segment plan so
+    /// no flush grid can grow it.
     scratch: RealFftScratch,
     /// Forward FFTs performed by `flush_spectrum` since construction.
     /// Diagnostic: pinned by the zero-FFT-on-repeat regression tests.
@@ -114,40 +111,27 @@ impl DirectivityAccum {
                 "sample rate must be positive and finite, got {sample_rate}"
             )));
         }
-        let n_fft = ht_dsp::fft::next_pow2(seg_len);
-        let mut stft = StftProcessor::with_n_fft(seg_len, n_fft, Window::Rect);
-        let bins = stft.onesided_len();
-        // One throwaway transform warms the processor's lazily sized FFT
-        // scratch (and the shared plan cache) at construction, so the
-        // first segment to complete mid-stream allocates nothing — the
-        // push path's allocation-free claim is unconditional.
-        let mut warm_bins = vec![Complex::ZERO; bins];
-        let warm_buf = vec![0.0; seg_len];
-        stft.process_into(&warm_buf, &mut warm_bins);
-        // Warm the adaptive-flush scratch at the *largest* grid the flush
-        // can ever use (the full segment FFT), so every shorter grid runs
-        // within its capacity and the flush path stays allocation-free.
-        let mut scratch = RealFftScratch::new();
-        rfft_plan(n_fft).forward_into(&warm_buf, &mut warm_bins, &mut scratch);
-        warm_bins.fill(Complex::ZERO);
+        let plan = rfft_plan(seg_len);
+        let bins = plan.onesided_len();
         Ok(DirectivityAccum {
             channels,
             seg_len,
-            stft,
             buf: Vec::with_capacity(seg_len),
-            bins: warm_bins,
-            flush_buf: warm_buf,
+            bins: vec![Complex::ZERO; bins],
             mag_accum: vec![0.0; bins],
             segments: 0,
             spectrum: Spectrum {
                 magnitudes: vec![0.0; bins],
                 sample_rate,
-                n_fft,
+                n_fft: plan.len(),
             },
-            n_fft,
             cached_epoch: EPOCH_DIRTY,
             partial_plan: None,
-            scratch,
+            // Sized for the largest grid any transform here uses, so the
+            // first segment to complete mid-stream and every flush grid
+            // allocate nothing.
+            scratch: plan.scratch(),
+            plan,
             flush_ffts: 0,
         })
     }
@@ -185,7 +169,8 @@ impl DirectivityAccum {
             self.buf.push(mean / n);
             if self.buf.len() == self.seg_len {
                 let _span = ht_obs::span("stream.directivity");
-                self.stft.process_into(&self.buf, &mut self.bins);
+                self.plan
+                    .forward_into(&self.buf, &mut self.bins, &mut self.scratch);
                 for (acc, z) in self.mag_accum.iter_mut().zip(&self.bins) {
                     *acc += z.abs();
                 }
@@ -235,7 +220,7 @@ impl DirectivityAccum {
             // Short capture: one transform at the capture's own grid.
             let m = ht_dsp::fft::next_pow2(partial)
                 .max(MIN_PARTIAL_N_FFT)
-                .min(self.n_fft);
+                .min(self.plan.len());
             let plan = match &self.partial_plan {
                 Some(p) if p.len() == m => Arc::clone(p),
                 _ => {
@@ -255,13 +240,13 @@ impl DirectivityAccum {
             ht_obs::counter_add("stream.directivity_flush_fft", 1);
         } else {
             self.spectrum.magnitudes.resize(full_bins, 0.0);
-            self.spectrum.n_fft = self.n_fft;
+            self.spectrum.n_fft = self.plan.len();
             let mut total = self.segments as f64;
             if partial > 0 {
                 total += 1.0;
-                self.flush_buf[..partial].copy_from_slice(&self.buf);
-                self.flush_buf[partial..].fill(0.0);
-                self.stft.process_into(&self.flush_buf, &mut self.bins);
+                // `forward_into` zero-pads the partial segment itself.
+                self.plan
+                    .forward_into(&self.buf, &mut self.bins, &mut self.scratch);
                 for ((m, acc), z) in self
                     .spectrum
                     .magnitudes

@@ -1,12 +1,13 @@
 //! Proof of the streaming pipeline's core claim: once warmed, the
 //! ingest → STFT → GCC accumulation path makes zero heap allocations per
-//! frame, even with JSON observability recording on. Same counting-allocator
-//! harness as `ht-dsp`'s alloc_free suite.
+//! frame, even with JSON observability recording on, and a freshly built
+//! analyzer or directivity accumulator allocates nothing from its first
+//! push. Same counting-allocator harness as `ht-dsp`'s alloc_free suite.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ht_stream::{FrameAnalyzer, FrameRing};
+use ht_stream::{DirectivityAccum, FrameAnalyzer, FrameRing};
 
 struct CountingAlloc;
 
@@ -107,4 +108,56 @@ fn a_fresh_analyzer_allocates_nothing_from_its_first_frame() {
     });
     ht_obs::set_mode(ht_obs::Mode::Off);
     assert_eq!(n, 0, "a fresh analyzer allocated {n} times");
+}
+
+#[test]
+fn a_fresh_directivity_accumulator_allocates_nothing_from_its_first_push() {
+    // The FFT scratch is presized in `new`, which runs no transform, so a
+    // pooled slot's first completed segment and its flush on either grid
+    // allocate nothing.
+    ht_obs::set_mode(ht_obs::Mode::Json);
+    let (channels, hop, seg_len) = (4, 480, 32_768);
+    let capture = |len: usize| -> Vec<Vec<f64>> {
+        (0..channels)
+            .map(|c| {
+                (0..len)
+                    .map(|k| ((k + c * 31) as f64 * 0.01).sin())
+                    .collect()
+            })
+            .collect()
+    };
+    let feed = |acc: &mut DirectivityAccum, x: &[Vec<f64>]| {
+        let len = x[0].len();
+        for start in (0..len).step_by(hop) {
+            let end = (start + hop).min(len);
+            let chunk: [&[f64]; 4] = std::array::from_fn(|c| &x[c][start..end]);
+            acc.push(&chunk).unwrap();
+        }
+        acc.flush_spectrum().unwrap();
+    };
+    // A 40 000-sample capture completes the first segment and flushes on
+    // the full grid; a 5 000-sample one flushes on the adaptive grid.
+    let long = capture(40_000);
+    let short = capture(5_000);
+    // Another accumulator creates the registry entries the spans and
+    // counters need and the shared plans of both grids.
+    let mut warm = DirectivityAccum::new(channels, seg_len, 48_000.0).unwrap();
+    feed(&mut warm, &long);
+    warm.reset();
+    feed(&mut warm, &short);
+    let counts: Vec<(u64, u64)> = [&long, &short]
+        .into_iter()
+        .map(|x| {
+            let mut acc = DirectivityAccum::new(channels, seg_len, 48_000.0).unwrap();
+            let n = allocs_during(|| feed(&mut acc, x));
+            (n, acc.flush_ffts())
+        })
+        .collect();
+    ht_obs::set_mode(ht_obs::Mode::Off);
+    assert_eq!(
+        counts,
+        [(0, 1), (0, 1)],
+        "(allocations, flush FFTs) of fresh accumulators on 40 000- and \
+         5 000-sample captures"
+    );
 }

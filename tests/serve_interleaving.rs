@@ -170,6 +170,96 @@ fn prop_interleaved_sessions_match_solo_batch() {
     });
 }
 
+/// `close` racing `finalize_batch` over the same ids: every session is
+/// fed in full, then one thread finalizes all of them in one batch while
+/// another closes a random subset. Each id ends either decided or closed,
+/// never both, and the side that loses gets `UnknownSession`; every slot
+/// comes back without a new one being built, and every decided outcome
+/// equals the capture's solo `decide_batch` bit for bit.
+#[test]
+fn prop_close_racing_finalize_batch_resolves_each_id_once() {
+    let ht = pipeline();
+    property("serve_close_race").cases(6).run(|g| {
+        let n_sessions = g.usize_in(2..7);
+        let n_shards = g.usize_in(1..4);
+        let sessions_per_shard = n_sessions.div_ceil(n_shards);
+        let captures = noise_captures(
+            n_sessions,
+            4,
+            g.usize_in(3000..4500),
+            g.usize_in(0..500),
+            g.u64_in(0..u64::MAX),
+        );
+        let server = WakeServer::new(ht, serve_config(ht, n_shards, sessions_per_shard));
+        let ids: Vec<u64> = (0..n_sessions as u64).collect();
+        for (&id, capture) in ids.iter().zip(&captures) {
+            server.open(id, 0).expect("open under capacity");
+            let len = capture[0].len();
+            let mut pos = 0;
+            while pos < len {
+                let take = g.usize_in(1..1200).min(len - pos);
+                let chunk: Vec<&[f64]> = capture.iter().map(|c| &c[pos..pos + take]).collect();
+                server.push(id, &chunk, 0).expect("push");
+                pos += take;
+            }
+        }
+        let built = server.stats().slots_built;
+        let mut to_close: Vec<u64> = ids.iter().copied().filter(|_| g.bool()).collect();
+        for i in (1..to_close.len()).rev() {
+            to_close.swap(i, g.usize_in(0..i + 1));
+        }
+
+        // Both sides leave the barrier together, so the closes land while
+        // the batch is deciding.
+        let start = std::sync::Barrier::new(2);
+        let (batch, closes) = std::thread::scope(|s| {
+            let closer = s.spawn(|| {
+                start.wait();
+                to_close
+                    .iter()
+                    .map(|&id| (id, server.close(id)))
+                    .collect::<Vec<_>>()
+            });
+            start.wait();
+            let batch = server.finalize_batch(&ids, 0);
+            (batch, closer.join().expect("closer thread"))
+        });
+
+        assert_eq!(batch.len(), ids.len(), "one result per batch entry");
+        for ((&id, capture), (got, result)) in ids.iter().zip(&captures).zip(&batch) {
+            assert_eq!(*got, id, "batch results come back in input order");
+            let ctx = format!("session {id}");
+            let decided = match result {
+                Ok(served) => {
+                    assert_matches_solo(ht, capture, served, &ctx);
+                    true
+                }
+                Err(ServeError::UnknownSession(u)) if *u == id => false,
+                Err(e) => panic!("{ctx}: unexpected finalize error {e}"),
+            };
+            let closed = closes.iter().find(|(c, _)| *c == id).map(|(_, r)| match r {
+                Ok(()) => true,
+                Err(ServeError::UnknownSession(u)) if *u == id => false,
+                Err(e) => panic!("{ctx}: unexpected close error {e}"),
+            });
+            match closed {
+                Some(closed) => assert_ne!(decided, closed, "{ctx}: decided and closed"),
+                None => assert!(decided, "{ctx}: nobody closed it, so the batch decides it"),
+            }
+        }
+        let stats = server.stats();
+        assert_eq!(stats.live, 0, "every session decided or closed");
+        assert_eq!(stats.slots_built, built, "no slot built during the race");
+        // A close that comes after the batch loses on every id.
+        for &id in &ids {
+            assert!(
+                matches!(server.close(id), Err(ServeError::UnknownSession(u)) if u == id),
+                "session {id} closes after it was decided or closed"
+            );
+        }
+    });
+}
+
 /// The full seeded load generator replays byte-identically at
 /// `HT_THREADS=1` and `4`: same decisions, same rejections, same
 /// fingerprint. This is the `(seed, scenario set)` replay contract.

@@ -634,7 +634,7 @@ fn zero_variance_tail_matches_batch() {
     for (p, (i, j)) in pairs.enumerate() {
         // Each pair block (lag window, TDoA, 5 stats) follows the SRP
         // block (peaks and 5 stats).
-        let at = config.srp_peaks + 5 + p * (w + 6);
+        let at = headtalk::config::SRP_PEAKS + 5 + p * (w + 6);
         let window = &features[at..at + w];
         if j == 3 {
             assert!(
