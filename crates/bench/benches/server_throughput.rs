@@ -137,8 +137,8 @@ fn main() {
         ht_par::current_threads(),
     );
 
-    // Warmup drive: builds the arena slots, grows every buffer, settles
-    // the FFT plan cache — the steady state the throughput claim is about.
+    // Warmup drive: builds the session slots and settles the FFT plan
+    // cache — the steady state the throughput claim is about.
     {
         let server = WakeServer::new(&ht, serve_config);
         let warm = LoadConfig {
@@ -239,10 +239,6 @@ fn main() {
         .set(
             "shard_sessions_hwm",
             snapshot.counter("serve.shard_sessions_hwm").unwrap_or(0),
-        )
-        .set(
-            "arena_slots_hwm",
-            snapshot.counter("serve.arena_slots_hwm").unwrap_or(0),
         );
 
     let json = Json::obj()

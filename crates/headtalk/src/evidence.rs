@@ -14,15 +14,17 @@
 //!
 //! A [`WakeStream`](crate::WakeStream) pushes microphone chunks;
 //! [`HeadTalk::decide_batch`] and [`HeadTalk::enable_int8`] push a finished
-//! capture hop by hop, checking it once up front so a bad sample is
-//! reported at its index in the capture. With one implementation, stream
-//! and batch agree bit for bit for any chunking. Evidence takes no
+//! capture as one chunk. A chunk longer than two hops is checked whole, so
+//! a bad sample is reported at its index in the chunk, then ingested in
+//! pieces of at most two hops: the ring and the liveness filter buffer
+//! never grow past the size they are built at. With one implementation,
+//! stream and batch agree bit for bit for any chunking. Evidence takes no
 //! [`QuantMode`](ht_dsp::QuantMode): the analyzer whitens each channel
 //! with one kernel in every mode, so int8 calibration, training and
 //! decisions all see the same features, and the mode selects only the
 //! model backends in [`HeadTalk::infer_assembled`]. Both routes refuse a
 //! capture longer than [`PipelineConfig::max_capture_samples`] (4 s of
-//! audio), so no session's buffers grow past the size they are built for.
+//! audio), the length the liveness branch is presized for.
 //! The training helpers [`HeadTalk::orientation_features`] and
 //! [`HeadTalk::liveness_input`] each run only the half whose output they
 //! return.
@@ -81,6 +83,8 @@ impl Evidence {
     /// Ingests one chunk of any length and analyzes every frame it
     /// completes. An empty chunk (channels of length 0) is accepted and
     /// changes nothing: it completes no frame and adds no liveness sample.
+    /// A chunk longer than two hops is ingested in pieces of at most two
+    /// hops, so it grows no buffer.
     ///
     /// # Errors
     ///
@@ -88,9 +92,24 @@ impl Evidence {
     /// [`StreamError::CaptureTooLong`] for a chunk that would take the
     /// capture past [`PipelineConfig::max_capture_samples`], and for a
     /// chunk with the wrong channel count, ragged channels or a NaN or
-    /// infinite sample. Every check runs before anything is written, so a
-    /// refused chunk changes nothing.
+    /// infinite sample. Every check runs over the whole chunk before
+    /// anything is written, so a refused chunk changes nothing.
     pub fn push(&mut self, chunk: &[&[f64]]) -> Result<(), HeadTalkError> {
+        let piece = 2 * self.orientation.ring.hop();
+        if chunk.first().map_or(0, |c| c.len()) <= piece {
+            return self.push_piece(chunk);
+        }
+        let channels = self.orientation.ring.channels();
+        let (pushed, limit) = (self.samples_per_channel(), self.max_samples);
+        push_in_pieces(chunk, channels, pushed, limit, piece, |p| {
+            self.push_piece(p)
+        })
+    }
+
+    /// [`push`](Evidence::push) for a chunk of at most two hops, which the
+    /// ring and the liveness filter buffer hold as built. The ring runs the
+    /// channel and sample checks before anything is written.
+    fn push_piece(&mut self, chunk: &[&[f64]]) -> Result<(), HeadTalkError> {
         {
             let _ingest = ht_obs::span("stream.ingest");
             let got = self.samples_per_channel() + chunk.first().map_or(0, |c| c.len());
@@ -101,7 +120,7 @@ impl Evidence {
         self.orientation.analyze_ready()
     }
 
-    /// Pushes a finished capture hop by hop, analyzing every frame.
+    /// Pushes a finished capture as one chunk, analyzing every frame.
     ///
     /// # Errors
     ///
@@ -109,8 +128,7 @@ impl Evidence {
     /// channel, and [`HeadTalkError::Stream`] as [`push`](Evidence::push)
     /// does, with a bad sample reported at its index in the capture.
     pub(crate) fn push_capture(&mut self, channels: &[Vec<f64>]) -> Result<(), HeadTalkError> {
-        let (hop, max_samples) = (self.orientation.ring.hop(), self.max_samples);
-        push_hops(channels, hop, max_samples, |chunk| self.push(chunk))
+        self.push(&capture_views(channels)?)
     }
 
     /// Assembles the feature vector and the liveness input from the
@@ -148,12 +166,6 @@ impl Evidence {
     pub(crate) fn samples_per_channel(&self) -> usize {
         self.orientation.ring.samples_pushed() as usize
     }
-
-    /// Forward FFTs the directivity flush has run since construction
-    /// (cache hits run none); survives [`reset`](Evidence::reset).
-    pub(crate) fn directivity_flush_ffts(&self) -> u64 {
-        self.orientation.dir.flush_ffts()
-    }
 }
 
 impl HeadTalk {
@@ -174,9 +186,10 @@ impl HeadTalk {
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
         let mut half = OrientationHalf::new(config, channels.len())?;
-        let (hop, max_samples) = (half.ring.hop(), config.max_capture_samples());
-        push_hops(channels, hop, max_samples, |chunk| {
-            half.push(chunk)?;
+        let views = capture_views(channels)?;
+        let (piece, limit) = (2 * half.ring.hop(), config.max_capture_samples());
+        push_in_pieces(&views, views.len(), 0, limit, piece, |p| {
+            half.push(p)?;
             half.analyze_ready()
         })?;
         Ok(half.assemble()?.to_vec())
@@ -199,9 +212,11 @@ impl HeadTalk {
         channels: &[Vec<f64>],
     ) -> Result<Vec<f64>, HeadTalkError> {
         let mut half = LivenessHalf::new(config)?;
+        let views = capture_views(channels)?;
         let (_, hop) = config.analysis_frame_geometry();
-        push_hops(channels, hop, config.max_capture_samples(), |chunk| {
-            half.push(chunk[0]);
+        let limit = config.max_capture_samples();
+        push_in_pieces(&views, views.len(), 0, limit, 2 * hop, |p| {
+            half.push(p[0]);
             Ok(())
         })?;
         Ok(half.assemble()?.to_vec())
@@ -333,30 +348,91 @@ fn check_capture_len(got: usize, limit: usize) -> Result<(), StreamError> {
     Ok(())
 }
 
-/// Checks a finished capture with the ring's chunk check and the
-/// `max_samples` length cap, run once over the whole capture so a bad
-/// sample is reported at its index in the capture (as by a stream fed it
-/// in one chunk), then calls `push` on consecutive `hop`-sample views of
-/// it.
-fn push_hops(
-    channels: &[Vec<f64>],
-    hop: usize,
-    max_samples: usize,
-    mut push: impl FnMut(&[&[f64]]) -> Result<(), HeadTalkError>,
-) -> Result<(), HeadTalkError> {
+/// Borrows a finished capture's channels as one chunk.
+fn capture_views(channels: &[Vec<f64>]) -> Result<Vec<&[f64]>, HeadTalkError> {
     if channels.first().is_none_or(Vec::is_empty) {
         return Err(HeadTalkError::InvalidInput(
             "capture must have at least one non-empty channel".into(),
         ));
     }
-    let views: Vec<&[f64]> = channels.iter().map(Vec::as_slice).collect();
-    let len = check_chunk(&views)?;
-    check_capture_len(len, max_samples)?;
-    let mut chunk = Vec::with_capacity(views.len());
-    for start in (0..len).step_by(hop) {
-        chunk.clear();
-        chunk.extend(views.iter().map(|c| &c[start..len.min(start + hop)]));
-        push(&chunk)?;
+    Ok(channels.iter().map(Vec::as_slice).collect())
+}
+
+/// Checks `chunk` whole — the `limit` cap on a capture already holding
+/// `pushed` samples per channel, then `channels` channels of one length
+/// with finite samples — so a refused chunk reaches no `push`, then calls
+/// `push` on consecutive views of at most `piece` samples per channel.
+fn push_in_pieces(
+    chunk: &[&[f64]],
+    channels: usize,
+    pushed: usize,
+    limit: usize,
+    piece: usize,
+    mut push: impl FnMut(&[&[f64]]) -> Result<(), HeadTalkError>,
+) -> Result<(), HeadTalkError> {
+    check_capture_len(pushed + chunk.first().map_or(0, |c| c.len()), limit)?;
+    if chunk.len() != channels {
+        return Err(StreamError::ChannelCountChanged {
+            expected: channels,
+            got: chunk.len(),
+        }
+        .into());
+    }
+    let len = check_chunk(chunk)?;
+    let mut views = Vec::with_capacity(channels);
+    for start in (0..len).step_by(piece) {
+        views.clear();
+        views.extend(chunk.iter().map(|c| &c[start..len.min(start + piece)]));
+        push(&views)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ht_dsp::rng::{gaussian, SeedableRng, StdRng};
+
+    #[test]
+    fn a_four_second_chunk_grows_no_buffer() {
+        let config = PipelineConfig::default();
+        let len = config.max_capture_samples();
+        let mut rng = StdRng::seed_from_u64(0x5107);
+        let capture: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..len).map(|_| 0.1 * gaussian(&mut rng)).collect())
+            .collect();
+        let views: Vec<&[f64]> = capture.iter().map(Vec::as_slice).collect();
+
+        let mut whole = Evidence::new(&config, 4).unwrap();
+        whole.push(&views).unwrap();
+        let mut hops = Evidence::new(&config, 4).unwrap();
+        let hop = hops.orientation.ring.hop();
+        for start in (0..len).step_by(hop) {
+            let chunk: Vec<&[f64]> = views.iter().map(|c| &c[start..start + hop]).collect();
+            hops.push(&chunk).unwrap();
+        }
+        let (a, b) = (whole.assemble().unwrap(), hops.assemble().unwrap());
+        for (x, y) in [
+            (a.features, b.features),
+            (a.liveness_input, b.liveness_input),
+        ] {
+            assert_eq!(x.len(), y.len());
+            for (i, (x, y)) in x.iter().zip(y).enumerate() {
+                assert_eq!(x.to_bits(), y.to_bits(), "value {i}");
+            }
+        }
+
+        whole.reset();
+        let fresh = Evidence::new(&config, 4).unwrap();
+        assert_eq!(
+            whole.orientation.ring.capacity(),
+            fresh.orientation.ring.capacity(),
+            "ring capacity per channel"
+        );
+        assert_eq!(
+            whole.liveness.filtered.capacity(),
+            fresh.liveness.filtered.capacity(),
+            "liveness filter buffer capacity"
+        );
+    }
 }

@@ -28,7 +28,7 @@ use crate::pipeline::{HeadTalk, WakeDecision};
 use crate::HeadTalkError;
 
 pub use crate::evidence::AssembledEvidence;
-pub use ht_stream::{AudioChunk, StreamError};
+pub use ht_stream::StreamError;
 
 /// A stream's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,28 +133,6 @@ impl WakeStream<'_> {
         self.evidence.push(chunk)
     }
 
-    /// Like [`push`](WakeStream::push), but verifies the chunk's claimed
-    /// sample rate against the pipeline's.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeadTalkError::Stream`] with
-    /// [`StreamError::SampleRateChanged`] for a rate mismatch (compared at
-    /// integer-Hz resolution), plus everything [`push`](WakeStream::push)
-    /// returns.
-    pub fn push_audio(&mut self, chunk: AudioChunk<'_>) -> Result<(), HeadTalkError> {
-        let expected_hz = self.ht.config().sample_rate.round() as u32;
-        let got_hz = chunk.sample_rate.round() as u32;
-        if got_hz != expected_hz {
-            return Err(StreamError::SampleRateChanged {
-                expected_hz,
-                got_hz,
-            }
-            .into());
-        }
-        self.push(chunk.channels)
-    }
-
     /// Frames analyzed so far.
     pub fn frames(&self) -> u64 {
         self.evidence.frames()
@@ -163,16 +141,6 @@ impl WakeStream<'_> {
     /// Samples ingested per channel so far.
     pub fn samples_per_channel(&self) -> usize {
         self.evidence.samples_per_channel()
-    }
-
-    /// Forward FFTs the directivity accumulator's flush has performed
-    /// since this stream was constructed (a repeat flush at an unchanged
-    /// sample count hits the epoch cache and performs none). Survives
-    /// [`reset`](WakeStream::reset), so a pooled slot keeps a running
-    /// total — the serving layer's retry-hits-the-cache regression tests
-    /// pin this.
-    pub fn directivity_flush_ffts(&self) -> u64 {
-        self.evidence.directivity_flush_ffts()
     }
 
     /// Assembles and exposes the decision evidence without running the
@@ -227,11 +195,10 @@ impl WakeStream<'_> {
     }
 
     /// Returns the stream to its just-opened state — cleared evidence —
-    /// while keeping every buffer at its grown capacity. A reset stream
-    /// produces byte-identical results to a freshly opened one, but reusing
-    /// it costs no heap allocations once its buffers have grown to the
-    /// working capture length; the serving layer's session arenas depend on
-    /// this.
+    /// keeping every buffer. A reset stream produces byte-identical results
+    /// to a freshly opened one, and reusing it costs no heap allocations,
+    /// since no push grows a buffer past the size it was built at; the
+    /// serving layer's pooled session slots depend on this.
     pub fn reset(&mut self) {
         self.evidence.reset();
     }

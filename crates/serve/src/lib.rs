@@ -8,14 +8,14 @@
 //!
 //! * [`TokenBucket`] / [`RejectReason`] (`admission`) — logical-clock
 //!   rate limiting with typed backpressure; no wall clock anywhere.
-//! * [`ShardArena`] (`arena`) — per-shard pools of reusable
-//!   [`WakeStream`](headtalk::WakeStream) slots; steady-state serving is
-//!   allocation-free because slots are reset in place, never rebuilt.
 //! * [`WakeServer`] (`server`) — session-sharded front end: open /
 //!   push / finalize with eager eviction on mid-stream geometry
-//!   violations and idle timeouts. Single and batch finalize share one
-//!   per-session routine that runs `WakeStream::outcome` under the
-//!   session's shard lock.
+//!   violations and idle timeouts. Each shard is one table of reusable
+//!   [`WakeStream`](headtalk::WakeStream) slots, their free list and the
+//!   sessions holding them; steady-state serving is allocation-free
+//!   because slots are reset in place, never rebuilt. Single and batch
+//!   finalize share one per-session routine that runs
+//!   `WakeStream::outcome` under the session's shard lock.
 //! * [`run_load`] (`schedule`) — the seeded load generator: waves of
 //!   sessions, serial admission, shard-parallel ragged-chunk
 //!   interleavings, all byte-identical for a `(seed, scenario set)` pair
@@ -28,11 +28,9 @@
 //! latency in CI via `BENCH_server.json`.
 
 mod admission;
-mod arena;
 mod schedule;
 mod server;
 
 pub use admission::{RejectReason, TokenBucket, TokenBucketConfig};
-pub use arena::ShardArena;
 pub use schedule::{noise_captures, run_load, toy_pipeline, LoadConfig, LoadReport};
 pub use server::{ServeConfig, ServeError, ServeStats, ShardStats, WakeServer};

@@ -2,37 +2,45 @@
 //!
 //! A [`WakeServer`] fronts one trained [`HeadTalk`] pipeline with many
 //! concurrent device sessions. Sessions are sharded by id (`id mod
-//! n_shards`); each shard owns a [`ShardArena`] of reusable
-//! [`WakeStream`](headtalk::WakeStream) slots behind its own lock, so
-//! streaming work for different shards proceeds in parallel on the
+//! n_shards`); each shard is one table behind its own lock: its reusable
+//! [`WakeStream`] slots, their free list and the sessions holding them.
+//! Streaming work for different shards proceeds in parallel on the
 //! `ht-par` pool with no cross-shard contention. Admission is a single
 //! [`TokenBucket`] over the caller's logical clock plus a per-shard slot
 //! cap — both produce typed [`RejectReason`]s instead of unbounded queues.
 //!
+//! A slot is built once, by [`ServeConfig::prewarm_slots`] at construction
+//! or lazily by the first `open` that finds no free slot, and **reset,
+//! never dropped** between sessions: every buffer a slot holds is sized at
+//! construction and no push grows it, so steady-state serving never
+//! touches the heap. Two monotone marks show a leak:
+//! [`ShardStats::live_hwm`] rises when a failed or evicted session keeps
+//! its slot, and [`ShardStats::slots_built`] rises when a closed session's
+//! slot is dropped instead of reset.
+//!
 //! Determinism contract: the server itself never reads a clock or an RNG.
 //! Every entry point takes a logical `now_ns`, every decision comes from
 //! one routine that runs `WakeStream::outcome` under its shard's lock —
-//! bit-identical to solo `decide_batch` over the same capture — and the
-//! arena reuse is invisible to results (a reset slot is byte-identical to
-//! a fresh one — pinned by the interleaving suite).
+//! bit-identical to solo `decide_batch` over the same capture — and slot
+//! reuse is invisible to results (a reset slot is byte-identical to a
+//! fresh one — pinned by the interleaving suite).
 //!
 //! Failure policy: a mid-stream geometry violation (channel count change,
 //! ragged chunk) is not survivable for that session — the stream's state
 //! can no longer be trusted — so the session is **eagerly evicted**: its
-//! slot is reset and returned to the arena before the error reaches the
-//! caller. Nothing stays pinned until some later cleanup pass; repeated
-//! failing sessions leave the arena high-water marks flat (regression
-//! test: `eager_eviction_keeps_arena_marks_flat`).
+//! slot is reset and freed before the error reaches the caller. Nothing
+//! stays pinned until some later cleanup pass; repeated failing sessions
+//! leave the shard's marks flat (regression test:
+//! `eager_eviction_keeps_arena_marks_flat`).
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use headtalk::stream::StreamOutcome;
-use headtalk::{HeadTalk, HeadTalkError, PipelineConfig};
+use headtalk::{HeadTalk, HeadTalkError, PipelineConfig, WakeStream};
 use ht_stream::StreamError;
 
 use crate::admission::{RejectReason, TokenBucket, TokenBucketConfig};
-use crate::arena::ShardArena;
 
 /// Tuning for a [`WakeServer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,8 +92,8 @@ pub enum ServeError {
     /// `open` was called for an id that is already in flight.
     DuplicateSession(u64),
     /// The session hit a mid-stream geometry violation or a non-finite
-    /// sample and was eagerly evicted — its slot is already back in the
-    /// arena; the id is closed.
+    /// sample and was eagerly evicted — its slot is already reset and
+    /// free; the id is closed.
     Evicted {
         /// The evicted session.
         id: u64,
@@ -101,10 +109,6 @@ pub enum ServeError {
     /// typed error instead of propagating the panic into every subsequent
     /// caller.
     LockPoisoned(&'static str),
-    /// A server-internal invariant broke (a bug, not a caller error); the
-    /// string says which one. Exists so hot paths degrade to a typed error
-    /// instead of panicking mid-request.
-    Internal(&'static str),
 }
 
 impl std::fmt::Display for ServeError {
@@ -120,7 +124,6 @@ impl std::fmt::Display for ServeError {
             ServeError::LockPoisoned(what) => {
                 write!(f, "{what} lock poisoned by a panicked handler")
             }
-            ServeError::Internal(what) => write!(f, "internal invariant broken: {what}"),
         }
     }
 }
@@ -148,17 +151,57 @@ struct Session {
     last_active_ns: u64,
 }
 
+/// One shard's table. Every slot is either on the free list or held by
+/// exactly one session, so `slots.len() == free.len() + sessions.len()`.
 #[derive(Debug)]
 struct Shard<'ht> {
-    arena: ShardArena<'ht>,
+    /// Every slot built so far; slots are reset between sessions, never
+    /// dropped.
+    slots: Vec<WakeStream<'ht>>,
+    /// Indices of free slots; the most recently freed is reused first
+    /// (its buffers are hottest).
+    free: Vec<usize>,
     sessions: BTreeMap<u64, Session>,
+    /// Most sessions this shard ever held at once.
+    live_hwm: usize,
 }
 
-impl Shard<'_> {
+impl<'ht> Shard<'ht> {
+    /// A shard holding `prewarm` free slots built up front.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a slot fails to construct (see [`WakeServer::new`]).
+    fn new(ht: &'ht HeadTalk, n_channels: usize, prewarm: usize) -> Shard<'ht> {
+        let slots: Vec<WakeStream<'ht>> = (0..prewarm)
+            .map(|_| {
+                ht.streamer(n_channels)
+                    .expect("prewarm: session-slot construction failed")
+            })
+            .collect();
+        Shard {
+            free: (0..slots.len()).collect(),
+            slots,
+            sessions: BTreeMap::new(),
+            live_hwm: 0,
+        }
+    }
+
+    /// Ends session `id`: resets its slot and pushes it on the free list.
+    /// Returns `false`, changing nothing, when `id` is not open here.
+    fn close(&mut self, id: u64) -> bool {
+        let Some(session) = self.sessions.remove(&id) else {
+            return false;
+        };
+        self.slots[session.slot].reset();
+        self.free.push(session.slot);
+        true
+    }
+
     /// The one finalize routine behind [`WakeServer::finalize`] and
     /// [`WakeServer::finalize_batch`], run under this shard's lock: marks
     /// the session active at `now_ns`, decides it through
-    /// [`WakeStream::outcome`](headtalk::WakeStream::outcome), and on
+    /// [`WakeStream::outcome`], and on
     /// success closes it and recycles its slot. An undecidable capture
     /// leaves the session open for a retry.
     fn finalize(&mut self, id: u64, now_ns: u64) -> Result<StreamOutcome, ServeError> {
@@ -170,10 +213,9 @@ impl Shard<'_> {
             }
             None => return Err(ServeError::UnknownSession(id)),
         };
-        match self.arena.slot_mut(slot).outcome() {
+        match self.slots[slot].outcome() {
             Ok(o) => {
-                self.sessions.remove(&id);
-                self.arena.release(slot);
+                self.close(id);
                 ht_obs::counter_add("serve.decisions", 1);
                 Ok(o)
             }
@@ -192,7 +234,7 @@ pub struct ShardStats {
     pub live: usize,
     /// Most sessions this shard ever held at once.
     pub live_hwm: usize,
-    /// Session slots this shard's arena has constructed.
+    /// Session slots this shard has constructed.
     pub slots_built: usize,
 }
 
@@ -217,6 +259,7 @@ pub struct ServeStats {
 /// itself.
 #[derive(Debug)]
 pub struct WakeServer<'ht> {
+    ht: &'ht HeadTalk,
     config: ServeConfig,
     bucket: Mutex<TokenBucket>,
     shards: Vec<Mutex<Shard<'ht>>>,
@@ -244,45 +287,15 @@ impl<'ht> WakeServer<'ht> {
             "a shard needs at least one session slot"
         );
         assert!(config.n_channels > 0, "sessions need at least one channel");
-        let shards = (0..config.n_shards)
-            .map(|_| {
-                Mutex::new(Shard {
-                    arena: ShardArena::new(ht, config.n_channels, config.sessions_per_shard),
-                    sessions: BTreeMap::new(),
-                })
-            })
-            .collect();
-        let server = WakeServer {
+        let prewarm = config.prewarm_slots.min(config.sessions_per_shard);
+        WakeServer {
+            ht,
             config,
             bucket: Mutex::new(TokenBucket::new(config.bucket)),
-            shards,
-        };
-        if config.prewarm_slots > 0 {
-            server
-                .prewarm(config.prewarm_slots)
-                .expect("prewarm: session-slot construction failed");
+            shards: (0..config.n_shards)
+                .map(|_| Mutex::new(Shard::new(ht, config.n_channels, prewarm)))
+                .collect(),
         }
-        server
-    }
-
-    /// Eagerly builds up to `per_shard` session slots on every shard (see
-    /// [`ServeConfig::prewarm_slots`] to do this at construction). Returns
-    /// the total number of slots built. Idempotent: already-built slots
-    /// are counted toward the target, never rebuilt.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Pipeline`] when a slot fails to construct (earlier
-    /// slots stay built), [`ServeError::LockPoisoned`] for a wrecked
-    /// shard.
-    pub fn prewarm(&self, per_shard: usize) -> Result<usize, ServeError> {
-        let _span = ht_obs::span("serve.prewarm");
-        let mut total = 0;
-        for idx in 0..self.shards.len() {
-            let mut shard = self.lock_shard(idx)?;
-            total += shard.arena.prewarm(per_shard)?;
-        }
-        Ok(total)
     }
 
     /// The configuration this server runs under.
@@ -323,11 +336,12 @@ impl<'ht> WakeServer<'ht> {
         if shard.sessions.contains_key(&id) {
             return Err(ServeError::DuplicateSession(id));
         }
-        if shard.arena.live() >= shard.arena.capacity() {
+        let capacity = self.config.sessions_per_shard;
+        if shard.sessions.len() >= capacity {
             ht_obs::counter_add("serve.rejected.capacity", 1);
             return Err(ServeError::Rejected(RejectReason::ShardFull {
                 shard: shard_idx,
-                capacity: shard.arena.capacity(),
+                capacity,
             }));
         }
         let admit = self
@@ -339,11 +353,15 @@ impl<'ht> WakeServer<'ht> {
             ht_obs::counter_add("serve.rejected.rate", 1);
             return Err(ServeError::Rejected(reject));
         }
-        // Cannot be `None` unless an invariant broke: the capacity check
-        // above held under this shard's lock. Degrade to a typed error
-        // rather than panic mid-request if it ever does.
-        let Some(slot) = shard.arena.acquire()? else {
-            return Err(ServeError::Internal("arena empty after capacity check"));
+        // With no free slot every slot is held by a session, so the shard
+        // holds fewer than `capacity` slots and may build one.
+        let slot = match shard.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let stream = self.ht.streamer(self.config.n_channels)?;
+                shard.slots.push(stream);
+                shard.slots.len() - 1
+            }
         };
         shard.sessions.insert(
             id,
@@ -352,9 +370,9 @@ impl<'ht> WakeServer<'ht> {
                 last_active_ns: now_ns,
             },
         );
+        shard.live_hwm = shard.live_hwm.max(shard.sessions.len());
         ht_obs::counter_add("serve.admitted", 1);
         ht_obs::counter_max("serve.shard_sessions_hwm", shard.sessions.len() as u64);
-        ht_obs::counter_max("serve.arena_slots_hwm", shard.arena.live_hwm() as u64);
         Ok(())
     }
 
@@ -381,15 +399,13 @@ impl<'ht> WakeServer<'ht> {
             }
             None => return Err(ServeError::UnknownSession(id)),
         };
-        match shard.arena.slot_mut(slot).push(chunk) {
+        match shard.slots[slot].push(chunk) {
             Ok(()) => Ok(()),
             Err(e) => {
                 // The stream can't be trusted past a geometry violation:
-                // evict eagerly so the slot (and its ring memory) goes
-                // straight back to the arena instead of staying pinned
-                // behind a dead session.
-                shard.sessions.remove(&id);
-                shard.arena.release(slot);
+                // evict eagerly so the slot (and its ring memory) is freed
+                // at once instead of staying pinned behind a dead session.
+                shard.close(id);
                 ht_obs::counter_add("serve.evicted.error", 1);
                 match e {
                     HeadTalkError::Stream(cause) => Err(ServeError::Evicted { id, cause }),
@@ -431,15 +447,11 @@ impl<'ht> WakeServer<'ht> {
     /// [`ServeError::LockPoisoned`] for a shard wrecked by a panicked
     /// handler.
     pub fn close(&self, id: u64) -> Result<(), ServeError> {
-        let mut shard = self.lock_shard(self.shard_of(id))?;
-        match shard.sessions.remove(&id) {
-            Some(session) => {
-                shard.arena.release(session.slot);
-                ht_obs::counter_add("serve.closed", 1);
-                Ok(())
-            }
-            None => Err(ServeError::UnknownSession(id)),
+        if !self.lock_shard(self.shard_of(id))?.close(id) {
+            return Err(ServeError::UnknownSession(id));
         }
+        ht_obs::counter_add("serve.closed", 1);
+        Ok(())
     }
 
     /// Finalizes many sessions at logical time `now_ns`, grouped by shard
@@ -501,10 +513,10 @@ impl<'ht> WakeServer<'ht> {
     /// id order.
     ///
     /// A shard whose lock was poisoned by a panicked handler is recovered
-    /// and swept anyway: the session map and arena only mutate in paired,
-    /// non-unwinding steps, so the bookkeeping is structurally sound even
-    /// after a panic, and reaping the reaper would leak every slot on that
-    /// shard forever.
+    /// and swept anyway: the session map and the free list only mutate in
+    /// paired, non-unwinding steps, so the bookkeeping is structurally
+    /// sound even after a panic, and reaping the reaper would leak every
+    /// slot on that shard forever.
     pub fn evict_idle(&self, now_ns: u64) -> usize {
         let timeout = self.config.session_idle_timeout_ns;
         let mut evicted = 0;
@@ -519,8 +531,7 @@ impl<'ht> WakeServer<'ht> {
                 .map(|(&id, _)| id)
                 .collect();
             for id in stale {
-                if let Some(session) = shard.sessions.remove(&id) {
-                    shard.arena.release(session.slot);
+                if shard.close(id) {
                     evicted += 1;
                 }
             }
@@ -555,8 +566,8 @@ impl<'ht> WakeServer<'ht> {
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                 ShardStats {
                     live: shard.sessions.len(),
-                    live_hwm: shard.arena.live_hwm(),
-                    slots_built: shard.arena.built(),
+                    live_hwm: shard.live_hwm,
+                    slots_built: shard.slots.len(),
                 }
             })
             .collect();
@@ -630,6 +641,10 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         assert_eq!(server.stats().live, 0, "finalize closes the session");
+        // The decided session's slot serves the next one on its shard.
+        server.open(9, 3).unwrap();
+        let shard = server.stats().shards[server.shard_of(9)];
+        assert_eq!((shard.slots_built, shard.live_hwm), (1, 1));
     }
 
     #[test]
@@ -712,7 +727,7 @@ mod tests {
         let server = WakeServer::new(&ht, serve_config(&ht));
         let capture = noise_capture(0x55, 4, 4800);
         // Ids 4 and 6 share shard 0, so the eviction happens in the
-        // neighbour's own shard and arena.
+        // neighbour's own shard.
         server.open(4, 0).unwrap();
         server.open(6, 0).unwrap();
         let half: Vec<Vec<f64>> = capture.iter().map(|c| c[..2400].to_vec()).collect();
@@ -781,9 +796,9 @@ mod tests {
 
     #[test]
     fn eager_eviction_keeps_arena_marks_flat() {
-        // Satellite regression: before eager eviction, each failed session
-        // left its slot pinned, so repeated failures grew the arena until
-        // the shard wedged. Now the marks must stay flat.
+        // Regression: before eager eviction, each failed session left its
+        // slot pinned, so repeated failures used up the shard's slots until
+        // it wedged. Now the marks must stay flat.
         let ht = toy_pipeline();
         let server = WakeServer::new(&ht, serve_config(&ht));
         let bad: Vec<&[f64]> = vec![&[0.0; 16]; 2];
@@ -859,6 +874,19 @@ mod tests {
         // The slot is recycled, not rebuilt.
         server.open(2, 1).unwrap();
         assert_eq!(server.stats().shards[0].slots_built, 1);
+
+        // The most recently freed slot is reused first.
+        let slot_of = |id: u64| server.shards[0].lock().unwrap().sessions[&id].slot;
+        server.open(4, 2).unwrap();
+        let (first, second) = (slot_of(2), slot_of(4));
+        server.close(2).unwrap();
+        server.close(4).unwrap();
+        server.open(6, 3).unwrap();
+        assert_eq!(slot_of(6), second);
+        server.open(8, 3).unwrap();
+        assert_eq!(slot_of(8), first);
+        let shard = server.stats().shards[0];
+        assert_eq!((shard.slots_built, shard.live_hwm), (2, 2));
     }
 
     #[test]
@@ -952,15 +980,34 @@ mod tests {
         server.open(2, 0).unwrap();
         server.open(3, 0).unwrap();
         assert_eq!(server.stats().slots_built, 4, "no lazy construction");
-        // Explicit prewarm is idempotent once the target is met.
-        for id in 0..4 {
-            server.close(id).unwrap();
-        }
-        assert_eq!(server.prewarm(2).unwrap(), 0);
+
+        // Prewarming past capacity builds each shard's capacity and no
+        // more; the capacity check still bounds opens.
+        config.prewarm_slots = 10;
+        let server = WakeServer::new(&ht, config);
+        assert_eq!(server.stats().slots_built, 4, "clamped to 2 per shard");
+        server.open(0, 0).unwrap();
+        server.open(2, 0).unwrap();
+        assert!(matches!(
+            server.open(4, 0),
+            Err(ServeError::Rejected(RejectReason::ShardFull { .. }))
+        ));
+
+        // A partly prewarmed shard builds the rest lazily, up to capacity.
+        config.prewarm_slots = 1;
+        let server = WakeServer::new(&ht, config);
+        assert_eq!(server.stats().slots_built, 2);
+        server.open(0, 0).unwrap();
         assert_eq!(
-            server.prewarm(1).unwrap(),
-            0,
-            "smaller target builds nothing"
+            server.stats().shards[0].slots_built,
+            1,
+            "prewarmed slot reused"
+        );
+        server.open(2, 0).unwrap();
+        assert_eq!(
+            server.stats().shards[0].slots_built,
+            2,
+            "second slot built lazily"
         );
     }
 
@@ -986,66 +1033,6 @@ mod tests {
         assert!(matches!(&results[3].1, Err(ServeError::Pipeline(_))));
         assert_eq!(server.stats().live, 1, "retryable session stays open");
         server.close(1).unwrap();
-    }
-
-    #[test]
-    fn retryable_finalize_reuses_the_cached_directivity_flush() {
-        // An exactly silent capture holds analysis frames, so assembly
-        // runs the directivity flush before the zero-variance liveness
-        // input rejects it — the retryable path. (Silence is the one
-        // capture whose decimated branch is *numerically* constant; a DC
-        // level leaves FIR ripple and decides.) Retries without new
-        // audio must hit the flush cache and perform zero additional
-        // FFTs; new audio must invalidate it.
-        let ht = toy_pipeline();
-        let server = WakeServer::new(&ht, serve_config(&ht));
-        server.open(0, 0).unwrap();
-        let dc = vec![vec![0.0; 28_800]; 4];
-        push_all(&server, 0, &dc, 1);
-
-        let flush_ffts = |server: &WakeServer<'_>| {
-            let shard = server.shards[server.shard_of(0)].lock().unwrap();
-            let slot = shard.sessions.get(&0).expect("session open").slot;
-            shard.arena.slot(slot).directivity_flush_ffts()
-        };
-
-        assert!(matches!(
-            server.finalize(0, 2),
-            Err(ServeError::Pipeline(_))
-        ));
-        let after_first = flush_ffts(&server);
-        assert_eq!(after_first, 1, "first finalize transforms the tail once");
-        for now in 3..6 {
-            assert!(matches!(
-                server.finalize(0, now),
-                Err(ServeError::Pipeline(_))
-            ));
-        }
-        assert_eq!(
-            flush_ffts(&server),
-            after_first,
-            "retries with no new audio must not re-run the flush FFT"
-        );
-        // The batch path retries through the same cache.
-        let results = server.finalize_batch(&[0], 6);
-        assert!(matches!(&results[0].1, Err(ServeError::Pipeline(_))));
-        assert_eq!(flush_ffts(&server), after_first);
-        // New audio moves the epoch: the next attempt transforms again
-        // (still retryable — the liveness center-crop stays silent — but
-        // the cache was correctly invalidated).
-        let more = noise_capture(0x92, 4, 480);
-        let views: Vec<&[f64]> = more.iter().map(Vec::as_slice).collect();
-        server.push(0, &views, 7).unwrap();
-        assert!(matches!(
-            server.finalize(0, 8),
-            Err(ServeError::Pipeline(_))
-        ));
-        assert_eq!(
-            flush_ffts(&server),
-            after_first + 1,
-            "new audio must invalidate the cached flush"
-        );
-        server.close(0).unwrap();
     }
 
     #[test]

@@ -19,13 +19,11 @@
 //! push calls produces the same segment boundaries, the same FFT inputs,
 //! and bit-identical averaged magnitudes.
 //!
-//! Flushing is cached and adaptive. The flushed spectrum is stamped with
-//! the sample-count epoch it was computed at, so repeat flushes with no
-//! new audio (retryable finalizes, `finalize_batch` re-drives, `outcome()`
-//! re-reads) return the cached [`Spectrum`] with zero FFT work. And when
-//! no segment has completed yet — the common case for sub-second serving
-//! captures against a 32k-sample Welch segment — the partial tail is
-//! transformed at the next power of two ≥ its own length (floored at
+//! Flushing is adaptive, and every flush runs at most one FFT, over the
+//! partial segment the accumulator holds at that moment. When no segment
+//! has completed yet — the common case for sub-second serving captures
+//! against a 32k-sample Welch segment — the partial tail is transformed
+//! at the next power of two ≥ its own length (floored at
 //! [`MIN_PARTIAL_N_FFT`] so the 100–400 Hz chunk statistics stay
 //! resolved), not zero-padded to the full segment: the produced
 //! [`Spectrum`] carries its own `n_fft` so the band helpers read the same
@@ -44,9 +42,6 @@ use std::sync::Arc;
 /// to the historical full-pad flush), so this floor only engages for
 /// genuinely short captures.
 pub const MIN_PARTIAL_N_FFT: usize = 4096;
-
-/// Sentinel for "no cached flush" (no real epoch reaches `u64::MAX`).
-const EPOCH_DIRTY: u64 = u64::MAX;
 
 /// Running channel-mean spectrum accumulator for the directivity features.
 #[derive(Debug, Clone)]
@@ -67,19 +62,9 @@ pub struct DirectivityAccum {
     /// Reused facade over the averaged magnitudes so callers can use the
     /// batch `hlbr`/chunk-stats helpers without allocating.
     spectrum: Spectrum,
-    /// Sample-count epoch `spectrum` was computed at (`EPOCH_DIRTY` when
-    /// no flush is cached). A repeat flush at the same epoch returns the
-    /// cached spectrum without touching the FFT.
-    cached_epoch: u64,
-    /// Plan for the most recent adaptive (shorter-than-segment) flush
-    /// grid, kept so steady-state flushes skip the shared plan-cache lock.
-    partial_plan: Option<Arc<RealFftPlan>>,
     /// FFT scratch for every transform, presized to the segment plan so
     /// no flush grid can grow it.
     scratch: RealFftScratch,
-    /// Forward FFTs performed by `flush_spectrum` since construction.
-    /// Diagnostic: pinned by the zero-FFT-on-repeat regression tests.
-    flush_ffts: u64,
 }
 
 impl DirectivityAccum {
@@ -125,14 +110,11 @@ impl DirectivityAccum {
                 sample_rate,
                 n_fft: plan.len(),
             },
-            cached_epoch: EPOCH_DIRTY,
-            partial_plan: None,
             // Sized for the largest grid any transform here uses, so the
             // first segment to complete mid-stream and every flush grid
             // allocate nothing.
             scratch: plan.scratch(),
             plan,
-            flush_ffts: 0,
         })
     }
 
@@ -185,34 +167,25 @@ impl DirectivityAccum {
     /// segment *plus* the current partial segment (zero-padded), so short
     /// captures — down to a single sample — still yield directivity
     /// evidence. Non-destructive and idempotent: more audio may be pushed
-    /// afterwards, and a repeat call returns the same bits.
+    /// afterwards, and a repeat call returns the same bits. Each call runs
+    /// at most one forward FFT, over the partial segment; averaging
+    /// completed segments runs none.
     ///
-    /// Two structural optimizations keep this off the finalize hot path:
-    ///
-    /// * **Epoch cache.** The result is stamped with the total-sample
-    ///   epoch it was computed at; a repeat flush with no new audio
-    ///   returns the cached spectrum and performs zero FFT work.
-    /// * **Adaptive grid.** While no segment has completed, the flush is
-    ///   the whole-capture magnitude spectrum at
-    ///   `next_pow2(capture_len)` resolution (floored at
-    ///   [`MIN_PARTIAL_N_FFT`], capped at the segment FFT length) —
-    ///   exactly what [`Spectrum::of`] computes for the batch Fig. 3
-    ///   analysis — instead of a full-segment zero-pad. The coarser grid
-    ///   samples the *same* DTFT, so band statistics agree with the
-    ///   full-pad flush at every shared frequency, for a fraction of the
-    ///   transform cost. Once a segment completes, the historical
-    ///   full-grid Welch average is bit-for-bit unchanged.
+    /// While no segment has completed, the flush is the whole-capture
+    /// magnitude spectrum at `next_pow2(capture_len)` resolution (floored
+    /// at [`MIN_PARTIAL_N_FFT`], capped at the segment FFT length) —
+    /// exactly what [`Spectrum::of`] computes for the batch Fig. 3
+    /// analysis — instead of a full-segment zero-pad. The coarser grid
+    /// samples the *same* DTFT, so band statistics agree with the full-pad
+    /// flush at every shared frequency, for a fraction of the transform
+    /// cost. Once a segment completes, the full-grid Welch average is
+    /// bit-for-bit unchanged.
     ///
     /// Returns `None` when no sample has been pushed at all.
     pub fn flush_spectrum(&mut self) -> Option<&Spectrum> {
         let partial = self.buf.len();
-        let epoch = self.segments * self.seg_len as u64 + partial as u64;
-        if epoch == 0 {
+        if self.segments == 0 && partial == 0 {
             return None;
-        }
-        if self.cached_epoch == epoch {
-            ht_obs::counter_add("stream.directivity_flush_cached", 1);
-            return Some(&self.spectrum);
         }
         let _span = ht_obs::span("stream.directivity");
         let full_bins = self.mag_accum.len();
@@ -221,14 +194,7 @@ impl DirectivityAccum {
             let m = ht_dsp::fft::next_pow2(partial)
                 .max(MIN_PARTIAL_N_FFT)
                 .min(self.plan.len());
-            let plan = match &self.partial_plan {
-                Some(p) if p.len() == m => Arc::clone(p),
-                _ => {
-                    let p = rfft_plan(m);
-                    self.partial_plan = Some(Arc::clone(&p));
-                    p
-                }
-            };
+            let plan = rfft_plan(m);
             let half = plan.onesided_len();
             plan.forward_into(&self.buf, &mut self.bins[..half], &mut self.scratch);
             self.spectrum.magnitudes.resize(half, 0.0);
@@ -236,8 +202,6 @@ impl DirectivityAccum {
                 *mag = z.abs();
             }
             self.spectrum.n_fft = m;
-            self.flush_ffts += 1;
-            ht_obs::counter_add("stream.directivity_flush_fft", 1);
         } else {
             self.spectrum.magnitudes.resize(full_bins, 0.0);
             self.spectrum.n_fft = self.plan.len();
@@ -256,24 +220,13 @@ impl DirectivityAccum {
                 {
                     *m = (acc + z.abs()) / total;
                 }
-                self.flush_ffts += 1;
-                ht_obs::counter_add("stream.directivity_flush_fft", 1);
             } else {
                 for (m, acc) in self.spectrum.magnitudes.iter_mut().zip(&self.mag_accum) {
                     *m = acc / total;
                 }
             }
         }
-        self.cached_epoch = epoch;
         Some(&self.spectrum)
-    }
-
-    /// Forward FFTs `flush_spectrum` has performed since construction
-    /// (cache hits and full-segment averages perform none). Survives
-    /// [`reset`](DirectivityAccum::reset) so pooled reuse keeps a running
-    /// total.
-    pub fn flush_ffts(&self) -> u64 {
-        self.flush_ffts
     }
 
     /// The configured channel count.
@@ -303,10 +256,6 @@ impl DirectivityAccum {
         self.buf.clear();
         self.mag_accum.fill(0.0);
         self.segments = 0;
-        // A recycled session may push a different capture of the same
-        // length, so the epoch alone cannot distinguish it — drop the
-        // cached flush explicitly.
-        self.cached_epoch = EPOCH_DIRTY;
     }
 }
 
@@ -471,35 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn repeat_flush_at_same_epoch_performs_zero_ffts() {
-        let x = noise(1500, 77);
-        let mut acc = DirectivityAccum::new(1, 1024, 48_000.0).unwrap();
-        acc.push(&[&x[..700]]).unwrap();
-        assert_eq!(acc.flush_ffts(), 0, "push alone must not flush");
-        let first = acc.flush_spectrum().unwrap().clone();
-        assert_eq!(acc.flush_ffts(), 1);
-        for _ in 0..3 {
-            let again = acc.flush_spectrum().unwrap();
-            assert_eq!(again, &first);
-        }
-        assert_eq!(acc.flush_ffts(), 1, "repeat flushes must hit the cache");
-        // New audio invalidates the cache: the next flush transforms again.
-        acc.push(&[&x[700..]]).unwrap();
-        acc.flush_spectrum().unwrap();
-        assert_eq!(acc.flush_ffts(), 2);
-        // A reset drops the cache even though a same-length capture would
-        // land on the same epoch.
-        acc.reset();
-        acc.push(&[&x[..700]]).unwrap();
-        let replay = acc.flush_spectrum().unwrap().clone();
-        assert_eq!(acc.flush_ffts(), 3);
-        for (r, f) in replay.magnitudes.iter().zip(&first.magnitudes) {
-            assert_eq!(r.to_bits(), f.to_bits());
-        }
-    }
-
-    #[test]
     fn complete_segment_flush_performs_no_fft_and_caches() {
+        // With no partial segment the flush only averages the per-segment
+        // magnitudes summed at push time, so repeat flushes agree.
         let x = noise(2048, 41);
         let mut acc = DirectivityAccum::new(1, 1024, 48_000.0).unwrap();
         acc.push(&[&x]).unwrap();
@@ -508,11 +431,12 @@ mod tests {
         let first = acc.flush_spectrum().unwrap().clone();
         let again = acc.flush_spectrum().unwrap().clone();
         assert_eq!(first, again);
-        assert_eq!(
-            acc.flush_ffts(),
-            0,
-            "averaging completed segments is FFT-free"
-        );
+        let a = ht_dsp::fft::rfft_magnitude(&x[..1024]);
+        let b = ht_dsp::fft::rfft_magnitude(&x[1024..]);
+        assert_eq!(first.magnitudes.len(), a.len());
+        for ((f, a), b) in first.magnitudes.iter().zip(&a).zip(&b) {
+            assert_eq!(f.to_bits(), ((a + b) / 2.0).to_bits());
+        }
     }
 
     #[test]
@@ -531,7 +455,6 @@ mod tests {
         for (g, r) in got.magnitudes.iter().zip(&reference) {
             assert_eq!(g.to_bits(), r.to_bits());
         }
-        assert_eq!(acc.flush_ffts(), 1);
     }
 
     #[test]
@@ -601,8 +524,8 @@ mod tests {
     fn cached_flush_interleaving_property() {
         // Property: for any chunking with flushes interleaved at random
         // points, the final spectrum is bit-identical to a single-push
-        // fresh accumulator, every interleaved double-flush hits the
-        // cache, and flushing never perturbs later evidence.
+        // fresh accumulator, every interleaved double flush returns the
+        // same bits, and flushing never perturbs later evidence.
         ht_dsp::check::property("directivity_cached_flush_interleaving")
             .cases(30)
             .run(|g| {
@@ -616,14 +539,9 @@ mod tests {
                     acc.push(&[&x[pos..end]]).unwrap();
                     pos = end;
                     if g.usize_in(0..3) == 0 {
-                        let ffts = acc.flush_ffts();
                         let first = acc.flush_spectrum().unwrap().clone();
                         let again = acc.flush_spectrum().unwrap();
                         assert_eq!(&first, again, "repeat flush must be bit-stable");
-                        assert!(
-                            acc.flush_ffts() <= ffts + 1,
-                            "repeat flush must not transform again"
-                        );
                     }
                 }
                 let streamed = acc.flush_spectrum().unwrap().clone();

@@ -3,10 +3,12 @@
 //! A streaming pipeline fixes its geometry — sample rate, channel count,
 //! frame/hop sizes — at construction, because every downstream quantity
 //! (band-edge bins, GCC lag windows, hop deadlines) is derived from it. A
-//! producer that changes rate or channel count mid-stream would not crash
-//! the DSP; it would silently shift every GCC lag and band edge. These
-//! errors make that contract violation loud and recoverable: the stream's
-//! state is untouched and valid pushes keep working.
+//! chunk carries no sample rate: the pipeline that builds the stream fixes
+//! it. A producer that changes channel count mid-stream would not crash
+//! the DSP; it would silently scramble the microphone pairs behind every
+//! GCC lag. These errors make that contract violation loud and
+//! recoverable: the stream's state is untouched and valid pushes keep
+//! working.
 
 use std::error::Error;
 use std::fmt;
@@ -14,16 +16,6 @@ use std::fmt;
 /// An error raised by the streaming ingest/analysis layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamError {
-    /// A chunk arrived with a different sample rate than the stream was
-    /// built for. Accepting it would silently rescale every frequency bin
-    /// and TDoA.
-    SampleRateChanged {
-        /// Rate the stream was built for, in Hz (rounded to integer Hz for
-        /// exact comparison).
-        expected_hz: u32,
-        /// Rate the offending chunk claimed.
-        got_hz: u32,
-    },
     /// A chunk arrived with a different number of channels than the stream
     /// was built for. Accepting it would scramble the microphone-pair
     /// geometry behind every GCC lag.
@@ -71,10 +63,6 @@ pub enum StreamError {
 impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StreamError::SampleRateChanged { expected_hz, got_hz } => write!(
-                f,
-                "sample rate changed mid-stream: stream built for {expected_hz} Hz, chunk claims {got_hz} Hz"
-            ),
             StreamError::ChannelCountChanged { expected, got } => write!(
                 f,
                 "channel count changed mid-stream: stream built for {expected} channels, chunk has {got}"
@@ -108,13 +96,6 @@ mod tests {
 
     #[test]
     fn display_names_both_sides_of_the_mismatch() {
-        let e = StreamError::SampleRateChanged {
-            expected_hz: 48_000,
-            got_hz: 44_100,
-        };
-        let msg = e.to_string();
-        assert!(msg.contains("48000") && msg.contains("44100"), "{msg}");
-
         let e = StreamError::ChannelCountChanged {
             expected: 4,
             got: 2,

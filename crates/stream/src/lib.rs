@@ -19,9 +19,8 @@
 //!   channel-mean magnitude spectra, the incremental carrier of the
 //!   paper's speech-directivity evidence (HLBR + low-band chunks).
 //! * [`StreamError`] — typed rejection of mid-stream geometry changes
-//!   (sample rate, channel count, ragged chunks) that would otherwise
-//!   produce silently wrong GCC lags, of non-finite samples and of
-//!   over-long captures.
+//!   (channel count, ragged chunks) that would otherwise produce silently
+//!   wrong GCC lags, of non-finite samples and of over-long captures.
 //!
 //! `headtalk::evidence::Evidence` composes the ring, the analyzer and the
 //! directivity accumulator into the decision evidence, and
@@ -38,27 +37,3 @@ pub use analyzer::FrameAnalyzer;
 pub use directivity::DirectivityAccum;
 pub use error::StreamError;
 pub use ring::FrameRing;
-
-/// A borrowed multi-channel PCM chunk with its claimed sample rate.
-///
-/// The rate travels with every chunk so the consumer can verify it against
-/// the stream's construction-time geometry and reject a mid-stream change
-/// with [`StreamError::SampleRateChanged`] instead of mis-scaling every
-/// frequency bin and TDoA.
-#[derive(Debug, Clone, Copy)]
-pub struct AudioChunk<'a> {
-    /// Sample rate of the samples in `channels`, in Hz.
-    pub sample_rate: f64,
-    /// One equal-length slice per channel.
-    pub channels: &'a [&'a [f64]],
-}
-
-impl<'a> AudioChunk<'a> {
-    /// Convenience constructor.
-    pub fn new(sample_rate: f64, channels: &'a [&'a [f64]]) -> AudioChunk<'a> {
-        AudioChunk {
-            sample_rate,
-            channels,
-        }
-    }
-}

@@ -145,19 +145,17 @@ fn a_fresh_directivity_accumulator_allocates_nothing_from_its_first_push() {
     feed(&mut warm, &long);
     warm.reset();
     feed(&mut warm, &short);
-    let counts: Vec<(u64, u64)> = [&long, &short]
+    let counts: Vec<u64> = [&long, &short]
         .into_iter()
         .map(|x| {
             let mut acc = DirectivityAccum::new(channels, seg_len, 48_000.0).unwrap();
-            let n = allocs_during(|| feed(&mut acc, x));
-            (n, acc.flush_ffts())
+            allocs_during(|| feed(&mut acc, x))
         })
         .collect();
     ht_obs::set_mode(ht_obs::Mode::Off);
     assert_eq!(
         counts,
-        [(0, 1), (0, 1)],
-        "(allocations, flush FFTs) of fresh accumulators on 40 000- and \
-         5 000-sample captures"
+        [0, 0],
+        "allocations of fresh accumulators on 40 000- and 5 000-sample captures"
     );
 }

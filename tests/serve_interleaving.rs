@@ -425,8 +425,8 @@ fn prop_admission_never_overcommits_and_rejections_are_stateless() {
                         );
                     }
                 }
-                // A NaN chunk evicts the session: typed error, slot back
-                // in the arena, id gone from the server.
+                // A NaN chunk evicts the session: typed error, slot
+                // freed, id gone from the server.
                 10 => {
                     if !open_ids.is_empty() {
                         let id = open_ids.remove(g.usize_in(0..open_ids.len()));
@@ -484,7 +484,7 @@ fn prop_admission_never_overcommits_and_rejections_are_stateless() {
 }
 
 /// Failing sessions interleaved among healthy ones: geometry violations
-/// evict eagerly, the arena's marks stay flat (no slot pinned behind a
+/// evict eagerly, the shard's marks stay flat (no slot pinned behind a
 /// dead session, no slot rebuilt), and — the part that matters — the
 /// healthy sessions' outcomes remain byte-identical to solo batch.
 #[test]
@@ -492,7 +492,7 @@ fn prop_failing_sessions_do_not_perturb_healthy_neighbours() {
     let ht = pipeline();
     property("serve_failure_isolation").cases(4).run(|g| {
         let captures = noise_captures(3, 4, 3200, 200, g.u64_in(0..u64::MAX));
-        // One shard so healthy and failing sessions share an arena.
+        // One shard so healthy and failing sessions share its slots.
         let server = WakeServer::new(ht, serve_config(ht, 1, 2));
         let bad_chunk = [vec![0.0f64; 64], vec![0.0f64; 64]];
 
@@ -545,7 +545,7 @@ fn prop_failing_sessions_do_not_perturb_healthy_neighbours() {
             assert_eq!(shard.live, 0, "round {round}: nothing pinned");
             assert!(
                 shard.slots_built <= 2,
-                "round {round}: arena grew past the concurrent pair"
+                "round {round}: slots grew past the concurrent pair"
             );
             assert_eq!(shard.live_hwm, 2, "round {round}: hwm flat at the pair");
         }

@@ -5,13 +5,13 @@
 //! * after a short warmup, the **push path makes zero heap allocations**
 //!   per session — every ring, STFT scratch, GCC spectral accumulator,
 //!   directivity segment, and liveness framing buffer is recycled from
-//!   the shard arenas;
+//!   the shards' session slots;
 //! * **evidence assembly is alloc-free too**: `WakeStream::assemble`
 //!   folds the accumulators into the presized feature scratch without
 //!   touching the heap, so a finalize's only allocations are the outcome
 //!   clone and the model's inference scratch (deliberately outside the
 //!   counted window);
-//! * the arenas never grow past warmup — ten thousand sessions are served
+//! * the shards never build slots past warmup — ten thousand sessions are served
 //!   by the same handful of slots (`slots_built` flat).
 //!
 //! `#[ignore]`d in the default suite (it is a soak, not a unit test); the
@@ -143,7 +143,7 @@ fn soak_sessions_make_zero_steady_state_push_allocations() {
     assert_eq!(stats.live, 0, "all sessions closed");
     assert_eq!(
         stats.slots_built, slots_after_warmup,
-        "arena grew after warmup: slots must be recycled, not rebuilt"
+        "slots built after warmup: slots must be recycled, not rebuilt"
     );
     assert_eq!(
         steady_alloc_sessions,
