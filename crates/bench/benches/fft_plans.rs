@@ -29,6 +29,15 @@ fn bench_real_fft(s: &mut Suite) {
             plan.forward_into(black_box(&x), &mut out, &mut scratch);
             out[1]
         });
+        if n == 32_768 {
+            // The directivity flush's transform: the same plan, stopped at
+            // the bins the directivity features read.
+            let kept = ht_dsp::spectrum::directivity_bins(n, 48_000.0);
+            s.bench(&format!("fft/planned_rfft_{kept}_bins_{n}"), || {
+                plan.forward_into(black_box(&x), &mut out[..kept], &mut scratch);
+                out[1]
+            });
+        }
     }
 }
 

@@ -285,8 +285,14 @@ impl RealFftPlan {
         RealFftScratch { packed }
     }
 
-    /// Forward one-sided real FFT: `out[k] = X[k]` for `k <= n/2`, where
-    /// `X` is the unnormalized `n`-point DFT of `x` zero-padded to `n`.
+    /// Forward one-sided real FFT: `out[k] = X[k]` for `k < out.len()`,
+    /// where `X` is the unnormalized `n`-point DFT of `x` zero-padded to
+    /// `n`. A full-length `out` ([`onesided_len`](RealFftPlan::onesided_len)
+    /// bins) receives the whole one-sided spectrum; a shorter one receives
+    /// its leading bins, bit-identical to the full transform's, and the
+    /// split step skips the rest (the packed complex FFT still runs whole,
+    /// since bin `k` reads `z[k]` and `z[n/2 − k]`). The Nyquist bin is
+    /// written only when `out` reaches it.
     ///
     /// Allocation-free once `scratch` holds this plan's size (see
     /// [`scratch`](RealFftPlan::scratch)).
@@ -294,7 +300,8 @@ impl RealFftPlan {
     /// # Panics
     ///
     /// Panics if `x.len() > self.len()` (the input would be silently
-    /// truncated) or `out.len() != self.onesided_len()`.
+    /// truncated), or if `out` is empty or longer than
+    /// [`onesided_len`](RealFftPlan::onesided_len).
     pub fn forward_into(&self, x: &[f64], out: &mut [Complex], scratch: &mut RealFftScratch) {
         assert!(
             x.len() <= self.n,
@@ -302,7 +309,12 @@ impl RealFftPlan {
             x.len(),
             self.n
         );
-        assert_eq!(out.len(), self.onesided_len(), "one-sided output length");
+        assert!(
+            (1..=self.onesided_len()).contains(&out.len()),
+            "one-sided output length {} outside 1..={}",
+            out.len(),
+            self.onesided_len()
+        );
         if self.n == 1 {
             out[0] = Complex::from_real(x.first().copied().unwrap_or(0.0));
             return;
@@ -322,8 +334,10 @@ impl RealFftPlan {
         // Split the packed spectrum: with Fe/Fo the DFTs of the even/odd
         // samples, X[k] = Fe[k] + e^{-2πik/n}·Fo[k].
         out[0] = Complex::from_real(z[0].re + z[0].im);
-        out[h] = Complex::from_real(z[0].re - z[0].im);
-        for k in 1..h {
+        if let Some(nyquist) = out.get_mut(h) {
+            *nyquist = Complex::from_real(z[0].re - z[0].im);
+        }
+        for k in 1..out.len().min(h) {
             let a = z[k];
             let b = z[h - k].conj();
             let fe = (a + b).scale(0.5);
@@ -477,5 +491,54 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A forward transform into a shorter `out` must give the leading bins
+    /// of the full one-sided transform bit for bit, for every power of two
+    /// from 1 to 65536: white noise plus the real parts of the edge-input
+    /// families, at prefix lengths 1, 2, n/4, n/2 and n/2 + 1.
+    #[test]
+    fn prefix_transform_equals_the_full_transform_prefix() {
+        use crate::rng::SeedableRng;
+        for n in (0..=16).map(|e| 1usize << e) {
+            let plan = RealFftPlan::new(n);
+            let full_len = plan.onesided_len();
+            let mut scratch = plan.scratch();
+            let mut rng = crate::rng::StdRng::seed_from_u64(n as u64);
+            let inputs = std::iter::once(crate::rng::white_noise(&mut rng, n)).chain(
+                edge_inputs(n)
+                    .into_iter()
+                    .map(|f| f.iter().map(|z| z.re).collect()),
+            );
+            for (family, x) in inputs.enumerate() {
+                let mut full = vec![Complex::ZERO; full_len];
+                plan.forward_into(&x, &mut full, &mut scratch);
+                for bins in [1, 2, n / 4, n / 2, n / 2 + 1] {
+                    let bins = bins.clamp(1, full_len);
+                    // Poisoned so a bin the transform leaves unwritten shows.
+                    let mut prefix = vec![Complex::new(f64::NAN, f64::NAN); bins];
+                    plan.forward_into(&x, &mut prefix, &mut scratch);
+                    assert!(
+                        bits(&prefix) == bits(&full[..bins]),
+                        "n {n} family {family}: the {bins}-bin prefix differs"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one-sided output length 0")]
+    fn empty_output_panics() {
+        let plan = RealFftPlan::new(64);
+        plan.forward_into(&[1.0; 64], &mut [], &mut plan.scratch());
+    }
+
+    #[test]
+    #[should_panic(expected = "one-sided output length 34")]
+    fn output_past_nyquist_panics() {
+        let plan = RealFftPlan::new(64);
+        let mut out = vec![Complex::ZERO; plan.onesided_len() + 1];
+        plan.forward_into(&[1.0; 64], &mut out, &mut plan.scratch());
     }
 }

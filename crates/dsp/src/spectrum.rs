@@ -7,7 +7,10 @@ use crate::fft;
 /// A one-sided magnitude spectrum with its frequency axis metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spectrum {
-    /// Magnitudes `|X[k]|` for bins `0 ..= n_fft/2`.
+    /// Magnitudes `|X[k]|` for bins `0 ..= n_fft/2`, or for a leading run
+    /// of them when the producer says so: the directivity accumulator keeps
+    /// only the [`directivity_bins`] its features read. The band helpers
+    /// clamp to the bins held.
     pub magnitudes: Vec<f64>,
     /// Sample rate of the analyzed signal in Hz.
     pub sample_rate: f64,
@@ -43,10 +46,9 @@ impl Spectrum {
         k as f64 * self.sample_rate / self.n_fft as f64
     }
 
-    /// Bin index closest to frequency `hz` (clamped to the valid range).
+    /// Bin index closest to frequency `hz` (clamped to the bins held).
     pub fn hz_to_bin(&self, hz: f64) -> usize {
-        let k = (hz * self.n_fft as f64 / self.sample_rate).round() as usize;
-        k.min(self.magnitudes.len() - 1)
+        nearest_bin(hz, self.n_fft, self.sample_rate).min(self.magnitudes.len() - 1)
     }
 
     /// The slice of magnitudes spanning `[lo_hz, hi_hz)`, except that an
@@ -85,14 +87,35 @@ impl Spectrum {
     }
 }
 
+/// The bin nearest `hz` on an `n_fft`-point grid at `sample_rate`,
+/// unclamped: the rounding behind [`Spectrum::hz_to_bin`].
+fn nearest_bin(hz: f64, n_fft: usize, sample_rate: f64) -> usize {
+    (hz * n_fft as f64 / sample_rate).round() as usize
+}
+
 /// The paper's low band for speech directivity analysis: 100–400 Hz.
 pub const LOW_BAND_HZ: (f64, f64) = (100.0, 400.0);
 /// The paper's high band for speech directivity analysis: 500–4000 Hz.
 pub const HIGH_BAND_HZ: (f64, f64) = (500.0, 4000.0);
 
+/// How many leading one-sided bins of an `n_fft`-point spectrum at
+/// `sample_rate` the directivity features need: through the bin nearest
+/// the top of [`HIGH_BAND_HZ`], capped at the whole one-sided spectrum
+/// (`n_fft/2 + 1`). [`hlbr`] and [`push_low_band_chunk_stats`] read no
+/// later bin, so they give the same bits on this prefix as on the full
+/// spectrum.
+///
+/// The bin nearest 4 kHz itself is kept although the high band excludes
+/// it: [`Spectrum::hz_to_bin`] clamps to the last bin held, so a prefix
+/// one bin shorter would pull the band's upper edge down a bin. At or
+/// below 8 kHz the band reaches Nyquist, and the whole spectrum is kept.
+pub fn directivity_bins(n_fft: usize, sample_rate: f64) -> usize {
+    (nearest_bin(HIGH_BAND_HZ.1, n_fft, sample_rate) + 1).min(n_fft / 2 + 1)
+}
+
 /// High/low band ratio (HLBR): mean magnitude of the 500–4000 Hz band over
 /// the mean magnitude of the 100–400 Hz band (§III-B3). Returns 0 when the
-/// low band is silent.
+/// low band is silent. Reads no bin past [`directivity_bins`].
 pub fn hlbr(spectrum: &Spectrum) -> f64 {
     let low = spectrum.band_mean(LOW_BAND_HZ.0, LOW_BAND_HZ.1);
     let high = spectrum.band_mean(HIGH_BAND_HZ.0, HIGH_BAND_HZ.1);
@@ -125,7 +148,8 @@ pub fn low_band_chunk_stats(spectrum: &Spectrum, chunks: usize) -> Vec<(f64, f64
 /// Allocation-free flattening of [`low_band_chunk_stats`]: appends
 /// `(mean, rms, std_dev)` per chunk, in chunk order, to `out`. Bit-identical
 /// to the tupled helper; used on the streaming finalize path where the
-/// feature vector is assembled into a reused scratch buffer.
+/// feature vector is assembled into a reused scratch buffer. Reads no bin
+/// past [`directivity_bins`].
 pub fn push_low_band_chunk_stats(spectrum: &Spectrum, chunks: usize, out: &mut Vec<f64>) {
     assert!(chunks >= 1, "need at least one chunk");
     let (lo, hi) = LOW_BAND_HZ;
@@ -247,6 +271,49 @@ mod tests {
         // includes) the top bin.
         let straddle = s.band(nyq - 3.0 * FS / 1024.0, nyq + 100.0);
         assert_eq!(straddle.last(), s.magnitudes.last());
+    }
+
+    #[test]
+    fn directivity_bins_end_one_past_the_4khz_bin() {
+        // 4000 · 32768 / 48000 = 2730.67 → bin 2731, kept with 2731 before it.
+        assert_eq!(directivity_bins(32_768, FS), 2732);
+        assert_eq!(directivity_bins(4096, FS), 342);
+        // At or below 8 kHz the high band reaches Nyquist: keep everything.
+        assert_eq!(directivity_bins(4096, 8000.0), 2049);
+        assert_eq!(directivity_bins(4096, 6000.0), 2049);
+        assert_eq!(directivity_bins(1, FS), 1);
+    }
+
+    #[test]
+    fn directivity_features_read_only_the_directivity_bins() {
+        // On random magnitudes, the features of the `directivity_bins`
+        // prefix must equal the full spectrum's bit for bit, on every grid
+        // from 2^8 to 2^16 at every tested rate.
+        crate::check::property("directivity_features_read_only_the_directivity_bins")
+            .cases(6)
+            .run(|g| {
+                for n_fft in (8..=16).map(|e| 1usize << e) {
+                    for sample_rate in [8000.0, 16_000.0, 22_050.0, 44_100.0, 48_000.0, 96_000.0] {
+                        let full = Spectrum {
+                            magnitudes: g.vec_f64(0.0..1.0, n_fft / 2 + 1..n_fft / 2 + 2),
+                            sample_rate,
+                            n_fft,
+                        };
+                        let kept = directivity_bins(n_fft, sample_rate);
+                        let prefix = Spectrum {
+                            magnitudes: full.magnitudes[..kept].to_vec(),
+                            ..full.clone()
+                        };
+                        let at = format!("n_fft {n_fft} at {sample_rate} Hz");
+                        assert_eq!(hlbr(&prefix).to_bits(), hlbr(&full).to_bits(), "{at}");
+                        let (mut want, mut got) = (Vec::new(), Vec::new());
+                        push_low_band_chunk_stats(&full, 20, &mut want);
+                        push_low_band_chunk_stats(&prefix, 20, &mut got);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                    }
+                }
+            });
     }
 
     #[test]

@@ -102,6 +102,7 @@ impl StftProcessor {
             frame.len(),
             self.frame_size()
         );
+        assert_eq!(out.len(), self.onesided_len(), "one-sided output length");
         for ((b, w), s) in self.buf.iter_mut().zip(&self.window).zip(frame) {
             *b = s * w;
         }

@@ -151,6 +151,9 @@ struct Session {
     last_active_ns: u64,
 }
 
+/// Why a slot build after [`WakeServer::new`] cannot fail.
+const SLOT_SHAPE_CHECKED: &str = "WakeServer::new checked that this slot shape builds";
+
 /// One shard's table. Every slot is either on the free list or held by
 /// exactly one session, so `slots.len() == free.len() + sessions.len()`.
 #[derive(Debug)]
@@ -167,17 +170,11 @@ struct Shard<'ht> {
 }
 
 impl<'ht> Shard<'ht> {
-    /// A shard holding `prewarm` free slots built up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a slot fails to construct (see [`WakeServer::new`]).
+    /// A shard holding `prewarm` free slots built up front. The builds
+    /// cannot fail: [`WakeServer::new`] has checked the slot shape.
     fn new(ht: &'ht HeadTalk, n_channels: usize, prewarm: usize) -> Shard<'ht> {
         let slots: Vec<WakeStream<'ht>> = (0..prewarm)
-            .map(|_| {
-                ht.streamer(n_channels)
-                    .expect("prewarm: session-slot construction failed")
-            })
+            .map(|_| ht.streamer(n_channels).expect(SLOT_SHAPE_CHECKED))
             .collect();
         Shard {
             free: (0..slots.len()).collect(),
@@ -273,20 +270,26 @@ impl<'ht> WakeServer<'ht> {
     ///
     /// # Panics
     ///
-    /// Panics when `config.n_shards`, `config.sessions_per_shard`, or
-    /// `config.n_channels` is zero — a structurally useless server is a
-    /// deployment bug, not a runtime condition. Panics when
-    /// `config.prewarm_slots > 0` and a slot fails to construct (an
-    /// untrained pipeline behind an eagerly provisioned server is likewise
-    /// a deployment bug; leave the knob at zero to surface construction
-    /// errors lazily through `open` instead).
+    /// Panics when `config.n_shards` or `config.sessions_per_shard` is
+    /// zero, and when `ht` cannot stream `config.n_channels` channels:
+    /// fewer than two, or a feature width its orientation model was not
+    /// trained on. A structurally useless server is a deployment bug, not a
+    /// runtime condition. A slot build depends only on the pipeline and
+    /// the channel count, so `new` builds one trial slot, whatever
+    /// [`ServeConfig::prewarm_slots`] says, and no later build, eager or
+    /// lazy, can fail.
     pub fn new(ht: &'ht HeadTalk, config: ServeConfig) -> WakeServer<'ht> {
         assert!(config.n_shards > 0, "a server needs at least one shard");
         assert!(
             config.sessions_per_shard > 0,
             "a shard needs at least one session slot"
         );
-        assert!(config.n_channels > 0, "sessions need at least one channel");
+        if let Err(e) = ht.streamer(config.n_channels) {
+            panic!(
+                "sessions of {} channel(s) cannot stream on this pipeline: {e}",
+                config.n_channels
+            );
+        }
         let prewarm = config.prewarm_slots.min(config.sessions_per_shard);
         WakeServer {
             ht,
@@ -321,7 +324,10 @@ impl<'ht> WakeServer<'ht> {
     /// Admission runs duplicate check → shard-slot check → token bucket,
     /// in that order, so a rejected open consumes **nothing**: no token is
     /// burned on a duplicate or a full shard, and no slot is touched on a
-    /// rate limit. Rejected sessions leave zero residual shard state.
+    /// rate limit. Rejected sessions leave zero residual shard state. An
+    /// admitted open that finds no free slot builds one, which cannot fail
+    /// ([`WakeServer::new`] checked the slot shape), so no open spends a
+    /// token and then errs.
     ///
     /// # Errors
     ///
@@ -358,7 +364,10 @@ impl<'ht> WakeServer<'ht> {
         let slot = match shard.free.pop() {
             Some(slot) => slot,
             None => {
-                let stream = self.ht.streamer(self.config.n_channels)?;
+                let stream = self
+                    .ht
+                    .streamer(self.config.n_channels)
+                    .expect(SLOT_SHAPE_CHECKED);
                 shard.slots.push(stream);
                 shard.slots.len() - 1
             }
@@ -603,6 +612,33 @@ mod tests {
             session_idle_timeout_ns: 1_000_000_000,
             ..ServeConfig::for_pipeline(ht.config())
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "1 channel(s) cannot stream")]
+    fn new_refuses_a_single_channel() {
+        let ht = toy_pipeline();
+        WakeServer::new(
+            &ht,
+            ServeConfig {
+                n_channels: 1,
+                ..serve_config(&ht)
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "trained on feature width")]
+    fn new_refuses_a_channel_count_the_model_was_not_trained_on() {
+        // The toy pipeline's orientation model is trained on 4 channels.
+        let ht = toy_pipeline();
+        WakeServer::new(
+            &ht,
+            ServeConfig {
+                n_channels: 3,
+                ..serve_config(&ht)
+            },
+        );
     }
 
     fn push_all(server: &WakeServer<'_>, id: u64, capture: &[Vec<f64>], now_ns: u64) {

@@ -14,6 +14,13 @@
 //! Construction sizes every buffer, the FFT scratch included, and runs no
 //! transform, so pushing and flushing never allocate.
 //!
+//! The spectrum is band-limited to what the features read: every
+//! transform, magnitude sum and flushed [`Spectrum`] stops at
+//! [`directivity_bins`] of its grid, the bin nearest 4 kHz (2,732 of the
+//! 16,385 one-sided bins of the 32,768-point segment grid at 48 kHz). The
+//! kept bins are computed exactly as a full-spectrum pass computes them,
+//! so the features' bits do not depend on the cut.
+//!
 //! The accumulator is chunking-independent by construction: samples fill
 //! the segment buffer by absolute index, so any split of the capture into
 //! push calls produces the same segment boundaries, the same FFT inputs,
@@ -32,7 +39,7 @@
 use crate::error::StreamError;
 use ht_dsp::complex::Complex;
 use ht_dsp::fft::{rfft_plan, RealFftPlan, RealFftScratch};
-use ht_dsp::spectrum::Spectrum;
+use ht_dsp::spectrum::{directivity_bins, Spectrum};
 use std::sync::Arc;
 
 /// Resolution floor for the adaptive short-capture flush: at 48 kHz a
@@ -53,9 +60,11 @@ pub struct DirectivityAccum {
     /// Channel-mean samples of the segment currently being filled
     /// (`len() < seg_len` between pushes).
     buf: Vec<f64>,
-    /// FFT output for completed and flushed segments.
+    /// FFT output for completed and flushed segments: the
+    /// [`directivity_bins`] of the segment grid.
     bins: Vec<Complex>,
-    /// Running per-bin magnitude sums over completed segments.
+    /// Running per-bin magnitude sums over completed segments, over the
+    /// same bins.
     mag_accum: Vec<f64>,
     /// Completed (full-length) segments accumulated.
     segments: u64,
@@ -97,7 +106,9 @@ impl DirectivityAccum {
             )));
         }
         let plan = rfft_plan(seg_len);
-        let bins = plan.onesided_len();
+        // The widest kept run of any flush grid: the kept count only grows
+        // with the grid, and no grid exceeds the segment plan's.
+        let bins = directivity_bins(plan.len(), sample_rate);
         Ok(DirectivityAccum {
             channels,
             seg_len,
@@ -174,12 +185,18 @@ impl DirectivityAccum {
     /// While no segment has completed, the flush is the whole-capture
     /// magnitude spectrum at `next_pow2(capture_len)` resolution (floored
     /// at [`MIN_PARTIAL_N_FFT`], capped at the segment FFT length) —
-    /// exactly what [`Spectrum::of`] computes for the batch Fig. 3
-    /// analysis — instead of a full-segment zero-pad. The coarser grid
-    /// samples the *same* DTFT, so band statistics agree with the full-pad
-    /// flush at every shared frequency, for a fraction of the transform
-    /// cost. Once a segment completes, the full-grid Welch average is
-    /// bit-for-bit unchanged.
+    /// exactly the leading bins of what [`Spectrum::of`] computes for the
+    /// batch Fig. 3 analysis — instead of a full-segment zero-pad. The
+    /// coarser grid samples the *same* DTFT, so band statistics agree with
+    /// the full-pad flush at every shared frequency, for a fraction of the
+    /// transform cost. Once a segment completes, the full-grid Welch
+    /// average is bit-for-bit unchanged.
+    ///
+    /// The spectrum stops at the features' band: `magnitudes` holds the
+    /// leading [`directivity_bins`]`(n_fft, sample_rate)` bins, through the
+    /// bin nearest 4 kHz, while `n_fft` stays the grid length, so
+    /// [`Spectrum::bin_to_hz`] and [`Spectrum::band`] map as on the full
+    /// spectrum.
     ///
     /// Returns `None` when no sample has been pushed at all.
     pub fn flush_spectrum(&mut self) -> Option<&Spectrum> {
@@ -188,22 +205,20 @@ impl DirectivityAccum {
             return None;
         }
         let _span = ht_obs::span("stream.directivity");
-        let full_bins = self.mag_accum.len();
         if self.segments == 0 {
             // Short capture: one transform at the capture's own grid.
             let m = ht_dsp::fft::next_pow2(partial)
                 .max(MIN_PARTIAL_N_FFT)
                 .min(self.plan.len());
-            let plan = rfft_plan(m);
-            let half = plan.onesided_len();
-            plan.forward_into(&self.buf, &mut self.bins[..half], &mut self.scratch);
-            self.spectrum.magnitudes.resize(half, 0.0);
-            for (mag, z) in self.spectrum.magnitudes.iter_mut().zip(&self.bins[..half]) {
+            let kept = directivity_bins(m, self.spectrum.sample_rate);
+            rfft_plan(m).forward_into(&self.buf, &mut self.bins[..kept], &mut self.scratch);
+            self.spectrum.magnitudes.resize(kept, 0.0);
+            for (mag, z) in self.spectrum.magnitudes.iter_mut().zip(&self.bins) {
                 *mag = z.abs();
             }
             self.spectrum.n_fft = m;
         } else {
-            self.spectrum.magnitudes.resize(full_bins, 0.0);
+            self.spectrum.magnitudes.resize(self.mag_accum.len(), 0.0);
             self.spectrum.n_fft = self.plan.len();
             let mut total = self.segments as f64;
             if partial > 0 {
@@ -311,7 +326,7 @@ mod tests {
         let mut padded = x.clone();
         padded.resize(1024, 0.0);
         let reference = ht_dsp::fft::rfft_magnitude(&padded);
-        assert_eq!(got.magnitudes.len(), reference.len());
+        assert_eq!(got.magnitudes.len(), directivity_bins(1024, 48_000.0));
         for (g, r) in got.magnitudes.iter().zip(&reference) {
             assert_eq!(g.to_bits(), r.to_bits());
         }
@@ -409,10 +424,11 @@ mod tests {
                 let first = acc.flush_spectrum().unwrap().clone();
                 let again = acc.flush_spectrum().unwrap().clone();
                 assert_eq!(first, again, "flush must be idempotent");
+                let n_fft = ht_dsp::fft::next_pow2(seg_len);
                 let mut padded = x.clone();
-                padded.resize(ht_dsp::fft::next_pow2(seg_len), 0.0);
+                padded.resize(n_fft, 0.0);
                 let reference = ht_dsp::fft::rfft_magnitude(&padded);
-                assert_eq!(first.magnitudes.len(), reference.len());
+                assert_eq!(first.magnitudes.len(), directivity_bins(n_fft, 48_000.0));
                 for (f, r) in first.magnitudes.iter().zip(&reference) {
                     assert_eq!(f.to_bits(), r.to_bits(), "partial-window leak");
                 }
@@ -433,7 +449,7 @@ mod tests {
         assert_eq!(first, again);
         let a = ht_dsp::fft::rfft_magnitude(&x[..1024]);
         let b = ht_dsp::fft::rfft_magnitude(&x[1024..]);
-        assert_eq!(first.magnitudes.len(), a.len());
+        assert_eq!(first.magnitudes.len(), directivity_bins(1024, 48_000.0));
         for ((f, a), b) in first.magnitudes.iter().zip(&a).zip(&b) {
             assert_eq!(f.to_bits(), ((a + b) / 2.0).to_bits());
         }
@@ -449,9 +465,8 @@ mod tests {
         acc.push(&[&x]).unwrap();
         let got = acc.flush_spectrum().unwrap().clone();
         assert_eq!(got.n_fft, 8192);
-        assert_eq!(got.magnitudes.len(), 8192 / 2 + 1);
+        assert_eq!(got.magnitudes.len(), directivity_bins(8192, 48_000.0));
         let reference = ht_dsp::fft::rfft_magnitude(&x);
-        assert_eq!(got.magnitudes.len(), reference.len());
         for (g, r) in got.magnitudes.iter().zip(&reference) {
             assert_eq!(g.to_bits(), r.to_bits());
         }
@@ -554,6 +569,89 @@ mod tests {
                     assert_eq!(s.to_bits(), r.to_bits());
                 }
             });
+    }
+
+    /// The full-length oracle for a `channels`-channel capture: the
+    /// channel mean, split into `seg_len`-sample segments, each segment's
+    /// whole one-sided `rfft_magnitude` summed in order, plus the
+    /// zero-padded partial, then averaged — or, with no complete segment,
+    /// the whole capture's spectrum on the adaptive grid.
+    fn welch_oracle(capture: &[Vec<f64>], seg_len: usize) -> Spectrum {
+        let n = capture.len() as f64;
+        let mean: Vec<f64> = (0..capture[0].len())
+            .map(|i| capture.iter().fold(0.0, |m, c| m + c[i]) / n)
+            .collect();
+        let segment_grid = ht_dsp::fft::next_pow2(seg_len);
+        let padded_magnitudes = |x: &[f64], n_fft: usize| {
+            let mut padded = x.to_vec();
+            padded.resize(n_fft, 0.0);
+            ht_dsp::fft::rfft_magnitude(&padded)
+        };
+        if mean.len() < seg_len {
+            let n_fft = ht_dsp::fft::next_pow2(mean.len())
+                .max(MIN_PARTIAL_N_FFT)
+                .min(segment_grid);
+            return Spectrum {
+                magnitudes: padded_magnitudes(&mean, n_fft),
+                sample_rate: 48_000.0,
+                n_fft,
+            };
+        }
+        // `chunks` ends with the partial segment, if any.
+        let mut sum = vec![0.0; segment_grid / 2 + 1];
+        let mut total = 0.0;
+        for seg in mean.chunks(seg_len) {
+            for (s, m) in sum.iter_mut().zip(padded_magnitudes(seg, segment_grid)) {
+                *s += m;
+            }
+            total += 1.0;
+        }
+        Spectrum {
+            magnitudes: sum.iter().map(|s| s / total).collect(),
+            sample_rate: 48_000.0,
+            n_fft: segment_grid,
+        }
+    }
+
+    #[test]
+    fn flushed_features_equal_the_full_spectrum_oracle() {
+        use ht_dsp::spectrum::{hlbr, push_low_band_chunk_stats};
+        // Around one and two segments, at the serving segment length and a
+        // short one: the band-limited flush must give the full-length
+        // oracle's HLBR and chunk statistics bit for bit, and its kept bins.
+        for seg_len in [1024usize, 32_768] {
+            for len in [
+                seg_len - 1,
+                seg_len,
+                seg_len + 1,
+                2 * seg_len - 1,
+                2 * seg_len,
+                2 * seg_len + 1,
+            ] {
+                let capture = vec![noise(len, 61), noise(len, 62)];
+                let mut acc = DirectivityAccum::new(2, seg_len, 48_000.0).unwrap();
+                let views: Vec<&[f64]> = capture.iter().map(Vec::as_slice).collect();
+                acc.push(&views).unwrap();
+                let got = acc.flush_spectrum().unwrap().clone();
+                let want = welch_oracle(&capture, seg_len);
+                let at = format!("segment {seg_len}, {len} samples");
+                assert_eq!(got.n_fft, want.n_fft, "{at}");
+                assert_eq!(
+                    got.magnitudes.len(),
+                    directivity_bins(want.n_fft, 48_000.0),
+                    "{at}"
+                );
+                for (k, (g, w)) in got.magnitudes.iter().zip(&want.magnitudes).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{at}: bin {k}");
+                }
+                assert_eq!(hlbr(&got).to_bits(), hlbr(&want).to_bits(), "{at}: HLBR");
+                let (mut g, mut w) = (Vec::new(), Vec::new());
+                push_low_band_chunk_stats(&got, 20, &mut g);
+                push_low_band_chunk_stats(&want, 20, &mut w);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g), bits(&w), "{at}: chunk statistics");
+            }
+        }
     }
 
     #[test]
