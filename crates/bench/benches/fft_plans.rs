@@ -16,8 +16,9 @@ fn signal(n: usize) -> Vec<f64> {
 }
 
 /// Real forward transforms: cached tables, one-sided half-size transform.
+/// 1024 points is the per-frame STFT size; 32,768 the directivity segment.
 fn bench_real_fft(s: &mut Suite) {
-    for &n in &[32_768usize, 48_000] {
+    for &n in &[1024usize, 32_768, 48_000] {
         let x = signal(n);
         // The planned hot path: plan and scratch held across calls, output
         // written into a reused buffer (this is what StftProcessor does per
@@ -41,16 +42,19 @@ fn bench_real_fft(s: &mut Suite) {
     }
 }
 
+/// Real inverse transforms: 1024 points is the size of the per-pair GCC
+/// inverses at evidence assembly.
 fn bench_inverse(s: &mut Suite) {
-    let n = 32_768usize;
-    let onesided = fft::rfft_onesided(&signal(n));
-    let plan = fft::rfft_plan(n);
-    let mut scratch = plan.scratch();
-    let mut out = vec![0.0; n];
-    s.bench("fft/planned_irfft_onesided_32768", || {
-        plan.inverse_into(black_box(&onesided), &mut out, &mut scratch);
-        out[0]
-    });
+    for &n in &[1024usize, 32_768] {
+        let onesided = fft::rfft_onesided(&signal(n));
+        let plan = fft::rfft_plan(n);
+        let mut scratch = plan.scratch();
+        let mut out = vec![0.0; n];
+        s.bench(&format!("fft/planned_irfft_onesided_{n}"), || {
+            plan.inverse_into(black_box(&onesided), &mut out, &mut scratch);
+            out[0]
+        });
+    }
 }
 
 /// The steady-state plan-cache gate (not a timing — a correctness check on

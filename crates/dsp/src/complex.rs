@@ -23,8 +23,8 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// ```
 ///
 /// `#[repr(C)]` pins the layout to `[re, im]` with no padding, so a
-/// `[Complex]` slice is an interleaved `f64` array; the SIMD FFT
-/// butterflies in [`crate::fft::plan`] rely on this.
+/// `[Complex]` slice is an interleaved `f64` array; the AVX2 kernels in
+/// [`crate::fft::plan`] and [`crate::kernels`] rely on this.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex {

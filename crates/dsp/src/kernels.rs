@@ -6,9 +6,12 @@
 //!   `XᵢXⱼ*/|XᵢXⱼ*| = (Xᵢ/|Xᵢ|)·conj(Xⱼ/|Xⱼ|)`: it normalizes each
 //!   channel's spectrum once and adds every pair's masked unit product to
 //!   that pair's running sum. Built only from correctly rounded IEEE
-//!   operations, its bits do not depend on the platform's libm. The
-//!   streaming frame analyzer (`ht_stream::FrameAnalyzer`), and so every
-//!   decision route, runs it.
+//!   operations, its bits do not depend on the platform's libm. On x86_64
+//!   machines with AVX2 it runs four bins per register, each lane with the
+//!   scalar loop's operations and no FMA, so its bits do not depend on the
+//!   path either; the scalar loop stays as the portable path, the tail of
+//!   every row and the tests' oracle. The streaming frame analyzer
+//!   (`ht_stream::FrameAnalyzer`), and so every decision route, runs it.
 //! * [`cross_whiten_reference_into`] whitens one pair's cross spectrum for
 //!   the one-shot correlators in [`crate::correlate`], which no decision
 //!   runs, and is the per-channel kernel's test oracle. It fuses the
@@ -19,8 +22,9 @@
 //!   computing each magnitude once instead of twice.
 //!
 //! It also hosts the one cached AVX2 probe, [`avx2_available`], that every
-//! `std::arch` kernel in the workspace dispatches on (the FFT butterflies
-//! in [`crate::fft::plan`] and the int8 kernels in `ht-ml`).
+//! `std::arch` kernel in the workspace dispatches on (the FFT kernels in
+//! [`crate::fft::plan`], the PHAT kernel here and the int8 kernels in
+//! `ht-ml`).
 
 use crate::complex::Complex;
 
@@ -142,7 +146,9 @@ const MAX_LANES: usize = 4;
 /// Every step is a correctly rounded IEEE add, multiply, divide or square
 /// root, and the maximum is exact in any fold order, so the result has the
 /// same bits on every platform (the reference kernel's `hypot` depends on
-/// the libm).
+/// the libm). On x86_64 machines with AVX2 the per-bin loops run four bins
+/// per register with the same operations in each lane, so they give the
+/// same bits as the scalar loops.
 ///
 /// # Domain
 ///
@@ -167,15 +173,34 @@ pub fn channel_phat_accumulate(
     pairs: &[(usize, usize)],
     accum: &mut [Complex],
 ) {
+    channel_phat_accumulate_with(spectra, mags, pairs, accum, true);
+}
+
+/// [`channel_phat_accumulate`], on the AVX2 kernels when `simd` is set and
+/// the machine has them; only the bit-identity tests clear it.
+fn channel_phat_accumulate_with(
+    spectra: &mut [Vec<Complex>],
+    mags: &mut [f64],
+    pairs: &[(usize, usize)],
+    accum: &mut [Complex],
+    simd: bool,
+) {
     let bins = spectra.first().map_or(0, Vec::len);
     assert_eq!(mags.len(), spectra.len() * bins, "magnitude rows");
     assert_eq!(accum.len(), pairs.len() * bins, "accumulator rows");
     if bins == 0 {
         return;
     }
+    let simd = simd && avx2_available();
     for (spec, row) in spectra.iter_mut().zip(mags.chunks_exact_mut(bins)) {
         assert_eq!(spec.len(), bins, "spectrum length");
-        for (x, m) in spec.iter_mut().zip(row) {
+        let mut first = 0;
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: AVX2 was detected above.
+            first = unsafe { x86::normalize(spec, row) };
+        }
+        for (x, m) in spec[first..].iter_mut().zip(&mut row[first..]) {
             let mag = x.norm_sqr().sqrt();
             *x = x.scale(if mag > 0.0 { 1.0 / mag } else { 0.0 });
             *m = mag;
@@ -184,12 +209,156 @@ pub fn channel_phat_accumulate(
     for (&(i, j), acc) in pairs.iter().zip(accum.chunks_exact_mut(bins)) {
         let (mi, mj) = (&mags[i * bins..][..bins], &mags[j * bins..][..bins]);
         let floor = (max_product(mi, mj) * PHAT_REL_FLOOR).max(PHAT_ABS_FLOOR);
-        let units = spectra[i].iter().zip(&spectra[j]);
-        let products = mi.iter().zip(mj).map(|(x, y)| x * y);
-        for ((a, (ui, uj)), p) in acc.iter_mut().zip(units).zip(products) {
+        let (ui, uj) = (&spectra[i], &spectra[j]);
+        let mut first = 0;
+        #[cfg(target_arch = "x86_64")]
+        if simd {
+            // SAFETY: AVX2 was detected above.
+            first = unsafe { x86::accumulate_pair(ui, uj, mi, mj, floor, acc) };
+        }
+        let units = ui[first..].iter().zip(&uj[first..]);
+        let products = mi[first..].iter().zip(&mj[first..]).map(|(x, y)| x * y);
+        for ((a, (ui, uj)), p) in acc[first..].iter_mut().zip(units).zip(products) {
             let c = *ui * uj.conj();
             *a += if p > floor { c } else { Complex::ZERO };
         }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[deny(unsafe_op_in_unsafe_fn)]
+mod x86 {
+    //! AVX2 kernels of [`super::channel_phat_accumulate`], four bins per
+    //! register. Each lane runs the scalar loop's operations on the same
+    //! operands — the square root of `re·re + im·im`, one division, the
+    //! `Complex` multiply by a conjugate as `re = a·c − b·(−d)`,
+    //! `im = a·(−d) + b·c`, and an add of the bin or of `+0.0` — with no
+    //! FMA, so each lane rounds exactly as the scalar loop does.
+    //!
+    //! Four bins load as two registers of interleaved complex values and
+    //! split into real and imaginary parts in lane order 0, 2, 1, 3, the
+    //! order they interleave back from; magnitudes are permuted to match.
+
+    use crate::complex::Complex;
+    use std::arch::x86_64::*;
+
+    /// Swaps the middle two lanes: natural order to 0, 2, 1, 3 and back.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn swap_middle(v: __m256d) -> __m256d {
+        _mm256_permute4x64_pd::<0b11_01_10_00>(v)
+    }
+
+    /// Real and imaginary parts of the four complex values at `src`, in
+    /// lane order 0, 2, 1, 3.
+    ///
+    /// # Safety
+    ///
+    /// `src` must be valid for 4 `Complex` reads.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load4(src: *const Complex) -> (__m256d, __m256d) {
+        let p = src.cast::<f64>();
+        // SAFETY: the caller guarantees four readable `#[repr(C)]`
+        // complex values, eight `f64`s.
+        let (a, b) = unsafe { (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))) };
+        (_mm256_unpacklo_pd(a, b), _mm256_unpackhi_pd(a, b))
+    }
+
+    /// Stores what [`load4`] loaded, interleaved back in natural order.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must be valid for 4 `Complex` writes.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store4(dst: *mut Complex, re: __m256d, im: __m256d) {
+        let p = dst.cast::<f64>();
+        // SAFETY: the caller guarantees four writable complex values.
+        unsafe {
+            _mm256_storeu_pd(p, _mm256_unpacklo_pd(re, im));
+            _mm256_storeu_pd(p.add(4), _mm256_unpackhi_pd(re, im));
+        }
+    }
+
+    /// Normalizes `spec` to unit magnitude and writes the magnitudes to
+    /// `mags`, four bins at a time for as long as four fit; returns the
+    /// first bin left for the scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn normalize(spec: &mut [Complex], mags: &mut [f64]) -> usize {
+        let n = spec.len();
+        assert_eq!(mags.len(), n);
+        let (zero, one) = (_mm256_setzero_pd(), _mm256_set1_pd(1.0));
+        let mut k = 0;
+        while k + 4 <= n {
+            // SAFETY: `k + 4 ≤ n`: four values of `spec` and of `mags`.
+            unsafe {
+                let (re, im) = load4(spec.as_ptr().add(k));
+                let mag =
+                    _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im)));
+                let inv = _mm256_and_pd(
+                    _mm256_cmp_pd::<_CMP_GT_OQ>(mag, zero),
+                    _mm256_div_pd(one, mag),
+                );
+                store4(
+                    spec.as_mut_ptr().add(k),
+                    _mm256_mul_pd(re, inv),
+                    _mm256_mul_pd(im, inv),
+                );
+                _mm256_storeu_pd(mags.as_mut_ptr().add(k), swap_middle(mag));
+            }
+            k += 4;
+        }
+        k
+    }
+
+    /// Adds the masked unit products `ui[k]·conj(uj[k])`, kept where
+    /// `mi[k]·mj[k] > floor`, to `acc`, four bins at a time for as long as
+    /// four fit; returns the first bin left for the scalar tail.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have verified AVX2 support at runtime.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn accumulate_pair(
+        ui: &[Complex],
+        uj: &[Complex],
+        mi: &[f64],
+        mj: &[f64],
+        floor: f64,
+        acc: &mut [Complex],
+    ) -> usize {
+        let n = acc.len();
+        assert!(ui.len() == n && uj.len() == n && mi.len() == n && mj.len() == n);
+        let (floor, neg) = (_mm256_set1_pd(floor), _mm256_set1_pd(-0.0));
+        let mut k = 0;
+        while k + 4 <= n {
+            // SAFETY: `k + 4 ≤ n`: four values of each slice.
+            unsafe {
+                let (i_re, i_im) = load4(ui.as_ptr().add(k));
+                let (j_re, j_im) = load4(uj.as_ptr().add(k));
+                let j_im = _mm256_xor_pd(j_im, neg);
+                let c_re = _mm256_sub_pd(_mm256_mul_pd(i_re, j_re), _mm256_mul_pd(i_im, j_im));
+                let c_im = _mm256_add_pd(_mm256_mul_pd(i_re, j_im), _mm256_mul_pd(i_im, j_re));
+                let p = _mm256_mul_pd(
+                    _mm256_loadu_pd(mi.as_ptr().add(k)),
+                    _mm256_loadu_pd(mj.as_ptr().add(k)),
+                );
+                let keep = _mm256_cmp_pd::<_CMP_GT_OQ>(swap_middle(p), floor);
+                let (a_re, a_im) = load4(acc.as_ptr().add(k));
+                store4(
+                    acc.as_mut_ptr().add(k),
+                    _mm256_add_pd(a_re, _mm256_and_pd(keep, c_re)),
+                    _mm256_add_pd(a_im, _mm256_and_pd(keep, c_im)),
+                );
+            }
+            k += 4;
+        }
+        k
     }
 }
 
@@ -302,6 +471,59 @@ mod tests {
             .collect()
     }
 
+    /// 2–4 channels of `n` bins with magnitudes anywhere in 1e-140..1e140:
+    /// each channel gets a random level and a random spread around it, so
+    /// pairs mix wide and narrow dynamic ranges and cross both floors.
+    fn hostile_levels(g: &mut crate::check::Gen, n: usize) -> Vec<Vec<Complex>> {
+        let channels = g.usize_in(2..5);
+        (0..channels)
+            .map(|_| {
+                let level = g.f64_in(-130.0..130.0);
+                let spread = g.f64_in(0.0..10.0);
+                let lo = (level - spread).max(-140.0);
+                let hi = (level + spread).min(140.0);
+                log_uniform_spectrum(g, n, lo..hi)
+            })
+            .collect()
+    }
+
+    /// 2–4 channels of `n` bins, one of them (returned) all zero.
+    fn dead_channel(g: &mut crate::check::Gen, n: usize) -> (Vec<Vec<Complex>>, usize) {
+        let channels = g.usize_in(2..5);
+        let dead = g.usize_in(0..channels);
+        let mut spectra: Vec<Vec<Complex>> = (0..channels)
+            .map(|_| log_uniform_spectrum(g, n, -3.0..3.0))
+            .collect();
+        spectra[dead].fill(Complex::ZERO);
+        (spectra, dead)
+    }
+
+    /// 2–4 channels of `n` bins; in one of them (returned) a random set of
+    /// bins (returned) lies outside the kernel's domain, with `|X|²`
+    /// overflowing (`|X| ≥ 1e155`) or underflowing (`|X| ≤ 1e-160`).
+    fn out_of_domain(
+        g: &mut crate::check::Gen,
+        n: usize,
+    ) -> (Vec<Vec<Complex>>, usize, Vec<usize>) {
+        let channels = g.usize_in(2..5);
+        let hostile = g.usize_in(0..channels);
+        let overflow = g.bool();
+        let mut raw: Vec<Vec<Complex>> = (0..channels)
+            .map(|_| log_uniform_spectrum(g, n, -3.0..3.0))
+            .collect();
+        let bad: Vec<usize> = (0..n).filter(|_| g.bool()).collect();
+        let exps = if overflow {
+            155.0..300.0
+        } else {
+            -300.0..-160.0
+        };
+        let replacement = log_uniform_spectrum(g, bad.len(), exps);
+        for (&k, x) in bad.iter().zip(replacement) {
+            raw[hostile][k] = x;
+        }
+        (raw, hostile, bad)
+    }
+
     fn all_pairs(channels: usize) -> Vec<(usize, usize)> {
         (0..channels)
             .flat_map(|i| ((i + 1)..channels).map(move |j| (i, j)))
@@ -321,22 +543,10 @@ mod tests {
 
     #[test]
     fn channel_kernel_matches_the_reference_on_hostile_spectra() {
-        // Per-channel magnitudes anywhere in 1e-140..1e140: each channel
-        // gets a random level and a random spread around it, so pairs mix
-        // wide and narrow dynamic ranges and cross both floors.
         crate::check::property("channel_phat_matches_reference").run(|g| {
             let n = g.usize_in(1..600);
-            let channels = g.usize_in(2..5);
-            let raw: Vec<Vec<Complex>> = (0..channels)
-                .map(|_| {
-                    let level = g.f64_in(-130.0..130.0);
-                    let spread = g.f64_in(0.0..10.0);
-                    let lo = (level - spread).max(-140.0);
-                    let hi = (level + spread).min(140.0);
-                    log_uniform_spectrum(g, n, lo..hi)
-                })
-                .collect();
-            let pairs = all_pairs(channels);
+            let raw = hostile_levels(g, n);
+            let pairs = all_pairs(raw.len());
             let accum = channel_kernel(&raw, &pairs);
             let mut cross = vec![Complex::ZERO; n];
             let mut mags = vec![0.0; n];
@@ -367,12 +577,8 @@ mod tests {
     fn an_all_zero_channel_adds_exactly_nothing() {
         crate::check::property("channel_phat_dead_channel").run(|g| {
             let n = g.usize_in(1..600);
-            let channels = g.usize_in(2..5);
-            let dead = g.usize_in(0..channels);
-            let mut spectra: Vec<Vec<Complex>> = (0..channels)
-                .map(|_| log_uniform_spectrum(g, n, -3.0..3.0))
-                .collect();
-            spectra[dead].fill(Complex::ZERO);
+            let (mut spectra, dead) = dead_channel(g, n);
+            let channels = spectra.len();
             let pairs = all_pairs(channels);
             // A running sum already holding evidence: adding anything but
             // an exact zero would move its bits.
@@ -402,26 +608,10 @@ mod tests {
 
     #[test]
     fn bins_outside_the_domain_add_nothing_and_never_nan() {
-        // |X|² overflows at |X| ≥ 1e155 and underflows at |X| ≤ 1e-160.
         crate::check::property("channel_phat_out_of_domain").run(|g| {
             let n = g.usize_in(1..600);
-            let channels = g.usize_in(2..5);
-            let hostile = g.usize_in(0..channels);
-            let overflow = g.bool();
-            let mut raw: Vec<Vec<Complex>> = (0..channels)
-                .map(|_| log_uniform_spectrum(g, n, -3.0..3.0))
-                .collect();
-            let bad: Vec<usize> = (0..n).filter(|_| g.bool()).collect();
-            let exps = if overflow {
-                155.0..300.0
-            } else {
-                -300.0..-160.0
-            };
-            let replacement = log_uniform_spectrum(g, bad.len(), exps);
-            for (&k, x) in bad.iter().zip(replacement) {
-                raw[hostile][k] = x;
-            }
-            let pairs = all_pairs(channels);
+            let (raw, hostile, bad) = out_of_domain(g, n);
+            let pairs = all_pairs(raw.len());
             let accum = channel_kernel(&raw, &pairs);
             assert!(accum.iter().all(|c| c.re.is_finite() && c.im.is_finite()));
             for (&(i, j), row) in pairs.iter().zip(accum.chunks_exact(n)) {
@@ -432,6 +622,61 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The AVX2 path must give the scalar path's bits exactly — unit
+    /// spectra, magnitudes and accumulators — on the three hostile
+    /// generators at every length from 1 to 600, so every tail length
+    /// mod 4 is covered. The accumulators start out holding evidence and
+    /// signed zeros. Without AVX2 both runs take the scalar path.
+    #[test]
+    fn avx2_path_matches_the_scalar_path_bit_for_bit() {
+        if !avx2_available() {
+            eprintln!("notice: AVX2 not available on this machine; checking the scalar path only");
+        }
+        let bits = |z: &[Complex]| -> Vec<(u64, u64)> {
+            z.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for n in 1..=600 {
+            let mut g = crate::check::Gen::new(0x5EED_0000 + n as u64);
+            let families = [
+                hostile_levels(&mut g, n),
+                dead_channel(&mut g, n).0,
+                out_of_domain(&mut g, n).0,
+            ];
+            for (family, raw) in families.iter().enumerate() {
+                let pairs = all_pairs(raw.len());
+                let before: Vec<Complex> = (0..pairs.len() * n)
+                    .map(|k| match k % 4 {
+                        0 => Complex::new(-0.0, -0.0),
+                        _ => Complex::new(g.f64_in(-9.0..9.0), g.f64_in(-9.0..9.0)),
+                    })
+                    .collect();
+                let run = |simd| {
+                    let mut spectra = raw.clone();
+                    let mut mags = vec![f64::NAN; raw.len() * n];
+                    let mut accum = before.clone();
+                    channel_phat_accumulate_with(&mut spectra, &mut mags, &pairs, &mut accum, simd);
+                    (spectra, mags, accum)
+                };
+                let (scalar, simd) = (run(false), run(true));
+                for (c, (s, v)) in scalar.0.iter().zip(&simd.0).enumerate() {
+                    assert!(
+                        bits(s) == bits(v),
+                        "n {n} family {family} channel {c}: units differ"
+                    );
+                }
+                let mag_bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert!(
+                    mag_bits(&scalar.1) == mag_bits(&simd.1),
+                    "n {n} family {family}: magnitudes differ"
+                );
+                assert!(
+                    bits(&scalar.2) == bits(&simd.2),
+                    "n {n} family {family}: accumulators differ"
+                );
+            }
+        }
     }
 
     #[test]

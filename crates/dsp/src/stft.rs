@@ -87,6 +87,14 @@ impl StftProcessor {
         self.plan.onesided_len()
     }
 
+    /// The processor's plan and FFT scratch, for other transforms of the
+    /// same size between frames: the frame analyzer runs its assembly-time
+    /// inverses through them, so it holds no second plan handle or
+    /// scratch.
+    pub fn plan_and_scratch(&mut self) -> (&fft::RealFftPlan, &mut fft::RealFftScratch) {
+        (&self.plan, &mut self.scratch)
+    }
+
     /// Windows one frame and writes its one-sided spectrum into `out`.
     /// Frames shorter than [`frame_size`](StftProcessor::frame_size) are
     /// zero-padded. Allocation-free.

@@ -3,11 +3,13 @@
 //! spectrum formed from those unit spectra.
 //!
 //! The analyzer owns every buffer it needs — STFT plan and scratch,
-//! per-channel spectra and magnitudes, the inverse-FFT workspace, the
+//! per-channel spectra and magnitudes, the inverse-FFT output, the
 //! spectral accumulators — all sized in [`FrameAnalyzer::new`], which runs
-//! no transform (both FFT scratches come presized from
-//! [`RealFftPlan::scratch`]), so [`analyze`](FrameAnalyzer::analyze) is
-//! allocation-free from the first frame. Frames are zero-padded to
+//! no transform (the STFT's FFT scratch comes presized from
+//! [`RealFftPlan::scratch`](ht_dsp::fft::RealFftPlan::scratch), and the
+//! assembly-time inverses reuse its plan and scratch), so
+//! [`analyze`](FrameAnalyzer::analyze) is allocation-free from the first
+//! frame. Frames are zero-padded to
 //! `next_pow2(frame_len + max_lag + 1)` so circular GCC lags up to
 //! `±max_lag` never alias (the same pad rule as the one-shot
 //! `ht_dsp::correlate::gcc_phat`).
@@ -32,11 +34,10 @@
 use crate::error::StreamError;
 use ht_dsp::complex::Complex;
 use ht_dsp::correlate::lag_window_into;
-use ht_dsp::fft::{self, RealFftPlan, RealFftScratch};
+use ht_dsp::fft;
 use ht_dsp::kernels::{self, QuantMode};
 use ht_dsp::stft::StftProcessor;
 use ht_dsp::window::Window;
-use std::sync::Arc;
 
 /// A reusable per-frame analysis engine for one stream geometry.
 #[derive(Debug, Clone)]
@@ -44,8 +45,9 @@ pub struct FrameAnalyzer {
     channels: usize,
     frame_len: usize,
     max_lag: usize,
+    /// The per-frame forward transforms; its plan and scratch also run the
+    /// assembly-time inverses.
     stft: StftProcessor,
-    plan: Arc<RealFftPlan>,
     /// Per-channel spectra, whitened in place to unit magnitude by
     /// `analyze`.
     spectra: Vec<Vec<Complex>>,
@@ -56,9 +58,8 @@ pub struct FrameAnalyzer {
     /// laid out pair-major. A pair's inverse divided by the frame count is
     /// its Welch-style frame-averaged GCC lag curve.
     spec_accum: Vec<Complex>,
-    /// Inverse-FFT output (`n_fft` samples) and scratch.
+    /// Inverse-FFT output (`n_fft` samples).
     r: Vec<f64>,
-    fft: RealFftScratch,
     /// Per-pair lag windows of the running sums, `pairs × (2·max_lag + 1)`,
     /// filled and then frame-averaged by assembly.
     lag_sums: Vec<f64>,
@@ -101,8 +102,7 @@ impl FrameAnalyzer {
         // Same pad rule as `gcc_phat`: room for every lag we read.
         let n_fft = fft::next_pow2(frame_len + max_lag + 1);
         let stft = StftProcessor::with_n_fft(frame_len, n_fft, Window::Hann);
-        let plan = fft::rfft_plan(n_fft);
-        let bins = plan.onesided_len();
+        let bins = stft.onesided_len();
         let pairs: Vec<(usize, usize)> = (0..channels)
             .flat_map(|i| ((i + 1)..channels).map(move |j| (i, j)))
             .collect();
@@ -118,11 +118,9 @@ impl FrameAnalyzer {
             pairs,
             spec_accum: vec![Complex::ZERO; n_pairs * bins],
             r: vec![0.0; n_fft],
-            fft: plan.scratch(),
             lag_sums: vec![0.0; n_pairs * w],
             srp: vec![0.0; w],
             frames: 0,
-            plan,
         })
     }
 
@@ -230,23 +228,17 @@ impl FrameAnalyzer {
         }
         let frames = self.frames as f64;
         let w = 2 * self.max_lag + 1;
-        let bins = self.plan.onesided_len();
+        let bins = self.stft.onesided_len();
 
         // Per-pair lag-window sums: one inverse FFT of each pair's running
         // spectral sum.
+        let (plan, scratch) = self.stft.plan_and_scratch();
         for (sum, window) in self
             .spec_accum
             .chunks_exact(bins)
             .zip(self.lag_sums.chunks_exact_mut(w))
         {
-            lag_window_into(
-                &self.plan,
-                sum,
-                self.max_lag,
-                &mut self.r,
-                &mut self.fft,
-                window,
-            );
+            lag_window_into(plan, sum, self.max_lag, &mut self.r, scratch, window);
         }
 
         // Frame-averaged SRP curve: sum of per-pair lag sums, then one
@@ -557,7 +549,8 @@ mod tests {
     fn lag_domain_oracle(a: &mut FrameAnalyzer, frames: &[Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
         let w = 2 * a.max_lag() + 1;
         let mut stft = StftProcessor::with_n_fft(a.frame_len(), a.n_fft(), Window::Hann);
-        let mut spectra = vec![vec![Complex::ZERO; a.plan.onesided_len()]; a.channels()];
+        let plan = fft::rfft_plan(a.n_fft());
+        let mut spectra = vec![vec![Complex::ZERO; plan.onesided_len()]; a.channels()];
         let mut scratch = SpectraGccScratch::new();
         let mut window = vec![0.0; w];
         let mut pair_sums = vec![vec![0.0; w]; a.pairs().len()];
@@ -570,7 +563,7 @@ mod tests {
                 gcc_phat_from_spectra_into_mode(
                     &spectra[i],
                     &spectra[j],
-                    &a.plan,
+                    &plan,
                     a.max_lag,
                     &mut scratch,
                     &mut window,

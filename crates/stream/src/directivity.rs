@@ -154,12 +154,24 @@ impl DirectivityAccum {
             });
         }
         let n = self.channels as f64;
-        for i in 0..len {
-            let mut mean = 0.0;
+        let mut pos = 0;
+        while pos < len {
+            // The run of samples up to the chunk's end or the segment
+            // boundary, whichever comes first: each sample's mean is
+            // `(0.0 + c₀ + c₁ + …) / n`, summed channel by channel.
+            let start = self.buf.len();
+            let take = (self.seg_len - start).min(len - pos);
+            self.buf.resize(start + take, 0.0);
+            let run = &mut self.buf[start..];
             for c in chunk {
-                mean += c[i];
+                for (m, s) in run.iter_mut().zip(&c[pos..pos + take]) {
+                    *m += s;
+                }
             }
-            self.buf.push(mean / n);
+            for m in run.iter_mut() {
+                *m /= n;
+            }
+            pos += take;
             if self.buf.len() == self.seg_len {
                 let _span = ht_obs::span("stream.directivity");
                 self.plan
