@@ -31,7 +31,7 @@ use ht_ml::quant::{
     dist2_i8_avx2, dist2_i8_scalar, dot_i8_avx2, dot_i8_scalar, QuantScratch, QuantizedNet,
     QuantizedSvm,
 };
-use ht_ml::svm::{Svm, SvmParams};
+use ht_ml::svm::Svm;
 use ht_ml::{Classifier, Dataset};
 
 /// Minimum speedup of int8 liveness inference over the f64 forward.
@@ -308,7 +308,7 @@ fn main() {
             .collect();
         orient.push(row, (i % 2 == 0) as usize).expect("width");
     }
-    let svm = Svm::fit(&orient, &SvmParams::default()).expect("svm training");
+    let svm = Svm::fit(&orient).expect("svm training");
     let svm_calib: Vec<&[f64]> = orient.features().iter().map(Vec::as_slice).collect();
     let qsvm = QuantizedSvm::from_svm(&svm, &svm_calib).expect("svm calibration");
     let svm_agree = orient

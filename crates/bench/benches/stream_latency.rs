@@ -17,14 +17,12 @@
 //! Writes `BENCH_stream.json` (frame/stage percentiles, frames per
 //! second, per-scenario frame counts) into `HT_BENCH_DIR`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use headtalk::liveness::LivenessDetector;
 use headtalk::orientation::{ModelKind, OrientationDetector};
 use headtalk::{HeadTalk, PipelineConfig, StreamConfig};
 use ht_bench::format_ns;
 use ht_datagen::{CaptureSpec, SourceKind};
+use ht_dsp::check::{allocs_during, CountingAlloc};
 use ht_dsp::json::Json;
 use ht_dsp::rng::{gaussian, SeedableRng, StdRng};
 use ht_ml::Dataset;
@@ -36,44 +34,8 @@ use ht_speech::voice::VoiceProfile;
 /// half the budget as headroom for slower CI machines.
 const DEADLINE_FRACTION: f64 = 0.5;
 
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialized `Cell<u64>`: no lazy-init allocation and no
-    // destructor, so the counter itself never perturbs the count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations made by `f` on this thread.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(|c| c.get());
-    f();
-    ALLOCS.with(|c| c.get()) - before
-}
 
 /// A pipeline with quickly trained stand-in models. The per-frame path
 /// under test never consults the models (they only run at finalization),

@@ -13,6 +13,9 @@
 //! * seeds that once failed can be pinned with [`Property::regression`] so
 //!   they run first on every future execution.
 //!
+//! It also holds the zero-allocation checks' one counting allocator,
+//! [`CountingAlloc`], read through [`allocs_during`].
+//!
 //! # Example
 //!
 //! ```
@@ -28,6 +31,8 @@
 //! ```
 
 use crate::rng::{Rng, SampleRange, SeedableRng, SliceRandom, StdRng};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Default number of random cases per property.
@@ -235,6 +240,78 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// A global allocator that passes every call to [`System`] and counts the
+/// allocations (`alloc`, `alloc_zeroed`, `realloc`) each thread makes.
+/// A test or bench binary installs it, then asserts on [`allocs_during`]:
+///
+/// ```
+/// use ht_dsp::check::{allocs_during, CountingAlloc};
+///
+/// #[global_allocator]
+/// static ALLOCATOR: CountingAlloc = CountingAlloc;
+///
+/// fn main() {
+///     let mut buf: Vec<u8> = Vec::with_capacity(8);
+///     assert_eq!(allocs_during(|| buf.push(1)), 0);
+///     assert_eq!(allocs_during(|| drop(std::hint::black_box(vec![0u8; 64]))), 1);
+/// }
+/// ```
+pub struct CountingAlloc;
+
+thread_local! {
+    // Const-initialized `Cell<u64>`: no lazy-init allocation and no
+    // destructor, so the counter itself never perturbs the count.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method hands its arguments unchanged to `System`, which
+// meets the `GlobalAlloc` contract; the count touches only a thread-local
+// `Cell` that never allocates.
+//
+// The methods are `#[inline]` so that only a binary installing the
+// allocator compiles them: ht-dsp's own object code, which every decision
+// runs, keeps its placement (four out-of-line copies here cost perfbench's
+// batch-corpus workload 5% decisions/s on a 2-vCPU AMD EPYC host, through
+// code placement alone).
+unsafe impl GlobalAlloc for CountingAlloc {
+    #[inline]
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller meets `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    #[inline]
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller meets `alloc_zeroed`'s contract for `layout`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    #[inline]
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller passes a block this allocator, and so
+        // `System`, returned for `layout`, and a valid `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    #[inline]
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller passes a block this allocator, and so
+        // `System`, returned for `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// Allocations made by `f` on this thread; always 0 unless
+/// [`CountingAlloc`] is the global allocator.
+pub fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(|c| c.get());
+    f();
+    ALLOCS.with(|c| c.get()) - before
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 //! on: deterministic [random number generation](rng) (SplitMix64 +
 //! xoshiro256++), a minimal [JSON](json) reader/writer for reports and
 //! caches, byte-stable [JSON export of observability snapshots](obs), and a
-//! small [property-testing harness](check).
+//! small [property-testing harness and counting allocator](check).
 //!
 //! # Example
 //!

@@ -13,7 +13,7 @@
 //! tests share one artifact.
 
 use ht_dsp::json::{FromJson, Json, ToJson};
-use ht_experiments::{run_experiment, Context, EXPERIMENT_IDS};
+use ht_experiments::{run_experiment, Context, EXPERIMENTS};
 
 fn warm(ctx: &Context) {
     println!("warming feature caches (scale {})…", ctx.scale);
@@ -78,7 +78,7 @@ fn report(ctx: &Context) {
         ctx.scale
     ));
     let mut missing = Vec::new();
-    for id in EXPERIMENT_IDS {
+    for (id, _) in EXPERIMENTS {
         let path = results_dir.join(format!("{id}.json"));
         match std::fs::read_to_string(&path)
             .ok()
@@ -102,7 +102,7 @@ fn report(ctx: &Context) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list") {
-        for id in EXPERIMENT_IDS {
+        for (id, _) in EXPERIMENTS {
             println!("{id}");
         }
         return;
@@ -118,7 +118,7 @@ fn main() {
     }
 
     let ids: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        EXPERIMENT_IDS.to_vec()
+        EXPERIMENTS.iter().map(|(id, _)| *id).collect()
     } else {
         args.iter().map(|s| s.as_str()).collect()
     };

@@ -296,36 +296,6 @@ impl Context {
     }
 }
 
-/// Splits records into per-class label/feature views for a facing
-/// definition, returning `(features, labels, angles)` for records whose
-/// angle the definition labels.
-pub fn labeled_views(
-    records: &[Record],
-    def: headtalk::facing::FacingDefinition,
-) -> (Vec<Vec<f64>>, Vec<usize>, Vec<f64>) {
-    let mut feats = Vec::new();
-    let mut labels = Vec::new();
-    let mut angles = Vec::new();
-    for r in records {
-        if let Some(l) = def.label(r.spec.angle_deg) {
-            feats.push(r.vector.clone());
-            labels.push(l);
-            angles.push(r.spec.angle_deg);
-        }
-    }
-    (feats, labels, angles)
-}
-
-/// Builds an `ht_ml` dataset from labeled views.
-///
-/// # Panics
-///
-/// Panics when `feats` is empty (an experiment asked for an impossible
-/// slice).
-pub fn to_dataset(feats: Vec<Vec<f64>>, labels: Vec<usize>) -> ht_ml::Dataset {
-    ht_ml::Dataset::from_parts(feats, labels).expect("non-empty homogeneous features")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,23 +341,5 @@ mod tests {
         let ctx = Context::from_env();
         assert!(ctx.scale >= 1);
         assert!(ctx.threads >= 1);
-    }
-
-    #[test]
-    fn labeled_views_filter_excluded_angles() {
-        let mut records = Vec::new();
-        for (i, angle) in [0.0, 45.0, 90.0].iter().enumerate() {
-            let mut spec = CaptureSpec::baseline(i as u64);
-            spec.angle_deg = *angle;
-            records.push(Record {
-                spec,
-                vector: vec![i as f64],
-            });
-        }
-        let (f, l, a) = labeled_views(&records, headtalk::facing::FacingDefinition::Definition4);
-        // 45° is excluded under Definition-4.
-        assert_eq!(f.len(), 2);
-        assert_eq!(l, vec![1, 0]);
-        assert_eq!(a, vec![0.0, 90.0]);
     }
 }

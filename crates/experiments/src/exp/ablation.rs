@@ -8,12 +8,11 @@
 
 use crate::cache::Record;
 use crate::context::Context;
-use crate::exp::is_default_setting;
+use crate::exp::{cross_session, evaluate, is_default_setting};
 use crate::report::{pct, ExperimentResult};
 use headtalk::facing::FacingDefinition;
-use headtalk::orientation::{ModelKind, OrientationDetector};
+use headtalk::orientation::ModelKind;
 use headtalk::PipelineConfig;
-use ht_ml::{Classifier, Dataset};
 
 /// Index where the directivity block starts for a 4-mic feature vector.
 fn directivity_start(cfg: &PipelineConfig) -> usize {
@@ -34,28 +33,13 @@ fn slice_features(records: &[Record], range: std::ops::Range<usize>) -> Vec<Reco
 
 fn cross_session_acc(records: &[Record]) -> Result<f64, String> {
     let def = FacingDefinition::Definition4;
-    let mut accs = Vec::new();
-    for (train_s, test_s) in [(0u32, 1u32), (1, 0)] {
-        let mut tf = Vec::new();
-        let mut tl = Vec::new();
-        for r in records.iter().filter(|r| r.spec.session == train_s) {
-            if let Some(l) = def.label(r.spec.angle_deg) {
-                tf.push(r.vector.clone());
-                tl.push(l);
-            }
-        }
-        let ds = Dataset::from_parts(tf, tl).map_err(|e| e.to_string())?;
-        let det = OrientationDetector::fit(&ds, ModelKind::Svm, 7).map_err(|e| e.to_string())?;
-        let mut labels = Vec::new();
-        let mut preds = Vec::new();
-        for r in records.iter().filter(|r| r.spec.session == test_s) {
-            if let Some(l) = def.label(r.spec.angle_deg) {
-                labels.push(l);
-                preds.push(det.predict(&r.vector));
-            }
-        }
-        accs.push(ht_ml::metrics::accuracy(&labels, &preds));
-    }
+    let accs = cross_session(
+        records,
+        def,
+        ModelKind::Svm,
+        |_| true,
+        |det, test| evaluate(det, records, def, test).accuracy(),
+    )?;
     Ok(ht_dsp::stats::mean(&accs))
 }
 

@@ -3,7 +3,7 @@
 //! near-normal accuracy.
 
 use crate::context::Context;
-use crate::exp::{evaluate, train};
+use crate::exp::{cross_session, evaluate, train};
 use crate::report::{pct, ExperimentResult};
 use headtalk::facing::FacingDefinition;
 use headtalk::orientation::ModelKind;
@@ -62,19 +62,13 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     ];
     let mut mixed_accs = Vec::new();
     for (word, paper_acc) in paper_mixed {
-        let mut accs = Vec::new();
-        for (train_s, test_s) in [(0u32, 1u32), (1, 0)] {
-            let det = train(
-                &records,
-                def,
-                |s| s.device == Device::D2 && s.wake_word == word && s.session == train_s,
-                ModelKind::Svm,
-            )?;
-            let c = evaluate(&det, &records, def, |s| {
-                s.device == Device::D2 && s.wake_word == word && s.session == test_s
-            });
-            accs.push(c.accuracy());
-        }
+        let accs = cross_session(
+            &records,
+            def,
+            ModelKind::Svm,
+            |s| s.device == Device::D2 && s.wake_word == word,
+            |det, test| evaluate(det, &records, def, test).accuracy(),
+        )?;
         let acc = ht_dsp::stats::mean(&accs);
         res.push_row(
             format!("mixed rooms, \"{}\"", word.name()),

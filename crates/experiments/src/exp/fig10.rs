@@ -2,7 +2,7 @@
 //! borderline angles (±45°, ±60°, ±75°) it was never trained on.
 
 use crate::context::Context;
-use crate::exp::{is_default_setting, train};
+use crate::exp::{cross_session, is_default_setting};
 use crate::report::{pct, ExperimentResult};
 use headtalk::facing::{zone_of, FacingDefinition, FacingZone};
 use headtalk::orientation::ModelKind;
@@ -27,28 +27,32 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     );
 
     let angles = [0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0, 135.0, 180.0];
+    // Per test split, each angle's accuracy against its zone's ground
+    // truth (`None` when the split holds no capture at that angle).
+    let splits = cross_session(
+        &records,
+        def,
+        ModelKind::Svm,
+        |_| true,
+        |det, test| {
+            angles.map(|a| {
+                let (mut hits, mut total) = (0usize, 0usize);
+                for r in records
+                    .iter()
+                    .filter(|r| test(&r.spec) && (r.spec.angle_deg.abs() - a).abs() <= 1.0)
+                {
+                    let truth = FacingDefinition::ground_truth(r.spec.angle_deg);
+                    hits += usize::from(det.predict(&r.vector) == truth);
+                    total += 1;
+                }
+                (total > 0).then(|| hits as f64 / total as f64)
+            })
+        },
+    )?;
     let mut zone_scores: std::collections::HashMap<&'static str, Vec<f64>> =
         std::collections::HashMap::new();
-    for &a in &angles {
-        let mut dir_acc = Vec::new();
-        for (train_s, test_s) in [(0u32, 1u32), (1, 0)] {
-            let det = train(&records, def, |s| s.session == train_s, ModelKind::Svm)?;
-            let mut hits = 0usize;
-            let mut total = 0usize;
-            for r in &records {
-                if r.spec.session != test_s || (r.spec.angle_deg.abs() - a).abs() > 1.0 {
-                    continue;
-                }
-                let truth = FacingDefinition::ground_truth(r.spec.angle_deg);
-                if det.predict(&r.vector) == truth {
-                    hits += 1;
-                }
-                total += 1;
-            }
-            if total > 0 {
-                dir_acc.push(hits as f64 / total as f64);
-            }
-        }
+    for (k, &a) in angles.iter().enumerate() {
+        let dir_acc: Vec<f64> = splits.iter().filter_map(|split| split[k]).collect();
         let acc = ht_dsp::stats::mean(&dir_acc);
         let zone = match zone_of(a) {
             FacingZone::Facing => "facing",

@@ -3,13 +3,11 @@
 //! by N ≈ 20 and keep rising.
 
 use crate::context::Context;
-use crate::exp::is_default_setting;
+use crate::exp::{dataset, fit, is_default_setting, score, Label};
 use crate::report::{pct, ExperimentResult};
 use headtalk::facing::FacingDefinition;
-use headtalk::orientation::{ModelKind, OrientationDetector};
+use headtalk::orientation::ModelKind;
 use ht_dsp::rng::{SeedableRng, StdRng};
-use ht_ml::metrics::Confusion;
-use ht_ml::{Classifier, Dataset};
 
 /// Runs the experiment.
 ///
@@ -18,17 +16,11 @@ use ht_ml::{Classifier, Dataset};
 /// Returns an error when F1 does not reach 90 % by N = 20 or the curve is
 /// not broadly increasing.
 pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
-    let records = ctx.dataset1();
-    let def = FacingDefinition::Definition4;
-    let mut feats = Vec::new();
-    let mut labels = Vec::new();
-    for r in records.iter().filter(|r| is_default_setting(&r.spec)) {
-        if let Some(l) = def.label(r.spec.angle_deg) {
-            feats.push(r.vector.clone());
-            labels.push(l);
-        }
-    }
-    let full = Dataset::from_parts(feats, labels).map_err(|e| e.to_string())?;
+    let full = dataset(
+        &ctx.dataset1(),
+        Label::Facing(FacingDefinition::Definition4),
+        is_default_setting,
+    )?;
 
     let mut res = ExperimentResult::new(
         "fig11",
@@ -46,10 +38,8 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
             if test.is_empty() {
                 continue;
             }
-            let det =
-                OrientationDetector::fit(&train, ModelKind::Svm, 7).map_err(|e| e.to_string())?;
-            let preds = det.predict_batch(test.features());
-            f1s.push(Confusion::from_predictions(test.labels(), &preds).f1());
+            let det = fit(&train, ModelKind::Svm).map_err(|e| e.to_string())?;
+            f1s.push(score(&det, &test).f1());
         }
         let m = ht_dsp::stats::mean(&f1s);
         mean_f1s.push(m);

@@ -4,24 +4,12 @@
 
 use crate::cache::Record;
 use crate::context::Context;
-use crate::exp::default_model;
+use crate::exp::{dataset, evaluate, fit, is_default_setting, Label};
 use crate::report::{pct, ExperimentResult};
 use headtalk::facing::FacingDefinition;
-use headtalk::orientation::{ModelKind, OrientationDetector};
-use ht_ml::incremental::high_confidence_samples;
-use ht_ml::{Classifier, Dataset};
-
-fn accuracy_on(det: &OrientationDetector, records: &[Record], def: FacingDefinition) -> f64 {
-    let mut labels = Vec::new();
-    let mut preds = Vec::new();
-    for r in records {
-        if let Some(l) = def.label(r.spec.angle_deg) {
-            labels.push(l);
-            preds.push(det.predict(&r.vector));
-        }
-    }
-    ht_ml::metrics::accuracy(&labels, &preds)
-}
+use headtalk::orientation::ModelKind;
+use ht_ml::incremental::incremental_round;
+use ht_ml::Dataset;
 
 /// Runs the experiment.
 ///
@@ -30,8 +18,10 @@ fn accuracy_on(det: &OrientationDetector, records: &[Record], def: FacingDefinit
 /// Returns an error when incremental learning fails to improve on the
 /// degraded baseline.
 pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
-    let det0 = default_model(ctx)?;
     let def = FacingDefinition::Definition4;
+    // The day-one model: the default setting of Dataset-1, both sessions.
+    let base = dataset(&ctx.dataset1(), Label::Facing(def), is_default_setting)?;
+    let det0 = fit(&base, ModelKind::Svm).map_err(|e| e.to_string())?;
     let d3 = ctx.dataset3();
     let week: Vec<Record> = d3
         .iter()
@@ -50,26 +40,11 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
         "day-one model degrades on week/month-old data; adding 10–40 high-confidence samples recovers most of the loss",
     );
 
-    // Base training set: the default setting of Dataset-1, both sessions.
-    let d1 = ctx.dataset1();
-    let mut base_feats = Vec::new();
-    let mut base_labels = Vec::new();
-    for r in d1
-        .iter()
-        .filter(|r| crate::exp::is_default_setting(&r.spec))
-    {
-        if let Some(l) = def.label(r.spec.angle_deg) {
-            base_feats.push(r.vector.clone());
-            base_labels.push(l);
-        }
-    }
-    let base = Dataset::from_parts(base_feats, base_labels).map_err(|e| e.to_string())?;
-
     for (name, aged, paper_base) in [
         ("one week", &week, "81.25%"),
         ("one month", &month, "83.19%"),
     ] {
-        let acc0 = accuracy_on(&det0, aged, def);
+        let acc0 = evaluate(&det0, aged, def, |_| true).accuracy();
         res.push_row(
             format!("{name}, no adaptation"),
             paper_base,
@@ -83,18 +58,14 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
             // Unlabeled view: dummy label, replaced by self-training.
             pool.push(r.vector.clone(), 0).map_err(|e| e.to_string())?;
         }
-        let confident = high_confidence_samples(&det0, &pool, 0.8).map_err(|e| e.to_string())?;
         let mut recovered = Vec::new();
         for n_new in [10usize, 20, 30, 40] {
-            let take = confident.len().min(n_new);
-            let additions = confident.filter_indices(|i| i < take);
-            let mut train = base.clone();
-            if !additions.is_empty() {
-                train.extend(&additions).map_err(|e| e.to_string())?;
-            }
-            let det =
-                OrientationDetector::fit(&train, ModelKind::Svm, 7).map_err(|e| e.to_string())?;
-            let acc = accuracy_on(&det, aged, def);
+            let (det, _) =
+                incremental_round(&det0, &mut base.clone(), &pool, 0.8, n_new, |train| {
+                    fit(train, ModelKind::Svm)
+                })
+                .map_err(|e| e.to_string())?;
+            let acc = evaluate(&det, aged, def, |_| true).accuracy();
             recovered.push(acc);
             res.push_row(
                 format!("{name}, +{n_new} samples"),

@@ -4,12 +4,12 @@
 //! over SMOTE.
 
 use crate::context::Context;
+use crate::exp::{fit, score};
 use crate::report::{pct, ExperimentResult};
-use headtalk::orientation::{ModelKind, OrientationDetector};
+use headtalk::orientation::ModelKind;
 use ht_ml::crossval::{evaluate_folds, leave_one_group_out};
-use ht_ml::metrics::Confusion;
 use ht_ml::sampling::{adasyn, smote};
-use ht_ml::{Classifier, Dataset};
+use ht_ml::Dataset;
 
 /// The DoV facing definition used here: 0° and ±45° facing, the rest
 /// backward (§IV-B14 — the DoV grid has no ±15°/±30°).
@@ -48,10 +48,8 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
                 "smote" => smote(train, 5, rng).map_err(|e| e.to_string())?,
                 _ => train.clone(),
             };
-            let det =
-                OrientationDetector::fit(&train, ModelKind::Svm, 7).map_err(|e| e.to_string())?;
-            let preds = det.predict_batch(test.features());
-            let c = Confusion::from_predictions(test.labels(), &preds);
+            let det = fit(&train, ModelKind::Svm).map_err(|e| e.to_string())?;
+            let c = score(&det, test);
             Ok::<(f64, f64), String>((c.accuracy(), c.f1()))
         });
         let mut accs = Vec::new();

@@ -7,33 +7,23 @@
 //! 3. incrementally retrain on 20 % of the own data for 10 epochs — the gap
 //!    closes (paper: 98.68 %, EER 2.58 %).
 
-use crate::cache::Record;
 use crate::context::Context;
+use crate::exp::{dataset, score, Label};
 use crate::report::{pct, ExperimentResult};
 use headtalk::liveness::LivenessDetector;
 use ht_dsp::rng::SeedableRng;
 use ht_dsp::rng::SliceRandom;
-use ht_ml::metrics::{accuracy, equal_error_rate};
+use ht_ml::metrics::equal_error_rate;
 use ht_ml::{Classifier, Dataset};
 
-fn to_dataset(records: &[Record]) -> Result<Dataset, String> {
-    let feats: Vec<Vec<f64>> = records.iter().map(|r| r.vector.clone()).collect();
-    let labels: Vec<usize> = records
-        .iter()
-        .map(|r| usize::from(r.spec.source.is_live()))
-        .collect();
-    Dataset::from_parts(feats, labels).map_err(|e| e.to_string())
-}
-
 fn eval(det: &LivenessDetector, ds: &Dataset) -> (f64, f64) {
-    let preds = det.predict_batch(ds.features());
     let scores: Vec<f64> = ds
         .features()
         .iter()
         .map(|f| det.decision_score(f))
         .collect();
     (
-        accuracy(ds.labels(), &preds),
+        score(det, ds).accuracy(),
         equal_error_rate(ds.labels(), &scores),
     )
 }
@@ -53,7 +43,7 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
 
     // --- Stage 1: ASVspoof-sim pre-training -------------------------------
     let asv = ctx.liveness_asvspoof();
-    let asv_ds = to_dataset(&asv)?;
+    let asv_ds = dataset(&asv, Label::Live, |_| true)?;
     let mut rng = ht_dsp::rng::StdRng::seed_from_u64(0x11FE);
     let mut idx: Vec<usize> = (0..asv_ds.len()).collect();
     idx.shuffle(&mut rng);
@@ -87,7 +77,7 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
 
     // --- Stage 2: unadapted transfer to the own data ----------------------
     let own = ctx.liveness_own();
-    let own_ds = to_dataset(&own)?;
+    let own_ds = dataset(&own, Label::Live, |_| true)?;
     let (own_acc, own_eer) = eval(&det, &own_ds);
     res.push_row(
         "own data, unadapted",

@@ -3,7 +3,7 @@
 //! best average F1 across lab and home.
 
 use crate::context::Context;
-use crate::exp::{evaluate, train};
+use crate::exp::{cross_session, evaluate};
 use crate::report::{pct, ExperimentResult};
 use headtalk::facing::FacingDefinition;
 use headtalk::orientation::ModelKind;
@@ -29,14 +29,13 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     for kind in ModelKind::ALL {
         let mut f1s = Vec::new();
         for room in RoomKind::ALL {
-            for (train_s, test_s) in [(0u32, 1u32), (1, 0)] {
-                let setting = |s: &ht_datagen::CaptureSpec| {
-                    s.device == Device::D2 && s.room == room && s.wake_word == WakeWord::Computer
-                };
-                let det = train(&records, def, |s| setting(s) && s.session == train_s, kind)?;
-                let c = evaluate(&det, &records, def, |s| setting(s) && s.session == test_s);
-                f1s.push(c.f1());
-            }
+            f1s.extend(cross_session(
+                &records,
+                def,
+                kind,
+                |s| s.device == Device::D2 && s.room == room && s.wake_word == WakeWord::Computer,
+                |det, test| evaluate(det, &records, def, test).f1(),
+            )?);
         }
         let m = ht_dsp::stats::mean(&f1s);
         res.push_row(

@@ -13,12 +13,12 @@
 //! golden-determinism contract.
 
 use crate::context::Context;
+use crate::exp::{dataset, default_model, Label};
 use crate::report::ExperimentResult;
 use headtalk::liveness::LivenessDetector;
 use headtalk::stream::{StreamConfig, WakeVerdict};
 use headtalk::{HeadTalk, PipelineConfig};
 use ht_datagen::{CaptureSpec, SourceKind};
-use ht_ml::Dataset;
 use ht_speech::replay::SpeakerModel;
 use ht_speech::voice::VoiceProfile;
 
@@ -88,17 +88,11 @@ fn stream_capture(
 /// batch reference, or when training/rendering fails.
 pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     let config = PipelineConfig::default();
-    let orientation = crate::exp::default_model(ctx)?;
+    let orientation = default_model(ctx)?;
 
     // Liveness: the §IV-A1 own-data corpus, same preparation as the
     // pipeline applies at inference time.
-    let own = ctx.liveness_own();
-    let feats: Vec<Vec<f64>> = own.iter().map(|r| r.vector.clone()).collect();
-    let labels: Vec<usize> = own
-        .iter()
-        .map(|r| usize::from(r.spec.source.is_live()))
-        .collect();
-    let live_ds = Dataset::from_parts(feats, labels).map_err(|e| e.to_string())?;
+    let live_ds = dataset(&ctx.liveness_own(), Label::Live, |_| true)?;
     let liveness = LivenessDetector::fit(&live_ds, 16, 8).map_err(|e| e.to_string())?;
     let ht = HeadTalk::new(config, liveness, orientation).map_err(|e| e.to_string())?;
 

@@ -3,7 +3,7 @@
 //! captures). Definition-4 should win.
 
 use crate::context::Context;
-use crate::exp::{evaluate, is_default_setting, train};
+use crate::exp::{cross_session, evaluate, is_default_setting};
 use crate::report::{pct, ExperimentResult};
 use headtalk::facing::FacingDefinition;
 use headtalk::orientation::ModelKind;
@@ -36,22 +36,16 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
 
     let mut accs = Vec::new();
     for (def, (name, paper_row)) in FacingDefinition::ALL.into_iter().zip(paper) {
-        let mut dir_acc = Vec::new();
-        let mut dir_frr = Vec::new();
-        let mut dir_far = Vec::new();
-        for (train_s, test_s) in [(0u32, 1u32), (1, 0)] {
-            let det = train(&records, def, |s| s.session == train_s, ModelKind::Svm)?;
-            let c = evaluate(&det, &records, def, |s| s.session == test_s);
-            if c.total() == 0 {
-                return Err(format!("{name}: empty test split"));
-            }
-            dir_acc.push(c.accuracy());
-            dir_frr.push(c.frr());
-            dir_far.push(c.far());
-        }
-        let acc = ht_dsp::stats::mean(&dir_acc);
-        let frr = ht_dsp::stats::mean(&dir_frr);
-        let far = ht_dsp::stats::mean(&dir_far);
+        let cs = cross_session(
+            &records,
+            def,
+            ModelKind::Svm,
+            |_| true,
+            |det, test| evaluate(det, &records, def, test),
+        )?;
+        let acc = ht_dsp::stats::mean(&cs.map(|c| c.accuracy()));
+        let frr = ht_dsp::stats::mean(&cs.map(|c| c.frr()));
+        let far = ht_dsp::stats::mean(&cs.map(|c| c.far()));
         res.push_row(
             name,
             paper_row,

@@ -3,11 +3,10 @@
 //! slightly.
 
 use crate::context::Context;
-use crate::exp::evaluate;
+use crate::exp::{cross_session, evaluate};
 use crate::report::{pct, ExperimentResult};
 use headtalk::facing::FacingDefinition;
 use headtalk::orientation::ModelKind;
-use ht_ml::Dataset;
 
 /// The paper's Table IV channel subsets (1-indexed in the paper; 0-indexed
 /// here).
@@ -44,39 +43,23 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     let mut accs = Vec::new();
     for ((n, mics), paper_row) in subsets().into_iter().zip(paper) {
         let records = ctx.table4_subset_features(&mics);
-        // Cross-session evaluation as in the main protocol.
-        let mut acc_dir = Vec::new();
-        let mut prec = Vec::new();
-        let mut rec = Vec::new();
-        let mut f1 = Vec::new();
-        for (train_s, test_s) in [(0u32, 1u32), (1, 0)] {
-            let mut feats = Vec::new();
-            let mut labels = Vec::new();
-            for r in records.iter().filter(|r| r.spec.session == train_s) {
-                if let Some(l) = def.label(r.spec.angle_deg) {
-                    feats.push(r.vector.clone());
-                    labels.push(l);
-                }
-            }
-            let ds = Dataset::from_parts(feats, labels).map_err(|e| e.to_string())?;
-            let det = headtalk::orientation::OrientationDetector::fit(&ds, ModelKind::Svm, 7)
-                .map_err(|e| e.to_string())?;
-            let c = evaluate(&det, &records, def, |s| s.session == test_s);
-            acc_dir.push(c.accuracy());
-            prec.push(c.precision());
-            rec.push(c.recall());
-            f1.push(c.f1());
-        }
-        let acc = ht_dsp::stats::mean(&acc_dir);
+        let cs = cross_session(
+            &records,
+            def,
+            ModelKind::Svm,
+            |_| true,
+            |det, test| evaluate(det, &records, def, test),
+        )?;
+        let acc = ht_dsp::stats::mean(&cs.map(|c| c.accuracy()));
         res.push_row(
             format!("{n} mics [{mics:?}]"),
             format!("acc/P/R/F1 = {paper_row}"),
             format!(
                 "{} / {} / {} / {}",
                 pct(acc),
-                pct(ht_dsp::stats::mean(&prec)),
-                pct(ht_dsp::stats::mean(&rec)),
-                pct(ht_dsp::stats::mean(&f1)),
+                pct(ht_dsp::stats::mean(&cs.map(|c| c.precision()))),
+                pct(ht_dsp::stats::mean(&cs.map(|c| c.recall()))),
+                pct(ht_dsp::stats::mean(&cs.map(|c| c.f1()))),
             ),
             Some(acc),
         );

@@ -23,34 +23,37 @@ pub mod report;
 pub use context::Context;
 pub use report::{ExperimentResult, Row};
 
-/// All experiment ids in presentation order.
-pub const EXPERIMENT_IDS: &[&str] = &[
-    "fig3",
-    "fig5",
-    "fig6",
-    "table2",
-    "liveness",
-    "models",
-    "table3",
-    "fig10",
-    "fig11",
-    "distance",
-    "fig12",
-    "fig13",
-    "fig14",
-    "table4",
-    "placement",
-    "crossenv",
-    "fig15",
-    "ambient",
-    "sitting",
-    "loudness",
-    "objects",
-    "fig16",
-    "ablation",
-    "stream",
-    "runtime",
-    "table5",
+/// An experiment's entry point.
+pub type Run = fn(&Context) -> Result<ExperimentResult, String>;
+
+/// Every experiment, by id, in presentation order.
+pub const EXPERIMENTS: &[(&str, Run)] = &[
+    ("fig3", exp::fig3::run),
+    ("fig5", exp::fig5::run),
+    ("fig6", exp::fig6::run),
+    ("table2", exp::table2::run),
+    ("liveness", exp::liveness::run),
+    ("models", exp::models::run),
+    ("table3", exp::table3::run),
+    ("fig10", exp::fig10::run),
+    ("fig11", exp::fig11::run),
+    ("distance", exp::distance::run),
+    ("fig12", exp::fig12::run),
+    ("fig13", exp::fig13::run),
+    ("fig14", exp::fig14::run),
+    ("table4", exp::table4::run),
+    ("placement", exp::placement::run),
+    ("crossenv", exp::crossenv::run),
+    ("fig15", exp::fig15::run),
+    ("ambient", exp::ambient::run),
+    ("sitting", exp::sitting::run),
+    ("loudness", exp::loudness::run),
+    ("objects", exp::objects::run),
+    ("fig16", exp::fig16::run),
+    ("ablation", exp::ablation::run),
+    ("stream", exp::stream::run),
+    ("runtime", exp::runtime::run),
+    ("table5", exp::table5::run),
 ];
 
 /// Runs one experiment by id.
@@ -59,34 +62,9 @@ pub const EXPERIMENT_IDS: &[&str] = &[
 ///
 /// Returns an error string for unknown ids or failed runs.
 pub fn run_experiment(id: &str, ctx: &Context) -> Result<ExperimentResult, String> {
-    let result = match id {
-        "fig3" => exp::fig3::run(ctx),
-        "fig5" => exp::fig5::run(ctx),
-        "fig6" => exp::fig6::run(ctx),
-        "table2" => exp::table2::run(ctx),
-        "liveness" => exp::liveness::run(ctx),
-        "models" => exp::models::run(ctx),
-        "ablation" => exp::ablation::run(ctx),
-        "table3" => exp::table3::run(ctx),
-        "fig10" => exp::fig10::run(ctx),
-        "fig11" => exp::fig11::run(ctx),
-        "distance" => exp::distance::run(ctx),
-        "fig12" => exp::fig12::run(ctx),
-        "fig13" => exp::fig13::run(ctx),
-        "fig14" => exp::fig14::run(ctx),
-        "table4" => exp::table4::run(ctx),
-        "placement" => exp::placement::run(ctx),
-        "crossenv" => exp::crossenv::run(ctx),
-        "fig15" => exp::fig15::run(ctx),
-        "ambient" => exp::ambient::run(ctx),
-        "sitting" => exp::sitting::run(ctx),
-        "loudness" => exp::loudness::run(ctx),
-        "objects" => exp::objects::run(ctx),
-        "fig16" => exp::fig16::run(ctx),
-        "stream" => exp::stream::run(ctx),
-        "runtime" => exp::runtime::run(ctx),
-        "table5" => exp::table5::run(ctx),
-        _ => return Err(format!("unknown experiment `{id}`")),
-    };
-    result.map_err(|e| format!("experiment `{id}` failed: {e}"))
+    let (_, run) = EXPERIMENTS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .ok_or_else(|| format!("unknown experiment `{id}`"))?;
+    run(ctx).map_err(|e| format!("experiment `{id}` failed: {e}"))
 }

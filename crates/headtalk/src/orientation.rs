@@ -13,7 +13,7 @@ use ht_ml::dataset::{Dataset, Standardizer};
 use ht_ml::forest::{ForestParams, RandomForest};
 use ht_ml::knn::Knn;
 use ht_ml::quant::QuantizedSvm;
-use ht_ml::svm::{Svm, SvmParams};
+use ht_ml::svm::Svm;
 use ht_ml::tree::{DecisionTree, TreeParams};
 use ht_ml::Classifier;
 
@@ -102,7 +102,7 @@ impl OrientationDetector {
         let scaled = scaler.transform_dataset(ds);
         let mut rng = StdRng::seed_from_u64(seed);
         let model = match kind {
-            ModelKind::Svm => Model::Svm(Svm::fit(&scaled, &SvmParams::default())?),
+            ModelKind::Svm => Model::Svm(Svm::fit(&scaled)?),
             ModelKind::RandomForest => {
                 // The paper settles on 200 trees; 64 reaches the same
                 // accuracy on the simulated data at a fraction of the cost.

@@ -60,25 +60,28 @@ pub fn high_confidence_samples<C: Classifier>(
 /// inputs of a width it was never trained on (silent truncation for the
 /// SVM's kernel, an out-of-bounds panic for the tree/kNN paths) — and
 /// propagates errors from the confidence filter, the refit closure, and
-/// dataset merging.
-pub fn incremental_round<C, F>(
+/// dataset merging. The refit closure picks the error type; this
+/// module's own errors convert into it.
+pub fn incremental_round<C, E, F>(
     model: &C,
     train: &mut Dataset,
     new_data: &Dataset,
     min_confidence: f64,
     max_new: usize,
     refit: F,
-) -> Result<(C, usize), MlError>
+) -> Result<(C, usize), E>
 where
     C: Classifier,
-    F: FnOnce(&Dataset) -> Result<C, MlError>,
+    E: From<MlError>,
+    F: FnOnce(&Dataset) -> Result<C, E>,
 {
     if new_data.dim() != train.dim() {
         return Err(MlError::InvalidData(format!(
             "new data has dimension {}, training set has {}",
             new_data.dim(),
             train.dim()
-        )));
+        ))
+        .into());
     }
     let confident = high_confidence_samples(model, new_data, min_confidence)?;
     let take = confident.len().min(max_new);
@@ -93,7 +96,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::svm::{Svm, SvmParams};
+    use crate::svm::Svm;
     use ht_dsp::rng::{SeedableRng, StdRng};
 
     fn blobs(n_per: usize, seed: u64, center: f64, spread: f64) -> Dataset {
@@ -123,7 +126,7 @@ mod tests {
     #[test]
     fn high_confidence_filter_keeps_easy_samples() {
         let train = blobs(30, 1, 2.0, 0.4);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         // Far-away samples are confident; near-boundary ones are not.
         let mut probe = Dataset::new(2);
         probe.push(vec![3.0, 3.0], 1).unwrap(); // deep class 1
@@ -137,7 +140,7 @@ mod tests {
     #[test]
     fn out_of_range_confidence_threshold_is_rejected() {
         let train = blobs(10, 8, 2.0, 0.3);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         for bad in [0.3, 1.5, -0.1] {
             assert!(high_confidence_samples(&model, &train, bad).is_err());
         }
@@ -146,13 +149,10 @@ mod tests {
     #[test]
     fn dimension_mismatch_is_a_typed_error_not_a_panic() {
         let mut train = blobs(20, 9, 2.0, 0.3);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         let mut wrong = Dataset::new(3);
         wrong.push(vec![1.0, 2.0, 3.0], 1).unwrap();
-        let err = incremental_round(&model, &mut train, &wrong, 0.8, 10, |d| {
-            Svm::fit(d, &SvmParams::default())
-        })
-        .unwrap_err();
+        let err = incremental_round(&model, &mut train, &wrong, 0.8, 10, Svm::fit).unwrap_err();
         assert!(matches!(err, MlError::InvalidData(_)), "got {err:?}");
     }
 
@@ -161,7 +161,7 @@ mod tests {
         // Initial model trained on a tight distribution; new data comes from
         // a drifted (translated) distribution, as in §IV-B9.
         let mut train = blobs(25, 2, 2.0, 0.4);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
 
         let drifted = {
             let base = blobs(25, 3, 2.0, 0.4);
@@ -174,10 +174,8 @@ mod tests {
         };
 
         let before_len = train.len();
-        let (refit, added) = incremental_round(&model, &mut train, &drifted, 0.8, 20, |d| {
-            Svm::fit(d, &SvmParams::default())
-        })
-        .unwrap();
+        let (refit, added) =
+            incremental_round(&model, &mut train, &drifted, 0.8, 20, Svm::fit).unwrap();
         assert!(added > 0 && added <= 20);
         assert_eq!(train.len(), before_len + added);
 
@@ -198,29 +196,25 @@ mod tests {
     #[test]
     fn cap_limits_added_samples() {
         let mut train = blobs(20, 5, 2.0, 0.3);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         let new_data = blobs(50, 6, 2.0, 0.3);
-        let (_, added) = incremental_round(&model, &mut train, &new_data, 0.8, 10, |d| {
-            Svm::fit(d, &SvmParams::default())
-        })
-        .unwrap();
+        let (_, added) =
+            incremental_round(&model, &mut train, &new_data, 0.8, 10, Svm::fit).unwrap();
         assert_eq!(added, 10);
     }
 
     #[test]
     fn nothing_confident_means_nothing_added() {
         let mut train = blobs(20, 7, 2.0, 0.3);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         // All-boundary probe data.
         let mut probe = Dataset::new(2);
         for _ in 0..5 {
             probe.push(vec![0.0, 0.0], 0).unwrap();
         }
         let before = train.len();
-        let (_, added) = incremental_round(&model, &mut train, &probe, 0.999, 10, |d| {
-            Svm::fit(d, &SvmParams::default())
-        })
-        .unwrap();
+        let (_, added) =
+            incremental_round(&model, &mut train, &probe, 0.999, 10, Svm::fit).unwrap();
         assert_eq!(added, 0);
         assert_eq!(train.len(), before);
     }

@@ -7,8 +7,9 @@
 //! * [`dataset`] — feature-matrix containers, standardization, splits,
 //! * [`metrics`] — accuracy/precision/recall/F1, TPR/FAR/FRR, EER, confusion
 //!   matrices,
-//! * [`svm`] — C-SVM with RBF kernel trained by SMO, plus grid search
-//!   (the paper's selected orientation model, §IV-A),
+//! * [`svm`] — C-SVM with RBF kernel trained by SMO, with C = 10 and
+//!   γ = "scale" fixed (the paper's selected orientation model, §IV-A; no
+//!   grid search runs),
 //! * [`tree`] / [`forest`] — decision tree and bagged random forest,
 //! * [`knn`] — k-nearest neighbours,
 //! * [`nn`] — a small conv1d+dense neural network with Adam ("wav2vec2-mini",
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! use ht_ml::dataset::Dataset;
-//! use ht_ml::svm::{Svm, SvmParams};
+//! use ht_ml::svm::Svm;
 //! use ht_ml::Classifier;
 //!
 //! # fn main() -> Result<(), ht_ml::MlError> {
@@ -35,7 +36,7 @@
 //!     ds.push(vec![v, v + 1.0], 1)?;
 //!     ds.push(vec![v, v - 1.0], 0)?;
 //! }
-//! let model = Svm::fit(&ds, &SvmParams::default())?;
+//! let model = Svm::fit(&ds)?;
 //! assert_eq!(model.predict(&[0.5, 1.6]), 1);
 //! assert_eq!(model.predict(&[0.5, -0.6]), 0);
 //! # Ok(())

@@ -28,7 +28,7 @@ pub struct ConvSpec {
 /// Network architecture and training configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NeuralNetConfig {
-    /// Convolutional encoder stages (empty = pure MLP on the raw input).
+    /// Convolutional encoder stages (at least one).
     pub conv: Vec<ConvSpec>,
     /// Hidden dense widths after the encoder (global-average-pooled).
     pub hidden: Vec<usize>,
@@ -67,18 +67,6 @@ impl NeuralNetConfig {
             hidden: vec![16],
             learning_rate: 3e-3,
             epochs: 20,
-            batch: 16,
-            seed: 7,
-        }
-    }
-
-    /// A plain MLP (no convolutional encoder) for feature-vector inputs.
-    pub fn mlp(hidden: Vec<usize>) -> NeuralNetConfig {
-        NeuralNetConfig {
-            conv: Vec::new(),
-            hidden,
-            learning_rate: 3e-3,
-            epochs: 60,
             batch: 16,
             seed: 7,
         }
@@ -157,7 +145,7 @@ impl NeuralNet {
     ///
     /// Returns [`MlError::InvalidData`] for empty/degenerate data, and
     /// [`MlError::InvalidParameter`] for zero epochs/batch or a conv stack
-    /// that consumes the whole input.
+    /// that is empty or consumes the whole input.
     pub fn fit(ds: &Dataset, config: &NeuralNetConfig) -> Result<NeuralNet, MlError> {
         let mut net = NeuralNet::init(ds, config)?;
         net.train(ds, config.epochs)?;
@@ -171,6 +159,11 @@ impl NeuralNet {
         if config.epochs == 0 || config.batch == 0 {
             return Err(MlError::InvalidParameter(
                 "epochs and batch must be positive".into(),
+            ));
+        }
+        if config.conv.is_empty() {
+            return Err(MlError::InvalidParameter(
+                "the network needs at least one conv stage".into(),
             ));
         }
         if ds.classes().iter().any(|&c| c > 1) {
@@ -192,11 +185,6 @@ impl NeuralNet {
             }
             in_ch = spec.out_channels;
         }
-        let encoder_out = if config.conv.is_empty() {
-            input_dim
-        } else {
-            in_ch
-        };
 
         let mut rng = StdRng::seed_from_u64(config.seed);
         let he = |rng: &mut StdRng, fan_in: usize, n: usize| -> Vec<f64> {
@@ -218,7 +206,7 @@ impl NeuralNet {
             ch = spec.out_channels;
         }
 
-        let mut dense_dims = vec![encoder_out];
+        let mut dense_dims = vec![in_ch];
         dense_dims.extend(config.hidden.iter().copied());
         dense_dims.push(1);
         let mut dense_w = Vec::new();
@@ -288,13 +276,13 @@ impl NeuralNet {
             let b = &self.conv_b[stage].w;
             let mut next: Tensor = vec![vec![0.0; t_out]; spec.out_channels];
             for (o, row) in next.iter_mut().enumerate() {
+                let w_o = &w[o * in_ch * spec.kernel..][..in_ch * spec.kernel];
                 for (t, out_v) in row.iter_mut().enumerate() {
                     let mut acc = b[o];
                     let base = t * spec.stride;
-                    for (i, in_row) in act.iter().enumerate() {
-                        let w_off = (o * in_ch + i) * spec.kernel;
-                        for k in 0..spec.kernel {
-                            acc += w[w_off + k] * in_row[base + k];
+                    for (w_i, in_row) in w_o.chunks_exact(spec.kernel).zip(&act) {
+                        for (wk, xk) in w_i.iter().zip(&in_row[base..base + spec.kernel]) {
+                            acc += wk * xk;
                         }
                     }
                     // ReLU fused here.
@@ -304,14 +292,11 @@ impl NeuralNet {
             act = next;
         }
 
-        // Global average pool (or identity for MLP mode).
-        let pooled: Vec<f64> = if self.config.conv.is_empty() {
-            act[0].clone()
-        } else {
-            act.iter()
-                .map(|row| row.iter().sum::<f64>() / row.len() as f64)
-                .collect()
-        };
+        // Global average pool.
+        let pooled: Vec<f64> = act
+            .iter()
+            .map(|row| row.iter().sum::<f64>() / row.len() as f64)
+            .collect();
 
         // Dense head with ReLU between layers; final layer linear (logit).
         let mut dense_acts: Vec<Vec<f64>> = vec![pooled.clone()];
@@ -386,10 +371,6 @@ impl NeuralNet {
                     }
                 }
                 delta = d_in;
-            }
-
-            if self.config.conv.is_empty() {
-                continue;
             }
 
             // Un-pool: distribute the per-channel gradient over time.
@@ -604,23 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn mlp_learns_linear_problem() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut ds = Dataset::new(3);
-        for _ in 0..80 {
-            let x: Vec<f64> = (0..3).map(|_| ht_dsp::rng::gaussian(&mut rng)).collect();
-            let label = usize::from(x[0] + 0.5 * x[1] - x[2] > 0.0);
-            ds.push(x, label).unwrap();
-        }
-        let mut cfg = NeuralNetConfig::mlp(vec![8]);
-        cfg.epochs = 120;
-        let net = NeuralNet::fit(&ds, &cfg).unwrap();
-        let preds = net.predict_batch(ds.features());
-        let acc = crate::metrics::accuracy(ds.labels(), &preds);
-        assert!(acc > 0.9, "training accuracy {acc}");
-    }
-
-    #[test]
     fn probabilities_are_probabilities() {
         let train = waveforms(10, 5, 64);
         let mut cfg = tiny_conv_config();
@@ -693,6 +657,15 @@ mod tests {
         let mut zero_epochs = tiny_conv_config();
         zero_epochs.epochs = 0;
         assert!(NeuralNet::fit(&ds, &zero_epochs).is_err());
+        // No conv stage at all.
+        let no_conv = NeuralNetConfig {
+            conv: Vec::new(),
+            ..tiny_conv_config()
+        };
+        assert!(matches!(
+            NeuralNet::fit(&ds, &no_conv),
+            Err(MlError::InvalidParameter(_))
+        ));
         assert!(NeuralNet::fit(&Dataset::new(4), &tiny_conv_config()).is_err());
     }
 

@@ -209,16 +209,10 @@ impl QuantizedNet {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::InvalidParameter`] for an MLP-mode net (no conv
-    /// encoder — nothing worth quantizing) and [`MlError::InvalidData`] for
-    /// an empty calibration set or calibration rows of the wrong width.
+    /// Returns [`MlError::InvalidData`] for an empty calibration set or
+    /// calibration rows of the wrong width.
     pub fn from_net(net: &NeuralNet, calib: &[&[f64]]) -> Result<QuantizedNet, MlError> {
         let specs = net.conv_specs();
-        if specs.is_empty() {
-            return Err(MlError::InvalidParameter(
-                "int8 quantization targets the conv encoder; this net has none".into(),
-            ));
-        }
         if calib.is_empty() {
             return Err(MlError::InvalidData("empty calibration set".into()));
         }
@@ -505,7 +499,7 @@ mod tests {
     use super::*;
     use crate::dataset::Dataset;
     use crate::nn::{NeuralNet, NeuralNetConfig};
-    use crate::svm::{Svm, SvmParams};
+    use crate::svm::Svm;
     use ht_dsp::rng::{SeedableRng, StdRng};
 
     /// A small conv net + dataset shaped like the liveness task: 1-D
@@ -674,7 +668,7 @@ mod tests {
             )
             .unwrap();
         }
-        let svm = Svm::fit(&ds, &SvmParams::default()).unwrap();
+        let svm = Svm::fit(&ds).unwrap();
         let calib: Vec<&[f64]> = (0..20).map(|i| ds.sample(i).0).collect();
         let qsvm = QuantizedSvm::from_svm(&svm, &calib).unwrap();
 
@@ -699,7 +693,7 @@ mod tests {
 
     #[test]
     fn construction_rejects_bad_inputs() {
-        let (net, ds) = toy_conv_net(128, 17);
+        let (net, _) = toy_conv_net(128, 17);
         assert!(matches!(
             QuantizedNet::from_net(&net, &[]),
             Err(MlError::InvalidData(_))
@@ -708,24 +702,6 @@ mod tests {
         assert!(matches!(
             QuantizedNet::from_net(&net, &[&short]),
             Err(MlError::InvalidData(_))
-        ));
-
-        // MLP-mode nets (no conv encoder) are rejected.
-        let mut flat = Dataset::new(4);
-        flat.push(vec![0.0, 0.0, 0.0, 0.0], 0).unwrap();
-        flat.push(vec![1.0, 1.0, 1.0, 1.0], 1).unwrap();
-        let mlp = NeuralNet::fit(
-            &flat,
-            &NeuralNetConfig {
-                epochs: 2,
-                ..NeuralNetConfig::mlp(vec![4])
-            },
-        )
-        .unwrap();
-        let _ = ds;
-        assert!(matches!(
-            QuantizedNet::from_net(&mlp, &[&[0.0, 0.0, 0.0, 0.0]]),
-            Err(MlError::InvalidParameter(_))
         ));
 
         let svm_ds = {
@@ -737,7 +713,7 @@ mod tests {
             }
             d
         };
-        let svm = Svm::fit(&svm_ds, &SvmParams::default()).unwrap();
+        let svm = Svm::fit(&svm_ds).unwrap();
         assert!(matches!(
             QuantizedSvm::from_svm(&svm, &[]),
             Err(MlError::InvalidData(_))

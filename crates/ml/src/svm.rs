@@ -1,46 +1,21 @@
 //! Binary C-SVM with an RBF kernel, trained by Platt's SMO algorithm.
 //!
 //! This is the paper's selected orientation classifier (§IV-A: LIBSVM with
-//! an RBF kernel, the complexity parameter chosen by grid search under
-//! 10-fold cross-validation). The implementation follows Platt (1998) with
-//! an error cache and a precomputed Gram matrix.
+//! an RBF kernel). The paper tunes C by grid search under 10-fold
+//! cross-validation; this reproduction runs no search and fixes C = 10 and
+//! γ = "scale" (`1 / (dim · var(features))`) for every model. The
+//! implementation follows Platt (1998) with an error cache and a
+//! precomputed Gram matrix.
 
 use crate::dataset::Dataset;
 use crate::{Classifier, MlError};
 
-/// RBF kernel width specification.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Gamma {
-    /// `1 / (dim · var(features))` — the sklearn "scale" heuristic; a good
-    /// default for standardized features.
-    Scale,
-    /// Explicit γ value.
-    Fixed(f64),
-}
-
-/// SVM hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SvmParams {
-    /// Soft-margin penalty C.
-    pub c: f64,
-    /// RBF kernel width.
-    pub gamma: Gamma,
-    /// KKT violation tolerance.
-    pub tol: f64,
-    /// Maximum full passes over the data without progress before stopping.
-    pub max_passes: usize,
-}
-
-impl Default for SvmParams {
-    fn default() -> Self {
-        SvmParams {
-            c: 10.0,
-            gamma: Gamma::Scale,
-            tol: 1e-3,
-            max_passes: 5,
-        }
-    }
-}
+/// Soft-margin penalty C.
+const C: f64 = 10.0;
+/// KKT violation tolerance.
+const TOL: f64 = 1e-3;
+/// Full passes over the data without progress before SMO stops.
+const MAX_PASSES: usize = 5;
 
 /// A trained RBF-kernel support-vector machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,19 +36,15 @@ fn rbf(a: &[f64], b: &[f64], gamma: f64) -> f64 {
     (-gamma * d2).exp()
 }
 
-fn resolve_gamma(ds: &Dataset, gamma: Gamma) -> f64 {
-    match gamma {
-        Gamma::Fixed(g) => g,
-        Gamma::Scale => {
-            // Pooled variance across all features.
-            let mut all = Vec::with_capacity(ds.len() * ds.dim());
-            for row in ds.features() {
-                all.extend_from_slice(row);
-            }
-            let var = ht_dsp::stats::variance(&all).max(1e-12);
-            1.0 / (ds.dim() as f64 * var)
-        }
+/// The RBF width: `1 / (dim · var)` over the pooled features (the sklearn
+/// "scale" heuristic; a good default for standardized features).
+fn scale_gamma(ds: &Dataset) -> f64 {
+    let mut all = Vec::with_capacity(ds.len() * ds.dim());
+    for row in ds.features() {
+        all.extend_from_slice(row);
     }
+    let var = ht_dsp::stats::variance(&all).max(1e-12);
+    1.0 / (ds.dim() as f64 * var)
 }
 
 impl Svm {
@@ -81,13 +52,9 @@ impl Svm {
     ///
     /// # Errors
     ///
-    /// Returns [`MlError::InvalidData`] for non-binary labels,
-    /// [`MlError::Degenerate`] when only one class is present, and
-    /// [`MlError::InvalidParameter`] for a non-positive `C`.
-    pub fn fit(ds: &Dataset, params: &SvmParams) -> Result<Svm, MlError> {
-        if params.c <= 0.0 {
-            return Err(MlError::InvalidParameter("C must be positive".into()));
-        }
+    /// Returns [`MlError::InvalidData`] for an empty set or non-binary
+    /// labels, and [`MlError::Degenerate`] when only one class is present.
+    pub fn fit(ds: &Dataset) -> Result<Svm, MlError> {
         if ds.is_empty() {
             return Err(MlError::InvalidData("empty training set".into()));
         }
@@ -104,7 +71,7 @@ impl Svm {
         }
 
         let n = ds.len();
-        let gamma = resolve_gamma(ds, params.gamma);
+        let gamma = scale_gamma(ds);
         let y: Vec<f64> = ds
             .labels()
             .iter()
@@ -123,8 +90,6 @@ impl Svm {
         // Error cache: E_i = f(x_i) - y_i; with alpha = 0, f = b = 0.
         let mut errors: Vec<f64> = y.iter().map(|&yi| -yi).collect();
 
-        let c = params.c;
-        let tol = params.tol;
         let eps = 1e-8;
 
         let take_step = |i: usize,
@@ -141,9 +106,9 @@ impl Svm {
             let (ei, ej) = (errors[i], errors[j]);
 
             let (lo, hi) = if (yi - yj).abs() > 1e-12 {
-                ((aj_old - ai_old).max(0.0), (c + aj_old - ai_old).min(c))
+                ((aj_old - ai_old).max(0.0), (C + aj_old - ai_old).min(C))
             } else {
-                ((ai_old + aj_old - c).max(0.0), (ai_old + aj_old).min(c))
+                ((ai_old + aj_old - C).max(0.0), (ai_old + aj_old).min(C))
             };
             if hi - lo < eps {
                 return false;
@@ -162,9 +127,9 @@ impl Svm {
             // Bias update (Platt's b1/b2 rule).
             let b1 = *b - ei - yi * (ai - ai_old) * gram[i][i] - yj * (aj - aj_old) * gram[i][j];
             let b2 = *b - ej - yi * (ai - ai_old) * gram[i][j] - yj * (aj - aj_old) * gram[j][j];
-            let new_b = if ai > 0.0 && ai < c {
+            let new_b = if ai > 0.0 && ai < C {
                 b1
-            } else if aj > 0.0 && aj < c {
+            } else if aj > 0.0 && aj < C {
                 b2
             } else {
                 (b1 + b2) / 2.0
@@ -186,15 +151,15 @@ impl Svm {
         let mut passes_without_progress = 0;
         let max_iters = 200 * n.max(50); // generous safety bound
         let mut iters = 0usize;
-        while passes_without_progress < params.max_passes && iters < max_iters {
+        while passes_without_progress < MAX_PASSES && iters < max_iters {
             let mut changed = 0usize;
             for i in 0..n {
                 iters += 1;
-                if !examine_all && (alpha[i] <= eps || alpha[i] >= c - eps) {
+                if !examine_all && (alpha[i] <= eps || alpha[i] >= C - eps) {
                     continue;
                 }
                 let ri = errors[i] * y[i];
-                let violates = (ri < -tol && alpha[i] < c - eps) || (ri > tol && alpha[i] > eps);
+                let violates = (ri < -TOL && alpha[i] < C - eps) || (ri > TOL && alpha[i] > eps);
                 if !violates {
                     continue;
                 }
@@ -281,64 +246,6 @@ impl Svm {
     pub(crate) fn gamma(&self) -> f64 {
         self.gamma
     }
-
-    /// Trains with a grid search over `(C, γ)` using `k`-fold
-    /// cross-validation, returning the best model refit on all data and its
-    /// chosen parameters. This mirrors the paper's LIBSVM protocol (10-fold
-    /// CV, RBF grid search).
-    ///
-    /// # Errors
-    ///
-    /// Propagates training errors; returns [`MlError::InvalidParameter`] if
-    /// `k < 2`.
-    pub fn fit_grid_search<R: ht_dsp::rng::Rng>(
-        ds: &Dataset,
-        k: usize,
-        rng: &mut R,
-    ) -> Result<(Svm, SvmParams), MlError> {
-        if k < 2 {
-            return Err(MlError::InvalidParameter("k must be at least 2".into()));
-        }
-        let cs = [1.0, 10.0, 100.0];
-        let gammas = [Gamma::Scale, Gamma::Fixed(0.01), Gamma::Fixed(0.1)];
-        let folds = crate::crossval::stratified_folds(ds, k, rng);
-        let mut best: Option<(f64, SvmParams)> = None;
-        for &c in &cs {
-            for &gamma in &gammas {
-                let params = SvmParams {
-                    c,
-                    gamma,
-                    ..SvmParams::default()
-                };
-                let mut correct = 0usize;
-                let mut total = 0usize;
-                for fold in &folds {
-                    let (train, test) = fold.split(ds);
-                    let Ok(model) = Svm::fit(&train, &params) else {
-                        continue;
-                    };
-                    for i in 0..test.len() {
-                        let (f, l) = test.sample(i);
-                        if model.predict(f) == l {
-                            correct += 1;
-                        }
-                        total += 1;
-                    }
-                }
-                if total == 0 {
-                    continue;
-                }
-                let acc = correct as f64 / total as f64;
-                if best.map(|(b, _)| acc > b).unwrap_or(true) {
-                    best = Some((acc, params));
-                }
-            }
-        }
-        let (_, params) = best.ok_or_else(|| {
-            MlError::Degenerate("grid search found no trainable configuration".into())
-        })?;
-        Ok((Svm::fit(ds, &params)?, params))
-    }
 }
 
 impl Classifier for Svm {
@@ -409,7 +316,7 @@ mod tests {
     fn separable_blobs_are_classified_perfectly() {
         let train = blobs(40, 1, 2.0);
         let test = blobs(40, 2, 2.0);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         let preds = model.predict_batch(test.features());
         let acc = crate::metrics::accuracy(test.labels(), &preds);
         assert!(acc > 0.98, "accuracy {acc}");
@@ -419,7 +326,7 @@ mod tests {
     fn rbf_kernel_solves_xor() {
         let train = xor(30, 3);
         let test = xor(30, 4);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         let preds = model.predict_batch(test.features());
         let acc = crate::metrics::accuracy(test.labels(), &preds);
         assert!(acc > 0.95, "accuracy {acc}");
@@ -428,7 +335,7 @@ mod tests {
     #[test]
     fn decision_scores_order_by_margin() {
         let train = blobs(40, 5, 2.0);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         // Deep in class 1 territory scores higher than the boundary.
         assert!(model.decision_score(&[3.0, 3.0]) > model.decision_score(&[0.0, 0.0]));
         assert!(model.decision_score(&[-3.0, -3.0]) < 0.0);
@@ -437,7 +344,7 @@ mod tests {
     #[test]
     fn support_vectors_are_a_subset() {
         let train = blobs(50, 6, 2.5);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         // Widely separated blobs need few support vectors.
         assert!(model.n_support_vectors() < train.len() / 2);
         assert!(model.n_support_vectors() >= 2);
@@ -448,30 +355,11 @@ mod tests {
         let mut ds = Dataset::new(1);
         ds.push(vec![0.0], 1).unwrap();
         ds.push(vec![1.0], 1).unwrap();
-        assert!(matches!(
-            Svm::fit(&ds, &SvmParams::default()),
-            Err(MlError::Degenerate(_))
-        ));
+        assert!(matches!(Svm::fit(&ds), Err(MlError::Degenerate(_))));
         let mut multi = Dataset::new(1);
         multi.push(vec![0.0], 0).unwrap();
         multi.push(vec![1.0], 2).unwrap();
-        assert!(Svm::fit(&multi, &SvmParams::default()).is_err());
-        let bad = SvmParams {
-            c: -1.0,
-            ..SvmParams::default()
-        };
-        let ok = blobs(5, 7, 2.0);
-        assert!(Svm::fit(&ok, &bad).is_err());
-    }
-
-    #[test]
-    fn grid_search_matches_or_beats_default() {
-        let train = xor(15, 8);
-        let test = xor(15, 9);
-        let mut rng = StdRng::seed_from_u64(10);
-        let (model, params) = Svm::fit_grid_search(&train, 5, &mut rng).unwrap();
-        let acc = crate::metrics::accuracy(test.labels(), &model.predict_batch(test.features()));
-        assert!(acc > 0.9, "grid-search accuracy {acc} with {params:?}");
+        assert!(Svm::fit(&multi).is_err());
     }
 
     #[test]
@@ -480,7 +368,7 @@ mod tests {
         // than chance.
         let train = blobs(60, 11, 0.5);
         let test = blobs(60, 12, 0.5);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         let acc = crate::metrics::accuracy(test.labels(), &model.predict_batch(test.features()));
         assert!(acc > 0.6, "accuracy {acc}");
     }

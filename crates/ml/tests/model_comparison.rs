@@ -6,7 +6,7 @@ use ht_ml::dataset::{Dataset, Standardizer};
 use ht_ml::forest::{ForestParams, RandomForest};
 use ht_ml::knn::Knn;
 use ht_ml::metrics::{equal_error_rate, Confusion};
-use ht_ml::svm::{Svm, SvmParams};
+use ht_ml::svm::Svm;
 use ht_ml::tree::{DecisionTree, TreeParams};
 use ht_ml::Classifier;
 
@@ -35,7 +35,7 @@ fn all_models(train: &Dataset, seed: u64) -> Vec<(&'static str, Box<dyn Classifi
     vec![
         (
             "SVM",
-            Box::new(Svm::fit(train, &SvmParams::default()).unwrap()) as Box<dyn Classifier>,
+            Box::new(Svm::fit(train).unwrap()) as Box<dyn Classifier>,
         ),
         (
             "RF",
@@ -89,10 +89,10 @@ fn standardization_helps_the_svm_with_scaled_features() {
         let mut rng = StdRng::seed_from_u64(5);
         ds.split(0.5, &mut rng)
     };
-    let raw = Svm::fit(&train, &SvmParams::default()).unwrap();
+    let raw = Svm::fit(&train).unwrap();
     let raw_acc = ht_ml::metrics::accuracy(test.labels(), &raw.predict_batch(test.features()));
     let sc = Standardizer::fit(&train).unwrap();
-    let std_model = Svm::fit(&sc.transform_dataset(&train), &SvmParams::default()).unwrap();
+    let std_model = Svm::fit(&sc.transform_dataset(&train)).unwrap();
     let std_feats: Vec<Vec<f64>> = test.features().iter().map(|f| sc.transform(f)).collect();
     let std_acc = ht_ml::metrics::accuracy(test.labels(), &std_model.predict_batch(&std_feats));
     assert!(
@@ -107,7 +107,7 @@ fn decision_scores_produce_sensible_eer() {
     let train = benchmark(60, 6, 1.0);
     let test_easy = benchmark(60, 7, 2.5);
     let test_hard = benchmark(60, 8, 0.3);
-    let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+    let model = Svm::fit(&train).unwrap();
     let eer_of = |ds: &Dataset| {
         let scores: Vec<f64> = ds
             .features()
@@ -130,14 +130,14 @@ fn cross_validation_estimates_match_holdout() {
     let mut cv_accs = Vec::new();
     for fold in &folds {
         let (train, test) = fold.split(&ds);
-        let model = Svm::fit(&train, &SvmParams::default()).unwrap();
+        let model = Svm::fit(&train).unwrap();
         let preds = model.predict_batch(test.features());
         cv_accs.push(ht_ml::metrics::accuracy(test.labels(), &preds));
     }
     let cv = ht_dsp::stats::mean(&cv_accs);
     // Independent holdout.
     let holdout = benchmark(100, 11, 1.0);
-    let model = Svm::fit(&ds, &SvmParams::default()).unwrap();
+    let model = Svm::fit(&ds).unwrap();
     let ho = ht_ml::metrics::accuracy(holdout.labels(), &model.predict_batch(holdout.features()));
     assert!((cv - ho).abs() < 0.1, "cv {cv} vs holdout {ho}");
 }

@@ -3,52 +3,14 @@
 //! (which grows the flat scratch to its high-water size) repeated
 //! `forward_with` / `decision_score_with` calls must not allocate at all.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use ht_dsp::check::{allocs_during, CountingAlloc};
 use ht_ml::dataset::Dataset;
 use ht_ml::nn::{ConvSpec, NeuralNet, NeuralNetConfig};
 use ht_ml::quant::{QuantScratch, QuantizedNet, QuantizedSvm};
-use ht_ml::svm::{Svm, SvmParams};
-
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialized `Cell<u64>`: no lazy-init allocation and no
-    // destructor, so the counter itself never perturbs the count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use ht_ml::svm::Svm;
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations made by `f` on this thread.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(|c| c.get());
-    f();
-    ALLOCS.with(|c| c.get()) - before
-}
 
 fn capture_dataset(input_dim: usize) -> Dataset {
     let mut ds = Dataset::new(input_dim);
@@ -110,7 +72,7 @@ fn quantized_svm_score_is_allocation_free_after_warmup() {
         let row: Vec<f64> = (0..4).map(|k| c + 0.1 * ((i + k) as f64).sin()).collect();
         ds.push(row, label).unwrap();
     }
-    let svm = Svm::fit(&ds, &SvmParams::default()).unwrap();
+    let svm = Svm::fit(&ds).unwrap();
     let calib: Vec<&[f64]> = (0..10).map(|i| ds.sample(i).0).collect();
     let qsvm = QuantizedSvm::from_svm(&svm, &calib).unwrap();
 

@@ -2,48 +2,13 @@
 //! ingest → STFT → GCC accumulation path makes zero heap allocations per
 //! frame, even with JSON observability recording on, and a freshly built
 //! analyzer or directivity accumulator allocates nothing from its first
-//! push. Same counting-allocator harness as `ht-dsp`'s alloc_free suite.
+//! push. The counting allocator is `ht_dsp::check::CountingAlloc`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use ht_dsp::check::{allocs_during, CountingAlloc};
 use ht_stream::{DirectivityAccum, FrameAnalyzer, FrameRing};
-
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(|c| c.get());
-    f();
-    ALLOCS.with(|c| c.get()) - before
-}
 
 #[test]
 fn steady_state_frame_loop_is_allocation_free() {

@@ -23,49 +23,11 @@
 //! buffer reuse, not the pool (`tests/serve_interleaving.rs` covers the
 //! parallel schedule).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use ht_dsp::check::{allocs_during, CountingAlloc};
 use ht_serve::{noise_captures, toy_pipeline, ServeConfig, TokenBucketConfig, WakeServer};
-
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialized `Cell<u64>`: no lazy-init allocation and no
-    // destructor, so the counter itself never perturbs the count.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations made by `f` on this thread.
-fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.with(|c| c.get());
-    f();
-    ALLOCS.with(|c| c.get()) - before
-}
 
 #[test]
 #[ignore = "soak: minutes of work; the CI soak leg runs it with -- --ignored"]
