@@ -139,13 +139,17 @@ step "server throughput gate (bench server_throughput)" \
 
 # Quantized decision-path gate: the kernel_quant bench times the decision
 # path's per-channel PHAT whitening against six per-pair reference calls
-# on one 4-mic frame, and the f64 vs int8 liveness / orientation inference
+# on one 4-mic frame, the liveness band-pass's AVX2 and portable paths on
+# 480-sample hops, and the f64 vs int8 liveness / orientation inference
 # backends. It asserts a 1.6x floor on the per-channel kernel, a 2x floor
 # on int8 liveness inference, an accuracy delta within 0.5 pp of the f64
 # reference, byte-stability of the reference models (building the int8
 # backends must not move a bit), and — on AVX2 machines — exact i32
 # agreement between the std::arch i8 kernels and the scalar reference on
-# every tested shape (non-AVX2 runners log a notice and skip).
+# every tested shape, and exact bit agreement between the liveness
+# band-pass's AVX2 wavefront and its portable path for 1–10 sections with
+# a 2.6x floor on the wavefront (non-AVX2 runners log a notice and skip
+# these).
 # BENCH_quant.json lands in target/bench_out.
 step "quantized kernel gate (bench kernel_quant)" \
     env HT_BENCH_FAST=1 HT_BENCH_DIR="$PWD/target/bench_out" \

@@ -216,7 +216,7 @@ impl Json {
     /// Returns a [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, at: 0 };
+        let mut p = Parser { text, bytes, at: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -292,6 +292,7 @@ fn write_seq(
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
 }
@@ -417,13 +418,15 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.at..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.at += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // step. Both are ASCII, so the run ends on a character
+                    // boundary of the (valid UTF-8) input.
+                    let run = self.bytes[self.at..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| self.at + k);
+                    out.push_str(&self.text[self.at..run]);
+                    self.at = run;
                 }
             }
         }
@@ -746,6 +749,33 @@ mod tests {
         let text = v.pretty();
         assert!(text.contains("\n  \"id\": \"fig10\""));
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_characters_next_to_escapes_and_quotes_parse() {
+        let text = r#"["é\"ü\\💬\n字", "💬", "a\u00e9é", "\"é\"", ""]"#;
+        let v = Json::parse(text).unwrap();
+        let strings: Vec<&str> = v
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        assert_eq!(strings, ["é\"ü\\💬\n字", "💬", "aéé", "\"é\"", ""]);
+        let s = "ü\"\\\t字💬\u{1}";
+        assert_eq!(
+            Json::parse(&Json::Str(s.into()).dump()).unwrap().as_str(),
+            Some(s)
+        );
+    }
+
+    #[test]
+    fn unterminated_strings_report_the_end_of_input() {
+        for text in ["\"abc é", "\"é\\\"", "[\"💬", "\""] {
+            let e = Json::parse(text).unwrap_err();
+            assert_eq!(e.message, "unterminated string", "{text:?}");
+            assert_eq!(e.offset, Some(text.len()), "{text:?}");
+        }
     }
 
     #[test]

@@ -16,24 +16,33 @@ use ht_dsp::rng::SliceRandom;
 use ht_ml::metrics::equal_error_rate;
 use ht_ml::{Classifier, Dataset};
 
-fn eval(det: &LivenessDetector, ds: &Dataset) -> (f64, f64) {
+/// Accuracy and equal error rate of `det` on the `split` split. An EER
+/// needs live and replayed samples both, so a split lacking either (a
+/// reduced `HT_SCALE` can leave one) is an error naming the split.
+fn eval(det: &LivenessDetector, ds: &Dataset, split: &str) -> Result<(f64, f64), String> {
+    for (class, name) in [(1, "live"), (0, "replayed")] {
+        if !ds.labels().contains(&class) {
+            return Err(format!("{split} split has no {name} sample"));
+        }
+    }
     let scores: Vec<f64> = ds
         .features()
         .iter()
         .map(|f| det.decision_score(f))
         .collect();
-    (
+    Ok((
         score(det, ds).accuracy(),
         equal_error_rate(ds.labels(), &scores),
-    )
+    ))
 }
 
 /// Runs the experiment.
 ///
 /// # Errors
 ///
-/// Returns an error when pre-training fails to learn or adaptation fails
-/// to improve on the unadapted baseline.
+/// Returns an error when an evaluated split lacks a class, pre-training
+/// fails to learn or adaptation fails to improve on the unadapted
+/// baseline.
 pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     let mut res = ExperimentResult::new(
         "liveness",
@@ -57,8 +66,8 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     // The paper fine-tunes a *pretrained* wav2vec2 for 20 epochs; our
     // wav2vec2-mini trains from scratch, so it gets a longer schedule.
     let mut det = LivenessDetector::fit(&train, 60, 0x11FE).map_err(|e| e.to_string())?;
-    let (val_acc, val_eer) = eval(&det, &val);
-    let (test_acc, test_eer) = eval(&det, &test);
+    let (val_acc, val_eer) = eval(&det, &val, "ASVspoof-sim validation")?;
+    let (test_acc, test_eer) = eval(&det, &test, "ASVspoof-sim test")?;
     res.push_row(
         "ASVspoof-sim validation",
         "98.56% (EER 3.36%)",
@@ -78,7 +87,7 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     // --- Stage 2: unadapted transfer to the own data ----------------------
     let own = ctx.liveness_own();
     let own_ds = dataset(&own, Label::Live, |_| true)?;
-    let (own_acc, own_eer) = eval(&det, &own_ds);
+    let (own_acc, own_eer) = eval(&det, &own_ds, "own data")?;
     res.push_row(
         "own data, unadapted",
         "84.87% (EER 16.50%)",
@@ -100,8 +109,8 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     let own_val = own_ds.filter_indices(|i| idx2[a..b].contains(&i));
     let own_test = own_ds.filter_indices(|i| idx2[b..].contains(&i));
     det.adapt(&own_train, 10).map_err(|e| e.to_string())?;
-    let (aval_acc, aval_eer) = eval(&det, &own_val);
-    let (atest_acc, atest_eer) = eval(&det, &own_test);
+    let (aval_acc, aval_eer) = eval(&det, &own_val, "own-data validation")?;
+    let (atest_acc, atest_eer) = eval(&det, &own_test, "own-data test")?;
     res.push_row(
         "own data, adapted (validation)",
         "98.61% (EER 1.76%)",
@@ -125,4 +134,54 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     res.note("Pre-training corpus is deliberately domain-shifted (home acoustics, no Sony-class replay device) to mirror the ASVspoof-to-own-data gap.");
     res.note("Adaptation: 20% of the own data, 10 epochs, exactly the §IV-A1 protocol.");
     Ok(res)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ht_ml::nn::{ConvSpec, NeuralNetConfig};
+
+    /// `n` samples of width 32 per class in `classes`: a fast sine when
+    /// live, a slow one when replayed.
+    fn synthetic(classes: &[usize], n: usize) -> Dataset {
+        let mut ds = Dataset::new(32);
+        for &class in classes {
+            for k in 0..n {
+                let rate = if class == 1 { 2.5 } else { 0.3 };
+                let row = (0..32)
+                    .map(|t| (t as f64 * rate + k as f64).sin())
+                    .collect();
+                ds.push(row, class).unwrap();
+            }
+        }
+        ds
+    }
+
+    #[test]
+    fn a_split_missing_a_class_is_an_error_not_a_panic() {
+        let config = NeuralNetConfig {
+            conv: vec![ConvSpec {
+                out_channels: 2,
+                kernel: 4,
+                stride: 2,
+            }],
+            hidden: vec![4],
+            learning_rate: 5e-3,
+            epochs: 1,
+            batch: 4,
+            seed: 1,
+        };
+        let det = LivenessDetector::fit_with_config(&synthetic(&[0, 1], 4), &config).unwrap();
+        let (acc, eer) = eval(&det, &synthetic(&[0, 1], 3), "both").unwrap();
+        assert!((0.0..=1.0).contains(&acc) && (0.0..=1.0).contains(&eer));
+        assert_eq!(
+            eval(&det, &synthetic(&[1], 3), "own-data test").unwrap_err(),
+            "own-data test split has no replayed sample"
+        );
+        assert_eq!(
+            eval(&det, &synthetic(&[0], 3), "validation").unwrap_err(),
+            "validation split has no live sample"
+        );
+        assert!(eval(&det, &synthetic(&[], 0), "empty").is_err());
+    }
 }
