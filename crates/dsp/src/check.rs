@@ -231,9 +231,10 @@ fn env_cases() -> Option<usize> {
     std::env::var("HT_CHECK_CASES").ok()?.trim().parse().ok()
 }
 
-/// FNV-1a, used only to turn property names into seed-stream offsets
-/// (stable across platforms and runs, unlike `std`'s `DefaultHasher`).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a, stable across platforms and runs (unlike `std`'s
+/// `DefaultHasher`): it turns property names into seed-stream offsets,
+/// and the experiment harness keys its feature cache on it.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -42,8 +42,11 @@ fn warm(ctx: &Context) {
             t0.elapsed()
         );
     }
-    ctx.warm_table4_subsets();
-    println!("  table4 subsets cached ({:?})", t0.elapsed());
+    println!(
+        "  table4: {} records per subset ({:?})",
+        ctx.table4_subsets()[0].len(),
+        t0.elapsed()
+    );
     println!(
         "  liveness asvspoof: {} records ({:?})",
         ctx.liveness_asvspoof().len(),
@@ -124,7 +127,6 @@ fn main() {
     };
 
     let results_dir = ht_experiments::cache::cache_dir().join("results");
-    let _ = std::fs::create_dir_all(&results_dir);
 
     let mut failures = Vec::new();
     for id in ids {
@@ -141,10 +143,16 @@ fn main() {
                     t0.elapsed(),
                     ctx.scale
                 );
-                let _ = std::fs::write(
-                    results_dir.join(format!("{id}.json")),
-                    result.to_json().pretty(),
-                );
+                // A result that cannot be written fails the run: `report`
+                // would otherwise list the experiment as not yet run.
+                let path = results_dir.join(format!("{id}.json"));
+                if let Err(e) = std::fs::create_dir_all(&results_dir)
+                    .and_then(|()| std::fs::write(&path, result.to_json().pretty()))
+                {
+                    let e = format!("could not write {}: {e}", path.display());
+                    eprintln!("FAILED {id}: {e}\n");
+                    failures.push((id.to_string(), e));
+                }
             }
             Err(e) => {
                 eprintln!("FAILED {id}: {e}\n");

@@ -1,45 +1,43 @@
-//! Shared experiment context: scale/threading knobs plus lazily-computed,
+//! Shared experiment context: the scale knob plus lazily-computed,
 //! disk-cached feature tables for every dataset.
 
 use crate::cache::{self, Record};
-use headtalk::{HeadTalk, PipelineConfig};
+use crate::exp::{is_default_setting, table4};
+use headtalk::preprocess::Preprocessor;
+use headtalk::{features, HeadTalk, HeadTalkError, PipelineConfig};
 use ht_acoustics::array::Device;
 use ht_datagen::placements::Placement;
 use ht_datagen::{datasets, CaptureSpec};
 
-/// Experiment-wide configuration.
+/// Experiment-wide configuration. Rendering runs on ht-par's global pool,
+/// which `HT_THREADS` sizes; thanks to the ht-par determinism contract the
+/// width only affects wall-clock time, never the rendered features.
 #[derive(Debug, Clone, Copy)]
 pub struct Context {
     /// Keep every `scale`-th sample (1 = the paper's full counts). Useful
     /// for quick passes; cache entries are scale-specific.
     pub scale: usize,
-    /// Worker threads for rendering. Thanks to the ht-par determinism
-    /// contract this only affects wall-clock time, never the rendered
-    /// features.
-    pub threads: usize,
 }
 
 impl Default for Context {
     fn default() -> Self {
-        Context {
-            scale: 1,
-            threads: ht_par::default_threads(),
-        }
+        Context { scale: 1 }
     }
 }
 
+/// What a feature cache stores per capture, computed from the capture
+/// device's configuration and the rendered channels:
+/// [`HeadTalk::orientation_features`], [`HeadTalk::liveness_input`] or
+/// Table IV's `subset_features`.
+type Extract = fn(&PipelineConfig, &[Vec<f64>]) -> Result<Vec<f64>, HeadTalkError>;
+
 impl Context {
-    /// Reads `HT_SCALE` / `HT_THREADS` from the environment.
+    /// Reads `HT_SCALE` from the environment.
     pub fn from_env() -> Context {
         let mut ctx = Context::default();
         if let Ok(s) = std::env::var("HT_SCALE") {
             if let Ok(v) = s.parse::<usize>() {
                 ctx.scale = v.max(1);
-            }
-        }
-        if let Ok(s) = std::env::var("HT_THREADS") {
-            if let Ok(v) = s.parse::<usize>() {
-                ctx.threads = v.max(1);
             }
         }
         ctx
@@ -66,57 +64,23 @@ impl Context {
         }
     }
 
-    /// Maps `f` over capture specs on `self.threads` workers, reusing the
-    /// innermost installed ht-par pool when it already has that width.
-    fn render_map<U, F>(&self, specs: &[CaptureSpec], f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(&CaptureSpec) -> U + Sync,
-    {
-        if ht_par::current_threads() == self.threads {
-            ht_par::par_map(specs, f)
-        } else {
-            ht_par::Pool::new(self.threads).par_map(specs, f)
-        }
-    }
-
-    /// Renders orientation features for a spec list (default microphone
-    /// subset, per-device configuration), cached under `name`.
-    pub fn orientation_features(&self, name: &str, specs: Vec<CaptureSpec>) -> Vec<Record> {
+    /// Renders the kept `specs` on `mics` (`None` = each device's default
+    /// subset) and runs `extract` on every capture, cached under `name`
+    /// and keyed by the kept specs.
+    fn rendered(
+        &self,
+        name: &str,
+        specs: Vec<CaptureSpec>,
+        mics: Option<&[usize]>,
+        extract: Extract,
+    ) -> Vec<Record> {
         let specs = self.subsample(specs);
-        cache::load_or_compute(&self.cache_name(name), || {
+        cache::load_or_compute(&self.cache_name(name), &specs, |specs| {
             eprintln!("[cache] rendering {} captures for `{name}`…", specs.len());
-            self.render_map(&specs, |spec| {
-                let cfg = PipelineConfig::for_device(spec.device);
-                let channels = spec.render().expect("valid scenario geometry");
-                let vector = HeadTalk::orientation_features(&cfg, &channels)
-                    .expect("feature extraction on rendered audio");
-                Record {
-                    spec: *spec,
-                    vector,
-                }
-            })
-        })
-    }
-
-    /// Renders prepared liveness inputs (16 kHz, fixed length, z-scored)
-    /// for a spec list, cached under `name`.
-    pub fn liveness_inputs(&self, name: &str, specs: Vec<CaptureSpec>) -> Vec<Record> {
-        let specs = self.subsample(specs);
-        cache::load_or_compute(&self.cache_name(name), || {
-            eprintln!(
-                "[cache] rendering {} liveness captures for `{name}`…",
-                specs.len()
-            );
-            self.render_map(&specs, |spec| {
-                let cfg = PipelineConfig::for_device(spec.device);
-                let channels = spec.render().expect("valid scenario geometry");
-                let vector = HeadTalk::liveness_input(&cfg, &channels)
-                    .expect("liveness preparation on rendered audio");
-                Record {
-                    spec: *spec,
-                    vector,
-                }
+            ht_par::par_map(specs, |spec| {
+                let channels = spec.render_mics(mics).expect("valid scenario geometry");
+                extract(&PipelineConfig::for_device(spec.device), &channels)
+                    .expect("extraction on rendered audio")
             })
         })
     }
@@ -125,32 +89,62 @@ impl Context {
 
     /// Dataset-1 orientation features (all rooms/devices/words).
     pub fn dataset1(&self) -> Vec<Record> {
-        self.orientation_features("dataset1", datasets::dataset1())
+        self.rendered(
+            "dataset1",
+            datasets::dataset1(),
+            None,
+            HeadTalk::orientation_features,
+        )
     }
 
     /// Dataset-3 (temporal) features.
     pub fn dataset3(&self) -> Vec<Record> {
-        self.orientation_features("dataset3", datasets::dataset3())
+        self.rendered(
+            "dataset3",
+            datasets::dataset3(),
+            None,
+            HeadTalk::orientation_features,
+        )
     }
 
     /// Dataset-4 (ambient noise) features.
     pub fn dataset4(&self) -> Vec<Record> {
-        self.orientation_features("dataset4", datasets::dataset4())
+        self.rendered(
+            "dataset4",
+            datasets::dataset4(),
+            None,
+            HeadTalk::orientation_features,
+        )
     }
 
     /// Dataset-5 (sitting) features.
     pub fn dataset5(&self) -> Vec<Record> {
-        self.orientation_features("dataset5", datasets::dataset5())
+        self.rendered(
+            "dataset5",
+            datasets::dataset5(),
+            None,
+            HeadTalk::orientation_features,
+        )
     }
 
     /// Dataset-6 (loudness) features.
     pub fn dataset6(&self) -> Vec<Record> {
-        self.orientation_features("dataset6", datasets::dataset6())
+        self.rendered(
+            "dataset6",
+            datasets::dataset6(),
+            None,
+            HeadTalk::orientation_features,
+        )
     }
 
     /// Dataset-7 (surrounding objects) features.
     pub fn dataset7(&self) -> Vec<Record> {
-        self.orientation_features("dataset7", datasets::dataset7())
+        self.rendered(
+            "dataset7",
+            datasets::dataset7(),
+            None,
+            HeadTalk::orientation_features,
+        )
     }
 
     /// Dataset-8 (cross-user) features plus participant ids.
@@ -167,13 +161,18 @@ impl Context {
                 pids[idx]
             })
             .collect();
-        let records = self.orientation_features("dataset8", specs);
+        let records = self.rendered("dataset8", specs, None, HeadTalk::orientation_features);
         (records, pids)
     }
 
     /// The ±75° verification captures for Table III.
     pub fn table3_extra(&self) -> Vec<Record> {
-        self.orientation_features("table3_extra", datasets::table3_extra_angles())
+        self.rendered(
+            "table3_extra",
+            datasets::table3_extra_angles(),
+            None,
+            HeadTalk::orientation_features,
+        )
     }
 
     /// §IV-B7 placement captures for location B or C.
@@ -183,99 +182,47 @@ impl Context {
             Placement::LabC => "placement_c",
             _ => "placement_other",
         };
-        self.orientation_features(name, datasets::placement_specs(placement))
+        self.rendered(
+            name,
+            datasets::placement_specs(placement),
+            None,
+            HeadTalk::orientation_features,
+        )
     }
 
-    /// D2/lab/"Computer" captures rendered with **all six** microphones —
-    /// the §IV-B6 mic-count experiment extracts per-subset features from
-    /// these. Returned records hold the concatenated 6-channel audio
-    /// *features per subset*, so this accessor instead exposes raw audio:
-    /// rendering is done inside [`Context::table4_subset_features`].
-    pub fn table4_subset_features(&self, mic_indices: &[usize]) -> Vec<Record> {
-        let name = Self::table4_cache_name(mic_indices);
-        if let Some(records) = cache::load(&self.cache_name(&name)) {
-            return records;
-        }
-        // Miss: render each capture once with all six microphones and fill
-        // the caches for *all* subsets in one pass (§IV-B6 reuses the same
-        // recordings for every channel count).
-        self.warm_table4_subsets();
-        cache::load(&self.cache_name(&name)).expect("warm_table4_subsets fills every subset")
-    }
-
-    fn table4_cache_name(mic_indices: &[usize]) -> String {
-        let tag: String = mic_indices.iter().map(|i| i.to_string()).collect();
-        format!("table4_m{tag}")
-    }
-
-    /// Renders the §IV-B6 captures (D2, lab, "Computer") once with all six
-    /// microphones and extracts features for every Table IV subset.
-    pub fn warm_table4_subsets(&self) {
-        let subsets: Vec<Vec<usize>> = vec![
-            vec![0, 1],
-            vec![0, 1, 4],
-            vec![0, 1, 3, 4],
-            vec![0, 1, 2, 3, 4],
-            vec![0, 1, 2, 3, 4, 5],
-        ];
-        if subsets
-            .iter()
-            .all(|m| cache::load(&self.cache_name(&Self::table4_cache_name(m))).is_some())
-        {
-            return;
-        }
-        let specs: Vec<CaptureSpec> = datasets::dataset1()
+    /// The §IV-B6 captures (D2, lab, "Computer"), rendered once on all six
+    /// microphones: one record list per [`table4::SUBSETS`] entry, in that
+    /// order. The cache holds each capture's subset vectors back to back;
+    /// they are split here by [`features::feature_width`].
+    pub fn table4_subsets(&self) -> Vec<Vec<Record>> {
+        let specs = datasets::dataset1()
             .into_iter()
-            .filter(|s| {
-                s.room == ht_datagen::placements::RoomKind::Lab
-                    && s.device == Device::D2
-                    && s.wake_word == ht_speech::WakeWord::Computer
-            })
+            .filter(is_default_setting)
             .collect();
-        let specs = self.subsample(specs);
-        eprintln!(
-            "[cache] rendering {} six-mic captures for the Table IV subsets…",
-            specs.len()
-        );
-        let all_mics: Vec<usize> = (0..6).collect();
+        let six: Vec<usize> = (0..6).collect();
+        let joined = self.rendered("table4", specs, Some(&six), subset_features);
         let cfg = PipelineConfig::for_device(Device::D2);
-        // One render per capture; one feature vector per subset.
-        let per_capture: Vec<Vec<Vec<f64>>> = self.render_map(&specs, |spec| {
-            let channels = spec
-                .render_mics(Some(&all_mics))
-                .expect("valid scenario geometry");
-            let pre =
-                headtalk::preprocess::Preprocessor::new(&cfg).expect("valid preprocessing config");
-            let denoised = pre.denoise_channels(&channels).expect("non-empty capture");
-            subsets
-                .iter()
-                .map(|mics| {
-                    let sub: Vec<Vec<f64>> = mics.iter().map(|&m| denoised[m].clone()).collect();
-                    HeadTalk::orientation_features(&cfg, &sub)
-                        .expect("feature extraction on rendered audio")
-                })
-                .collect()
-        });
-        for (k, mics) in subsets.iter().enumerate() {
-            let records: Vec<Record> = specs
-                .iter()
-                .zip(per_capture.iter())
-                .map(|(spec, vectors)| Record {
-                    spec: *spec,
-                    vector: vectors[k].clone(),
-                })
-                .collect();
-            let name = self.cache_name(&Self::table4_cache_name(mics));
-            if let Err(e) = cache::store(&name, &records) {
-                eprintln!("warning: could not write cache `{name}`: {e}");
-            }
-        }
+        let mut start = 0;
+        table4::SUBSETS
+            .iter()
+            .map(|mics| {
+                let span = start..start + features::feature_width(mics.len(), &cfg);
+                start = span.end;
+                joined
+                    .iter()
+                    .map(|r| Record {
+                        spec: r.spec,
+                        vector: r.vector[span.clone()].to_vec(),
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// ASVspoof-sim liveness pre-training corpus (prepared inputs).
     pub fn liveness_asvspoof(&self) -> Vec<Record> {
         let (specs, _) = datasets::asvspoof_sim(300, 0xA5F);
-        self.liveness_inputs("liveness_asvspoof", specs)
+        self.rendered("liveness_asvspoof", specs, None, HeadTalk::liveness_input)
     }
 
     /// The paper's "own data" liveness evaluation set: 1008 live samples
@@ -292,8 +239,21 @@ impl Context {
             })
             .collect();
         specs.extend(datasets::dataset2());
-        self.liveness_inputs("liveness_own", specs)
+        self.rendered("liveness_own", specs, None, HeadTalk::liveness_input)
     }
+}
+
+/// One six-mic capture's Table IV vectors: the channels are `filtfilt`
+/// denoised once, then every [`table4::SUBSETS`] entry's orientation
+/// features follow each other.
+fn subset_features(cfg: &PipelineConfig, six: &[Vec<f64>]) -> Result<Vec<f64>, HeadTalkError> {
+    let denoised = Preprocessor::new(cfg)?.denoise_channels(six)?;
+    let mut joined = Vec::new();
+    for mics in table4::SUBSETS {
+        let sub: Vec<Vec<f64>> = mics.iter().map(|&m| denoised[m].clone()).collect();
+        joined.extend(HeadTalk::orientation_features(cfg, &sub)?);
+    }
+    Ok(joined)
 }
 
 #[cfg(test)]
@@ -302,10 +262,7 @@ mod tests {
 
     #[test]
     fn subsample_keeps_every_kth() {
-        let ctx = Context {
-            scale: 3,
-            threads: 1,
-        };
+        let ctx = Context { scale: 3 };
         let specs: Vec<CaptureSpec> = (0..10).map(CaptureSpec::baseline).collect();
         let sub = ctx.subsample(specs);
         assert_eq!(sub.len(), 4); // indices 0, 3, 6, 9
@@ -314,24 +271,15 @@ mod tests {
 
     #[test]
     fn scale_one_is_identity() {
-        let ctx = Context {
-            scale: 1,
-            threads: 1,
-        };
+        let ctx = Context { scale: 1 };
         let specs: Vec<CaptureSpec> = (0..5).map(CaptureSpec::baseline).collect();
         assert_eq!(ctx.subsample(specs).len(), 5);
     }
 
     #[test]
     fn cache_names_embed_scale() {
-        let full = Context {
-            scale: 1,
-            threads: 1,
-        };
-        let quick = Context {
-            scale: 8,
-            threads: 1,
-        };
+        let full = Context { scale: 1 };
+        let quick = Context { scale: 8 };
         assert_eq!(full.cache_name("x"), "x");
         assert_eq!(quick.cache_name("x"), "x_s8");
     }
@@ -340,6 +288,5 @@ mod tests {
     fn env_parsing_defaults_are_sane() {
         let ctx = Context::from_env();
         assert!(ctx.scale >= 1);
-        assert!(ctx.threads >= 1);
     }
 }

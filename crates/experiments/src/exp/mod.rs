@@ -28,7 +28,6 @@ pub mod objects;
 pub mod placement;
 pub mod runtime;
 pub mod sitting;
-pub mod stream;
 pub mod table2;
 pub mod table3;
 pub mod table4;
@@ -366,10 +365,7 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n);
-        let ctx = Context {
-            scale: 1,
-            threads: 1,
-        };
+        let ctx = Context { scale: 1 };
         assert_eq!(
             crate::run_experiment("no-such-id", &ctx).unwrap_err(),
             "unknown experiment `no-such-id`"

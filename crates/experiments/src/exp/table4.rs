@@ -8,17 +8,15 @@ use crate::report::{pct, ExperimentResult};
 use headtalk::facing::FacingDefinition;
 use headtalk::orientation::ModelKind;
 
-/// The paper's Table IV channel subsets (1-indexed in the paper; 0-indexed
-/// here).
-pub fn subsets() -> Vec<(usize, Vec<usize>)> {
-    vec![
-        (2, vec![0, 1]),
-        (3, vec![0, 1, 4]),
-        (4, vec![0, 1, 3, 4]),
-        (5, vec![0, 1, 2, 3, 4]),
-        (6, vec![0, 1, 2, 3, 4, 5]),
-    ]
-}
+/// The paper's Table IV channel subsets in max-spread order (1-indexed in
+/// the paper; 0-indexed here). The last one is all six microphones.
+pub const SUBSETS: [&[usize]; 5] = [
+    &[0, 1],
+    &[0, 1, 4],
+    &[0, 1, 3, 4],
+    &[0, 1, 2, 3, 4],
+    &[0, 1, 2, 3, 4, 5],
+];
 
 /// Runs the experiment.
 ///
@@ -41,8 +39,7 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
     );
     let def = FacingDefinition::Definition4;
     let mut accs = Vec::new();
-    for ((n, mics), paper_row) in subsets().into_iter().zip(paper) {
-        let records = ctx.table4_subset_features(&mics);
+    for ((mics, records), paper_row) in SUBSETS.iter().zip(ctx.table4_subsets()).zip(paper) {
         let cs = cross_session(
             &records,
             def,
@@ -52,7 +49,7 @@ pub fn run(ctx: &Context) -> Result<ExperimentResult, String> {
         )?;
         let acc = ht_dsp::stats::mean(&cs.map(|c| c.accuracy()));
         res.push_row(
-            format!("{n} mics [{mics:?}]"),
+            format!("{} mics [{mics:?}]", mics.len()),
             format!("acc/P/R/F1 = {paper_row}"),
             format!(
                 "{} / {} / {} / {}",

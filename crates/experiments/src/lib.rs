@@ -51,7 +51,6 @@ pub const EXPERIMENTS: &[(&str, Run)] = &[
     ("objects", exp::objects::run),
     ("fig16", exp::fig16::run),
     ("ablation", exp::ablation::run),
-    ("stream", exp::stream::run),
     ("runtime", exp::runtime::run),
     ("table5", exp::table5::run),
 ];

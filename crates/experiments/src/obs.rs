@@ -37,7 +37,9 @@ pub fn emit(id: &str, results_dir: &Path) -> Option<std::path::PathBuf> {
                 return None;
             }
             let path = results_dir.join(format!("{id}.obs.json"));
-            match std::fs::write(&path, ht_dsp::obs::obs_report(&snap)) {
+            match std::fs::create_dir_all(results_dir)
+                .and_then(|()| std::fs::write(&path, ht_dsp::obs::obs_report(&snap)))
+            {
                 Ok(()) => Some(path),
                 Err(e) => {
                     eprintln!("[ht-obs] could not write {}: {e}", path.display());

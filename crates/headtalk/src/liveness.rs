@@ -139,18 +139,7 @@ impl LivenessDetector {
         Ok(())
     }
 
-    /// `true` once [`calibrate_int8`](LivenessDetector::calibrate_int8) has
-    /// built the quantized backend.
-    pub fn has_int8(&self) -> bool {
-        self.quantized.is_some()
-    }
-
-    /// Probability that a prepared input is live human speech.
-    pub fn live_probability(&self, prepared: &[f64]) -> f64 {
-        self.net.predict_proba(prepared)
-    }
-
-    /// Mode-dispatched [`live_probability`](LivenessDetector::live_probability):
+    /// Probability that a prepared input is live human speech:
     /// [`QuantMode::Int8`] runs the quantized backend when calibrated and
     /// falls back to the byte-stable f64 reference otherwise.
     pub fn live_probability_mode(&self, prepared: &[f64], mode: QuantMode) -> f64 {
@@ -287,7 +276,7 @@ mod tests {
         let train = corpus(10, 4, 256);
         let det = tiny_fit(&train, 5, 5);
         for i in 0..train.len() {
-            let p = det.live_probability(train.sample(i).0);
+            let p = det.live_probability_mode(train.sample(i).0, QuantMode::Reference);
             assert!((0.0..=1.0).contains(&p));
         }
     }

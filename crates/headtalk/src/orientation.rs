@@ -150,25 +150,22 @@ impl OrientationDetector {
         Ok(())
     }
 
-    /// `true` once [`calibrate_int8`](OrientationDetector::calibrate_int8)
-    /// has built a quantized backend (always `false` for non-SVM kinds).
-    pub fn has_int8(&self) -> bool {
-        self.quantized.is_some()
-    }
-
-    /// Mode-dispatched decision: `(score, facing)`. Under
-    /// [`QuantMode::Int8`] with a calibrated SVM backend, one quantized
-    /// kernel evaluation produces both (the SVM's predict is exactly
-    /// `score >= 0`); otherwise the byte-stable f64 reference runs.
+    /// Mode-dispatched decision: `(score, facing)` from one standardized
+    /// vector. The SVM's predict is exactly `score >= 0`, so one kernel
+    /// evaluation produces both: the quantized one under
+    /// [`QuantMode::Int8`] with a calibrated backend, the byte-stable f64
+    /// reference otherwise. The other kinds predict on the same vector.
     pub fn score_and_facing_mode(&self, features: &[f64], mode: QuantMode) -> (f64, bool) {
-        match (&self.quantized, mode) {
-            (Some(q), QuantMode::Int8) => {
-                let scaled = self.scaler.transform(features);
-                let s = q.decision_score(&scaled);
-                (s, s >= 0.0)
-            }
-            _ => (self.decision_score(features), self.is_facing(features)),
-        }
+        let scaled = self.scaler.transform(features);
+        let score = match (&self.quantized, mode) {
+            (Some(q), QuantMode::Int8) => q.decision_score(&scaled),
+            _ => self.model.as_classifier().decision_score(&scaled),
+        };
+        let facing = match self.model {
+            Model::Svm(_) => score >= 0.0,
+            _ => self.model.as_classifier().predict(&scaled) == 1,
+        };
+        (score, facing)
     }
 
     /// Which model kind backs this detector.

@@ -94,38 +94,19 @@ impl HeadTalk {
         self.quant
     }
 
-    /// Selects the inference backend. [`QuantMode::Reference`] is always
-    /// available; [`QuantMode::Int8`] requires a prior
-    /// [`enable_int8`](HeadTalk::enable_int8) (or
-    /// [`enable_int8_assembled`](HeadTalk::enable_int8_assembled)) so the
-    /// static scales exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HeadTalkError::InvalidInput`] when Int8 is requested
-    /// before calibration.
-    pub fn set_quant_mode(&mut self, mode: QuantMode) -> Result<(), HeadTalkError> {
-        if mode == QuantMode::Int8 && !self.liveness.has_int8() {
-            return Err(HeadTalkError::InvalidInput(
-                "int8 mode requires calibrated scales: call enable_int8 first".into(),
-            ));
-        }
-        self.quant = mode;
-        Ok(())
-    }
-
     /// Calibrates the int8 backends offline from raw training captures and
     /// switches the pipeline to [`QuantMode::Int8`]: each capture is pushed
     /// through an [`Evidence`] — frame analysis is the same in every mode,
     /// so this is the evidence both training and decisions see — and the
     /// observed activation ranges of the assembled evidence fix the static
-    /// per-layer scales. The f64 models are untouched and stay selectable
-    /// via [`set_quant_mode`](HeadTalk::set_quant_mode).
+    /// per-layer scales. The f64 models are untouched. Nothing switches
+    /// back: a pipeline scores in f64 until it is calibrated.
     ///
     /// # Errors
     ///
     /// Returns [`HeadTalkError::InvalidInput`] for an empty calibration set
-    /// or degenerate captures, and propagates model errors.
+    /// or degenerate captures, and propagates model errors; on error the
+    /// pipeline stays in its previous mode.
     pub fn enable_int8(&mut self, captures: &[Vec<Vec<f64>>]) -> Result<(), HeadTalkError> {
         if captures.is_empty() {
             return Err(HeadTalkError::InvalidInput(
@@ -143,25 +124,8 @@ impl HeadTalk {
         }
         let liv: Vec<&[f64]> = liveness_calib.iter().map(Vec::as_slice).collect();
         let feat: Vec<&[f64]> = feature_calib.iter().map(Vec::as_slice).collect();
-        self.enable_int8_assembled(&liv, &feat)
-    }
-
-    /// [`enable_int8`](HeadTalk::enable_int8) from already-assembled
-    /// evidence: prepared liveness inputs and (unscaled) orientation
-    /// feature vectors — what a serving layer that has been running the
-    /// reference path already holds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration errors; on error the pipeline stays in its
-    /// previous mode.
-    pub fn enable_int8_assembled(
-        &mut self,
-        liveness_calib: &[&[f64]],
-        feature_calib: &[&[f64]],
-    ) -> Result<(), HeadTalkError> {
-        self.liveness.calibrate_int8(liveness_calib)?;
-        self.orientation.calibrate_int8(feature_calib)?;
+        self.liveness.calibrate_int8(&liv)?;
+        self.orientation.calibrate_int8(&feat)?;
         self.quant = QuantMode::Int8;
         Ok(())
     }
@@ -397,8 +361,6 @@ mod tests {
     #[test]
     fn int8_mode_requires_calibration_then_tracks_reference() {
         let mut ht = tiny_pipeline();
-        // Int8 cannot be selected before scales exist.
-        assert!(ht.set_quant_mode(QuantMode::Int8).is_err());
         assert_eq!(ht.quant_mode(), QuantMode::Reference);
 
         let mut rng = StdRng::seed_from_u64(21);
@@ -429,15 +391,15 @@ mod tests {
             // the identical f64 path either way.
             assert_eq!(q.facing_score.to_bits(), r.facing_score.to_bits());
             assert_eq!(q.facing, r.facing);
-        }
 
-        // Switching back reproduces the pre-calibration reference bits:
-        // calibration never perturbs the f64 models.
-        ht.set_quant_mode(QuantMode::Reference).unwrap();
-        for (c, r) in captures.iter().zip(&reference) {
-            let q = ht.decide_batch(c).unwrap().0;
+            // The calibrated pipeline's f64 models still give the
+            // pre-calibration bits: calibration never perturbs them.
+            let input = HeadTalk::liveness_input(ht.config(), c).unwrap();
+            let p = ht
+                .liveness
+                .live_probability_mode(&input, QuantMode::Reference);
             assert_eq!(
-                q.live_probability.to_bits(),
+                p.to_bits(),
                 r.live_probability.to_bits(),
                 "reference stays byte-stable after calibration"
             );

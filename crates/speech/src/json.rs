@@ -1,11 +1,12 @@
-//! JSON conversions for the speech types that appear in persisted
-//! artifacts (the feature cache's `CaptureSpec` sidecars).
+//! JSON dumps of the speech types inside a capture description
+//! (`ht_datagen::CaptureSpec`): the experiment feature cache and the
+//! benchmark's render cache both key on that dump.
 
 use crate::replay::SpeakerModel;
 use crate::utterance::WakeWord;
 use crate::voice::VoiceProfile;
 use ht_dsp::impl_unit_enum_json;
-use ht_dsp::json::{field, FromJson, Json, JsonError, ToJson};
+use ht_dsp::json::{Json, ToJson};
 
 impl_unit_enum_json!(WakeWord, {
     WakeWord::Computer => "Computer",
@@ -31,50 +32,47 @@ impl ToJson for VoiceProfile {
     }
 }
 
-impl FromJson for VoiceProfile {
-    fn from_json(v: &Json) -> Result<VoiceProfile, JsonError> {
-        Ok(VoiceProfile {
-            f0_hz: field(v, "f0_hz")?,
-            formant_scale: field(v, "formant_scale")?,
-            brightness: field(v, "brightness")?,
-            jitter: field(v, "jitter")?,
-            shimmer: field(v, "shimmer")?,
-            rate: field(v, "rate")?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ht_dsp::json::field;
+
+    /// Each value's dump parses back to the tree it was written from, and
+    /// no two values share a dump: a shared one would give two different
+    /// capture specs one cache key.
+    fn round_trip_distinct<T: ToJson>(values: &[T]) {
+        let mut dumps: Vec<String> = Vec::new();
+        for v in values {
+            let text = v.to_json().dump();
+            assert_eq!(Json::parse(&text).unwrap(), v.to_json(), "{text}");
+            assert!(!dumps.contains(&text), "{text} is not unique");
+            dumps.push(text);
+        }
+    }
 
     #[test]
     fn wake_words_and_speakers_round_trip() {
-        for w in WakeWord::ALL {
-            assert_eq!(WakeWord::from_json(&w.to_json()).unwrap(), w);
-        }
-        for m in [
+        round_trip_distinct(&WakeWord::ALL);
+        round_trip_distinct(&[
             SpeakerModel::SonySrsX5,
             SpeakerModel::GalaxyS21,
             SpeakerModel::GenericMedia,
-        ] {
-            assert_eq!(SpeakerModel::from_json(&m.to_json()).unwrap(), m);
-        }
+        ]);
     }
 
     #[test]
     fn voice_profiles_round_trip_exactly() {
-        for v in [VoiceProfile::adult_male(), VoiceProfile::adult_female()] {
-            let text = v.to_json().dump();
-            let back = VoiceProfile::from_json(&Json::parse(&text).unwrap()).unwrap();
-            assert_eq!(back, v);
+        let profiles = [VoiceProfile::adult_male(), VoiceProfile::adult_female()];
+        round_trip_distinct(&profiles);
+        for v in profiles {
+            let back = Json::parse(&v.to_json().dump()).unwrap();
+            let read = |name| field::<f64>(&back, name).unwrap().to_bits();
+            assert_eq!(read("f0_hz"), v.f0_hz.to_bits());
+            assert_eq!(read("formant_scale"), v.formant_scale.to_bits());
+            assert_eq!(read("brightness"), v.brightness.to_bits());
+            assert_eq!(read("jitter"), v.jitter.to_bits());
+            assert_eq!(read("shimmer"), v.shimmer.to_bits());
+            assert_eq!(read("rate"), v.rate.to_bits());
         }
-    }
-
-    #[test]
-    fn missing_field_is_reported_by_name() {
-        let broken = Json::obj().set("f0_hz", 120.0);
-        let e = VoiceProfile::from_json(&broken).unwrap_err();
-        assert!(e.message.contains("formant_scale"), "{}", e.message);
     }
 }
